@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import DgAlgebra
-from .chains import BAR_RED, CYCLIC, Chain, alpha_map, b_prime, d_bar, d_total
+from .chains import BAR_RED, CYCLIC, Chain, _floor_half_factorial, alpha_map, b_prime, d_bar, d_total
 from .chains import chen_R, chen_S, chen_Si, chen_Ti, random_basis_word
 from .cochains import OperatorBarCochain, bar_n_values, word_to_vecs
 from .hilbert import (
@@ -263,6 +263,21 @@ class Curvature:
         prod = self.M.alg.multiply_coeffs(signed, np.asarray(vec2, dtype=complex))
         return self.M.c(prod) - self.M.c(signed) @ self.M.c(vec2)
 
+    def bands(self, T, slots):
+        """Block chain of Phi_T on a word: -T Q^2 on the N+1 diagonal nodes,
+        -T F(theta_j) one step up and -T F(theta_j, theta_j+1) two steps up."""
+        # words like (a,) * N repeat one slot object: build each block once
+        singles = {id(v): v for v in slots}
+        pairs = {(id(u), id(v)): (u, v) for u, v in zip(slots, slots[1:])}
+        f1 = {key: -T * self.F1(v) for key, v in singles.items()}
+        f2 = {key: -T * self.F2(u, v) for key, (u, v) in pairs.items()}
+        diag = [-T * self.M.Q2] * (len(slots) + 1)
+        bands = {
+            1: {j: f1[id(v)] for j, v in enumerate(slots)},
+            2: {j: f2[id(u), id(v)] for j, (u, v) in enumerate(zip(slots, slots[1:]))},
+        }
+        return diag, bands
+
     def block(self, slots):
         if len(slots) == 1:
             return self.F1(slots[0])
@@ -299,9 +314,6 @@ def _compositions(N, max_part, max_blocks=None):
             if max_blocks is None or len(acc) <= max_blocks:
                 out.append(tuple(acc))
             return
-        if max_blocks is not None and len(acc) >= max_blocks:
-            # may still add parts while below the cap
-            pass
         for p in range(1, min(max_part, rem) + 1):
             if max_blocks is not None and len(acc) + 1 > max_blocks:
                 continue
@@ -339,18 +351,11 @@ def quantize(M: CqFredholmModule, T, word, engine="banded", max_blocks=None, unp
         if hit is not None:
             return hit
     slots = _as_slot_vecs(M.alg, word)
-    Q2 = M.Q2
     cur = _curvature_tables(M)
-    if N == 0:
-        out = expm(-T * Q2)
-    elif engine == "banded" and max_blocks is None and not unpruned:
-        diag = [-T * Q2] * (N + 1)
-        bands = {
-            1: {j: -T * cur.F1(slots[j]) for j in range(N)},
-            2: {j: -T * cur.F2(slots[j], slots[j + 1]) for j in range(N - 1)},
-        }
-        out = chain_exp_topright(diag, bands)
+    if engine == "banded" and max_blocks is None and not unpruned:
+        out = chain_exp_topright(*cur.bands(T, slots))
     else:
+        Q2 = M.Q2
         out = np.zeros((M.hdim, M.hdim), dtype=complex)
         max_part = N if unpruned else 2
         for comp in _compositions(N, max_part, max_blocks):
@@ -384,11 +389,6 @@ def chern_eval(M: CqFredholmModule, item, T=1.0):
     c0 = M.c(head) if not isinstance(head, (int, np.integer)) else M.c_mats[int(head)]
     phi = quantize(M, T, tuple(word[1:]))
     return complex(cstr(M.cm, c0 @ phi))
-
-
-def chern_parity(M: CqFredholmModule) -> int:
-    """Parity of the Chern character functional: q mod 2."""
-    return M.q % 2
 
 
 def coclosed_residual(M: CqFredholmModule, chain, T=1.0):
@@ -509,19 +509,6 @@ class Homotopy:
                         weak=True, name=self.name + "_T")
 
 
-def make_fd_derivative(f, step=1e-4, richardson=True):
-    """Centered finite-difference derivative of a matrix-valued map."""
-
-    def deriv(s):
-        d1 = (f(s + step) - f(s - step)) / (2 * step)
-        if not richardson:
-            return d1
-        d2 = (f(s + step / 2) - f(s - step / 2)) / step
-        return (4.0 * d2 - d1) / 3.0
-
-    return deriv
-
-
 def psi_eval(M_s: CqFredholmModule, Qdot, cdot_mats, T, word):
     """Psi_T = -T int_0^1 Phi_uT omegadot Phi_(1-u)T du on one bar word.
 
@@ -533,14 +520,8 @@ def psi_eval(M_s: CqFredholmModule, Qdot, cdot_mats, T, word):
     N = len(slots)
     if N + 1 > N_BRACKET_MAX:
         raise HilbertError("word too long for the bracket bound")
-    Q2 = M_s.Q2
-    cur = _curvature_tables(M_s)
     n = bar_n_values(M_s.alg, slots)
-    diag = [-T * Q2] * (N + 1)
-    bands = {
-        1: {j: -T * cur.F1(slots[j]) for j in range(N)},
-        2: {j: -T * cur.F2(slots[j], slots[j + 1]) for j in range(N - 1)},
-    }
+    diag, bands = _curvature_tables(M_s).bands(T, slots)
     cdot = lambda v: np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), cdot_mats)  # noqa: E731
     marked = {
         0: {a: (-1.0) ** n[a] * (-T) * Qdot for a in range(N + 1)},
@@ -668,13 +649,6 @@ def getzler_closed_form(M: OddFredholmModule, word):
 
 
 # -- the fundamental trace-norm estimate -----------------------------------------------------
-
-
-def _floor_half_factorial(N):
-    out = 1.0
-    for j in range(2, N // 2 + 1):
-        out *= j
-    return out
 
 
 def phi_estimate_ratio(M: CqFredholmModule, word, T, kappa=1.0):

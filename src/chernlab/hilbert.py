@@ -183,7 +183,7 @@ def trace_norm(A) -> float:
 # -- block-exponential kernels ---------------------------------------------------
 
 
-def chain_exp_topright(diag, bands, ncopies_dim=None):
+def chain_exp_topright(diag, bands):
     """Top-right block of expm of a block upper-banded matrix.
 
     diag: list of K+1 diagonal blocks.  bands: dict mapping a step size
@@ -208,31 +208,17 @@ def marked_chain_exp_topright(diag, bands, marked):
     """Sum over paths carrying exactly one marked step.
 
     Same layout as chain_exp_topright; marked maps step sizes (0 allowed)
-    to {j: block}.  Uses the two-copy augmentation [[G, M], [0, G]].
+    to {j: block}.  The two-copy augmentation [[G, M], [0, G]] is itself a
+    banded chain on 2(K+1) nodes: every band repeats on the second copy,
+    and a marked step s from node j becomes the step K+1+s.
     """
     K = len(diag) - 1
-    d = diag[0].shape[0]
-    n = (K + 1) * d
-    G = np.zeros((n, n), dtype=complex)
-    for j, Dj in enumerate(diag):
-        G[j * d : (j + 1) * d, j * d : (j + 1) * d] = Dj
+    doubled = {}
     for step, placed in bands.items():
-        for j, block in placed.items():
-            if block is None:
-                continue
-            G[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
-    M = np.zeros((n, n), dtype=complex)
+        doubled[step] = {**placed, **{K + 1 + j: block for j, block in placed.items()}}
     for step, placed in marked.items():
-        for j, block in placed.items():
-            if block is None:
-                continue
-            M[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
-    big = np.zeros((2 * n, 2 * n), dtype=complex)
-    big[:n, :n] = G
-    big[:n, n:] = M
-    big[n:, n:] = G
-    E = expm(big)
-    return E[0:d, n + K * d : n + (K + 1) * d]
+        doubled.setdefault(K + 1 + step, {}).update(placed)
+    return chain_exp_topright(diag * 2, doubled)
 
 
 def heat_bracket(H, A_list, check=True, n_max=N_BRACKET_MAX):
@@ -248,8 +234,6 @@ def heat_bracket(H, A_list, check=True, n_max=N_BRACKET_MAX):
         w = np.linalg.eigvalsh(H)
         if w.min() < -1e-10 * max(1.0, abs(w.max())):
             raise HilbertError("H must be positive semidefinite")
-    if N == 0:
-        return expm(-H)
     diag = [-H] * (N + 1)
     bands = {1: {j: A_list[j] for j in range(N)}}
     return chain_exp_topright(diag, bands)

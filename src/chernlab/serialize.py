@@ -160,8 +160,3 @@ def dump_json(obj, path=None) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -30,6 +30,7 @@ from .chains import (
     CYCLIC,
     B_connes,
     Chain,
+    _floor_half_factorial,
     b_cyclic,
     chen_Ti,
     d_cyclic,
@@ -317,23 +318,16 @@ def ch_g_closed(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     omega_l1 = l1(ch.omega_T)
     vecs = _omega_and_dg_vectors(ch)
     rho = max(omega_l1, l1(vecs[1]), l1(vecs[2]), 1e-30) * g.m
-    const = max((v * _floor_half_fact(N) / (rho ** N) for N, v in bounds.items() if N <= 3),
+    const = max((v * _floor_half_factorial(N) / (rho ** N) for N, v in bounds.items() if N <= 3),
                 default=1.0) * (1.0 + 1e-9)
     worst = 0.0
     for N, v in bounds.items():
-        ref = const * rho ** N / _floor_half_fact(N)
+        ref = const * rho ** N / _floor_half_factorial(N)
         worst = max(worst, v / ref - 1.0 if ref > 0 else np.inf)
     rep.add("telescope-decay-rate", max(worst, 0.0), 1e-9,
             "entire bounds of lambda_N stay below the half-factorial envelope")
     rep.notes["rho"] = round17(rho)
     return rep
-
-
-def _floor_half_fact(N):
-    out = 1.0
-    for j in range(2, N // 2 + 1):
-        out *= j
-    return out
 
 
 # -- twisted families -------------------------------------------------------------
@@ -451,10 +445,15 @@ def perturbation_series(tf: TwistedFamily, s, T, M_max, tail_tol=None):
             M_try += 1
         raise SpectralError(
             f"perturbation tail {tail:.2e} above {tail_tol:.1e} at M_max={M_max}; need about {M_try}")
+    return _heat_series(Q2, X, T, M_max), tail
+
+
+def _heat_series(Q2, X, T, M_max):
+    """sum_{M <= M_max} (-T)^M {X, ..., X}_{T Q2}."""
     out = expm(-T * Q2)
     for M in range(1, M_max + 1):
         out = out + (-T) ** M * heat_bracket(T * Q2, [X] * M, check=False, n_max=M_max + 1)
-    return out, tail
+    return out
 
 
 def sf_integral(tf: TwistedFamily, s_nodes=32, M_max=16):
@@ -522,11 +521,7 @@ def partition_resum_check(tf: TwistedFamily, s, T, M_max):
     """|sum_M (-T)^M {X~_s...}_{T Q~^2} - sum_{N <= 2 M_max} Phi_T(A^N)|
     with the partition count capped at M_max on the right."""
     Mdt = tf.Mdt
-    Q2t = Mdt.Q2
-    Xt = tf.X_tilde(s)
-    lhs = expm(-T * Q2t)
-    for M in range(1, M_max + 1):
-        lhs = lhs + (-T) ** M * heat_bracket(T * Q2t, [Xt] * M, check=False, n_max=M_max + 1)
+    lhs = _heat_series(Mdt.Q2, tf.X_tilde(s), T, M_max)
     a_vec, _ = tf.ab_vectors(s)
     rhs = np.zeros_like(lhs)
     for N in range(0, 2 * M_max + 1):
@@ -545,14 +540,8 @@ def pairing_term(tf: TwistedFamily, N, s):
     a_vec, b_vec = tf.ab_vectors(s)
     if N == 0:
         return 0.0 + 0.0j
-    f1a = cur.F1(a_vec)
-    f2aa = cur.F2(a_vec, a_vec)
+    diag, bands = cur.bands(1.0, (a_vec,) * N)
     f1b = cur.F1(b_vec)
-    diag = [-Mdt.Q2] * (N + 1)
-    bands = {
-        1: {j: -f1a for j in range(N)},
-        2: {j: -f2aa for j in range(N - 1)},
-    }
     marked = {1: {j: -f1b for j in range(N)}}
     phi_sum = marked_chain_exp_topright(diag, bands, marked)
     return complex(cstr(Mdt.cm, phi_sum))
@@ -673,7 +662,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int, s_nodes=None,
 
     def term_bound(N):
         nu_prod = (kappa * a_norm) ** (N - 1) * (kappa * b_norm)
-        return 0.5 * 2.0 * N * trace_factor * nu_prod / _floor_half_fact(N)
+        return 0.5 * 2.0 * N * trace_factor * nu_prod / _floor_half_factorial(N)
 
     terms = []
     pairing_total = 0.0 + 0.0j

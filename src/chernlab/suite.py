@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MatrixElement, acyclic_extension, dga_validate, mat_lift, maurer_cartan, maurer_cartan_residual
-from .chains import CYCLIC, Chain, random_basis_word
+from .chains import CYCLIC, Chain, _all_basis_words, random_basis_word
 from .fixtures import (
     circle_loop_element,
     complex_line,
@@ -176,20 +176,9 @@ def group_chern(cfg: SuiteConfig):
         small = M.alg.dim > 20 or cfg.fast
         max_len = 3 if small else 4
 
-        def words_of(alg, budget):
-            out = []
-            u = alg.unit_index
-            reduced = [i for i in range(alg.dim) if i != u]
-            layer = [(i,) for i in range(alg.dim)]
-            out.extend(layer)
-            for _ in range(budget - 1):
-                layer = [w + (i,) for w in layer for i in reduced]
-                out.extend(layer)
-            return out
-
         # exhaustive over the base algebra when small, sampled otherwise
         if M.alg.dim <= 8:
-            base_words = words_of(M.alg, max_len)
+            base_words = _all_basis_words(M.alg, max_len - 1)
         else:
             base_words = [random_basis_word(M.alg, CYCLIC, int(rng.integers(0, max_len)), rng)
                           for _ in range(150 if not cfg.fast else 40)]
@@ -200,7 +189,7 @@ def group_chern(cfg: SuiteConfig):
                 "(d + b - B)^dual Ch = 0 over the base algebra",
                 note=f"{len(base_words)} words, max length {max_len}")
         if ext.dim <= 16:
-            ext_words = words_of(ext, min(max_len, 3))
+            ext_words = _all_basis_words(ext, min(max_len, 3) - 1)
         else:
             ext_words = [random_basis_word(ext, CYCLIC, int(rng.integers(0, 3)), rng)
                          for _ in range(100 if not cfg.fast else 30)]

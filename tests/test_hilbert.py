@@ -269,3 +269,29 @@ def test_marked_chain_exp_counts_single_marker():
     M = _rand_mat(rng, 3)
     out = marked_chain_exp_topright([-H], {}, {0: {0: M}})
     assert np.max(np.abs(out - heat_bracket(H, [M]))) <= 1e-12
+
+
+def test_marked_chain_exp_matches_two_copy_matrix():
+    # K = 3: bands at steps 1 and 2, markers at steps 0 and 1, against
+    # expm of the explicit [[G, M], [0, G]] augmentation
+    rng = np.random.default_rng(41)
+    d, K = 2, 3
+    diag = [-_rand_psd(rng, d) for _ in range(K + 1)]
+    bands = {1: {j: 0.5 * _rand_mat(rng, d) for j in range(K)},
+             2: {j: 0.5 * _rand_mat(rng, d) for j in range(K - 1)}}
+    marked = {0: {j: 0.5 * _rand_mat(rng, d) for j in range(K + 1)},
+              1: {j: 0.5 * _rand_mat(rng, d) for j in range(K)}}
+    n = (K + 1) * d
+
+    def place(layout):
+        out = np.zeros((n, n), dtype=complex)
+        for step, placed in layout.items():
+            for j, block in placed.items():
+                out[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
+        return out
+
+    G = place({0: dict(enumerate(diag)), **bands})
+    big = np.block([[G, place(marked)], [np.zeros((n, n)), G]])
+    ref = expm(big)[0:d, n + K * d :]
+    out = marked_chain_exp_topright(diag, bands, marked)
+    assert np.max(np.abs(out - ref)) <= 1e-12
