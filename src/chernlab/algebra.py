@@ -37,7 +37,10 @@ class DgAlgebra:
 
     def __init__(self, dim, degree, unit_index, mul, diff, name="algebra"):
         self.dim = int(dim)
-        self.degree = np.asarray(degree, dtype=int)
+        # a private read-only copy: degree_tuple and the caches downstream
+        # assume the grading never changes
+        self.degree = np.array(degree, dtype=int)
+        self.degree.flags.writeable = False
         self.unit_index = int(unit_index)
         self.mul = np.asarray(mul, dtype=complex)
         self.diff = np.asarray(diff, dtype=complex)
@@ -52,7 +55,8 @@ class DgAlgebra:
             raise AlgebraError("differential matrix has wrong shape")
         if not 0 <= self.unit_index < self.dim:
             raise AlgebraError("unit_index out of range")
-        # sparse lookup tables used by the chain machinery
+        # plain-int degrees and sparse lookup tables for the chain machinery
+        self.degree_tuple = tuple(int(d) for d in self.degree)
         self.mul_table = {}
         for i in range(self.dim):
             for j in range(self.dim):

@@ -25,6 +25,7 @@ Chen normalization operators S, R, S_i^(f), T_i^(f).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -37,6 +38,11 @@ BAR_RED = "bar_red"
 
 class ChainError(ValueError):
     pass
+
+
+# (-1)^p and -(-1)^p for p in {0, 1}
+_SIGN = (1.0, -1.0)
+_NEG_SIGN = (-1.0, 1.0)
 
 
 class Chain:
@@ -72,11 +78,17 @@ class Chain:
                 return
         if coeff == 0:
             return
-        new = self.terms.get(word, 0.0) + coeff
+        self._acc(word, coeff)
+
+    def _acc(self, word, coeff):
+        """add_term for a word already known to be an int tuple with no
+        unit in a reduced slot; an exact zero sum removes the word."""
+        terms = self.terms
+        new = terms.get(word, 0.0) + coeff
         if new == 0:
-            self.terms.pop(word, None)
+            terms.pop(word, None)
         else:
-            self.terms[word] = new
+            terms[word] = new
 
     @classmethod
     def basis_word(cls, alg, kind, word, coeff=1.0):
@@ -88,14 +100,42 @@ class Chain:
     def from_elements(cls, alg, kind, slots, coeff=1.0, tol=0.0):
         """Expand a tensor word of AlgebraElements into basis words."""
         c = cls(alg, kind)
-        words = [((), coeff)]
-        for el in slots:
-            vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
-            nz = np.nonzero(np.abs(vec) > tol)[0]
-            words = [(w + (int(i),), cf * vec[i]) for w, cf in words for i in nz]
-        for w, cf in words:
-            c.add_term(w, cf)
+        c._add_tensor(slots, coeff, tol)
         return c
+
+    def _add_tensor(self, slots, coeff, tol=0.0):
+        """Add coeff * (slot_0 (x) slot_1 (x) ...) in place.
+
+        Components with |v_i| <= tol are skipped, and so are unit
+        components of reduced slots, whose words add_term would drop.  The
+        rest expands as a C-order Kronecker product, so the words come in
+        nested-loop order and each coefficient is the left-to-right product
+        coeff * v_0[i_0] * v_1[i_1] * ...  The real and imaginary parts are
+        multiplied as separate float arrays: numpy's complex array multiply
+        may fuse a multiply-add, the scalar complex product does not, and
+        this way each coefficient equals the scalar product bit for bit.
+        """
+        u = self.alg.unit_index
+        reduced = self._reduced_positions(slots)
+        coeff = complex(coeff)
+        re, im = np.array([coeff.real]), np.array([coeff.imag])
+        outer = np.multiply.outer
+        indices = []
+        for p, el in enumerate(slots):
+            vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
+            keep = np.abs(vec) > tol
+            if p in reduced:
+                keep[u] = False
+            nz = np.nonzero(keep)[0]
+            indices.append(nz.tolist())
+            vr, vi = vec.real[nz], vec.imag[nz]
+            re, im = (outer(re, vr) - outer(im, vi)).ravel(), (outer(re, vi) + outer(im, vr)).ravel()
+        vals = np.empty(len(re), dtype=complex)
+        vals.real, vals.imag = re, im
+        acc = self._acc
+        for word, cf in zip(product(*indices), vals.tolist()):
+            if cf:  # add_term drops exact zeros
+                acc(word, cf)
 
     def copy(self):
         out = Chain(self.alg, self.kind)
@@ -107,15 +147,17 @@ class Chain:
     def __add__(self, other):
         self._check_compatible(other)
         out = self.copy()
+        acc = out._acc
         for w, cf in other.terms.items():
-            out.add_term(w, cf)
+            acc(w, cf)
         return out
 
     def __sub__(self, other):
         self._check_compatible(other)
         out = self.copy()
+        acc = out._acc
         for w, cf in other.terms.items():
-            out.add_term(w, -cf)
+            acc(w, -cf)
         return out
 
     def scale(self, scalar):
@@ -154,9 +196,9 @@ class Chain:
     # -- grading ------------------------------------------------------------
 
     def word_parity(self, word) -> int:
-        deg = self.alg.degree
+        deg = self.alg.degree_tuple
         n_slots = len(word) - 1 if self.kind == CYCLIC else len(word)
-        return int(sum(int(deg[i]) for i in word) - n_slots) % 2
+        return (sum(map(deg.__getitem__, word)) - n_slots) % 2
 
     def parity(self):
         """0 or 1 when homogeneous, raises otherwise."""
@@ -174,22 +216,22 @@ class Chain:
 
 def _m_values(alg, word):
     """m_k = |theta_0| + ... + |theta_k| - k, with m_{-1} = 1, mod 2."""
-    deg = alg.degree
+    deg = alg.degree_tuple
     out = [1]
     total = 0
     for k, i in enumerate(word):
-        total += int(deg[i])
+        total += deg[i]
         out.append((total - k) % 2)
     return out  # out[k+1] = m_k mod 2
 
 
 def _n_values(alg, word):
     """n_k = |theta_1| + ... + |theta_k| - k mod 2, n_0 = 0 (bar word)."""
-    deg = alg.degree
+    deg = alg.degree_tuple
     out = [0]
     total = 0
     for k, i in enumerate(word):
-        total += int(deg[i])
+        total += deg[i]
         out.append((total - (k + 1)) % 2)
     return out  # out[k] = n_k mod 2
 
@@ -215,16 +257,21 @@ def d_cyclic(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("d_cyclic expects a cyclic chain")
     alg = c.alg
+    u = alg.unit_index
+    diff = alg.diff_table
     out = Chain(alg, CYCLIC)
+    acc = out._acc
     for word, coeff in c.terms.items():
         m = _m_values(alg, word)
         for k, idx in enumerate(word):
-            entries = alg.diff_table.get(idx)
+            entries = diff.get(idx)
             if not entries:
                 continue
-            sign = -((-1.0) ** m[k])  # m[k] = m_{k-1}
+            sign = _NEG_SIGN[m[k]]  # m[k] = m_{k-1}
+            head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
-                out.add_term(word[:k] + (l,) + word[k + 1 :], coeff * sign * cf)
+                if l != u or k == 0:  # slot k is the only new slot
+                    acc(head + (l,) + tail, coeff * sign * cf)
     return out
 
 
@@ -233,25 +280,31 @@ def b_cyclic(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
     alg = c.alg
-    deg = alg.degree
+    deg = alg.degree_tuple
+    u = alg.unit_index
+    mul = alg.mul_table
     out = Chain(alg, CYCLIC)
+    acc = out._acc
     for word, coeff in c.terms.items():
         N = len(word) - 1
         if N == 0:
             continue
         m = _m_values(alg, word)
         for k in range(N):
-            entries = alg.mul_table.get((word[k], word[k + 1]))
+            entries = mul.get((word[k], word[k + 1]))
             if not entries:
                 continue
-            sign = -((-1.0) ** m[k + 1])  # m[k+1] = m_k
+            sign = _NEG_SIGN[m[k + 1]]  # m[k+1] = m_k
+            head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
-                out.add_term(word[:k] + (l,) + word[k + 2 :], coeff * sign * cf)
-        entries = alg.mul_table.get((word[N], word[0]))
+                if l != u or k == 0:  # slot k is the only new slot
+                    acc(head + (l,) + tail, coeff * sign * cf)
+        entries = mul.get((word[N], word[0]))
         if entries:
-            sign = (-1.0) ** (((int(deg[word[N]]) - 1) * m[N]) % 2)  # m[N] = m_{N-1}
+            sign = _SIGN[((deg[word[N]] - 1) * m[N]) % 2]  # m[N] = m_{N-1}
+            mid = word[1:N]
             for l, cf in entries:
-                out.add_term((l,) + word[1:N], coeff * sign * cf)
+                acc((l,) + mid, coeff * sign * cf)
     return out
 
 
@@ -261,15 +314,19 @@ def B_connes(c: Chain) -> Chain:
         raise ChainError("B_connes expects a cyclic chain")
     alg = c.alg
     u = alg.unit_index
+    head = (u,)
     out = Chain(alg, CYCLIC)
+    acc = out._acc
     for word, coeff in c.terms.items():
+        if word[0] == u:
+            continue  # every rotation moves this unit into a reduced slot
         N = len(word) - 1
         m = _m_values(alg, word)
         mN = m[N + 1]
         for k in range(N + 1):
             mkm1 = m[k]
-            sign = (-1.0) ** (((mkm1 + 1) * (mN - mkm1)) % 2)
-            out.add_term((u,) + word[k:] + word[:k], coeff * sign)
+            sign = _SIGN[((mkm1 + 1) * (mN - mkm1)) % 2]
+            acc(head + word[k:] + word[:k], coeff * sign)
     return out
 
 
@@ -285,16 +342,21 @@ def d_bar(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("d_bar expects a bar chain")
     alg = c.alg
+    u = alg.unit_index if c.kind == BAR_RED else None
+    diff = alg.diff_table
     out = Chain(alg, c.kind)
+    acc = out._acc
     for word, coeff in c.terms.items():
         n = _n_values(alg, word)
         for k, idx in enumerate(word):
-            entries = alg.diff_table.get(idx)
+            entries = diff.get(idx)
             if not entries:
                 continue
-            sign = -((-1.0) ** n[k])  # n[k] = n_{k-1} for slot k+1
+            sign = _NEG_SIGN[n[k]]  # n[k] = n_{k-1} for slot k+1
+            head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
-                out.add_term(word[:k] + (l,) + word[k + 1 :], coeff * sign * cf)
+                if l != u:
+                    acc(head + (l,) + tail, coeff * sign * cf)
     return out
 
 
@@ -302,17 +364,22 @@ def b_prime(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("b_prime expects a bar chain")
     alg = c.alg
+    u = alg.unit_index if c.kind == BAR_RED else None
+    mul = alg.mul_table
     out = Chain(alg, c.kind)
+    acc = out._acc
     for word, coeff in c.terms.items():
         N = len(word)
         n = _n_values(alg, word)
         for k in range(N - 1):
-            entries = alg.mul_table.get((word[k], word[k + 1]))
+            entries = mul.get((word[k], word[k + 1]))
             if not entries:
                 continue
-            sign = -((-1.0) ** n[k + 1])  # n_k for the pair (k+1, k+2)
+            sign = _NEG_SIGN[n[k + 1]]  # n_k for the pair (k+1, k+2)
+            head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
-                out.add_term(word[:k] + (l,) + word[k + 2 :], coeff * sign * cf)
+                if l != u:
+                    acc(head + (l,) + tail, coeff * sign * cf)
     return out
 
 
@@ -322,13 +389,14 @@ def cyclicize_N(c: Chain) -> Chain:
         raise ChainError("cyclicize_N expects a reduced bar chain")
     alg = c.alg
     out = Chain(alg, BAR_RED)
+    acc = out._acc
     for word, coeff in c.terms.items():
         N = len(word)
         n = _n_values(alg, word)
         nN = n[N]
         for k in range(1, N + 1):
-            sign = (-1.0) ** ((n[k] * (nN - n[k])) % 2)
-            out.add_term(word[k:] + word[:k], coeff * sign)
+            sign = _SIGN[(n[k] * (nN - n[k])) % 2]
+            acc(word[k:] + word[:k], coeff * sign)
     return out
 
 

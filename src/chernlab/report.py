@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def running_max(worst: float, value: float) -> float:
+    """max(worst, value) for residuals, where a NaN or infinite value is
+    kept: Python's max(0.0, nan) is 0.0, and a check would pass on it."""
+    value = float(value)
+    if not math.isfinite(worst):
+        return worst
+    if not math.isfinite(value):
+        return value
+    return max(worst, value)
 
 
 @dataclass

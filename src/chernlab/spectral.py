@@ -52,7 +52,7 @@ from .hilbert import (
     heat_bracket,
     marked_chain_exp_topright,
 )
-from .report import ValidationReport
+from .report import ValidationReport, running_max
 from .serialize import round17
 
 # Sign relating the B-insertion sum to c(omega) Phi(A, ..., A) under the
@@ -157,9 +157,10 @@ class OddChernChain:
         return Chain(self.alg_T, CYCLIC)
 
     def total(self) -> Chain:
+        """Sum of the components; their word lengths differ, so it is a union."""
         out = Chain(self.alg_T, CYCLIC)
         for c in self.chains.values():
-            out = out + c
+            out.terms.update(c.terms)
         return out
 
 
@@ -181,7 +182,7 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     total_terms = 0
     for N in range(1, N_max + 1):
         nodes, weights = gauss_legendre_01(N + 1)
-        acc = Chain(lifted, CYCLIC) if g.m > 1 else Chain(alg_T, CYCLIC)
+        acc = Chain(lifted, CYCLIC)
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
             if g.m > 1:
@@ -196,7 +197,7 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
                 unit_vec[unit_idx] = 1.0
             for k in range(1, N + 1):
                 slots = [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k)
-                acc = acc + Chain.from_elements(acc.alg, CYCLIC, slots, coeff=w)
+                acc._add_tensor(slots, w)
         comp = generalized_trace(acc, lifted, alg_T, g.m) if g.m > 1 else acc
         total_terms += len(comp.terms)
         if total_terms > max_terms:
@@ -323,8 +324,8 @@ def ch_g_closed(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     worst = 0.0
     for N, v in bounds.items():
         ref = const * rho ** N / _floor_half_factorial(N)
-        worst = max(worst, v / ref - 1.0 if ref > 0 else np.inf)
-    rep.add("telescope-decay-rate", max(worst, 0.0), 1e-9,
+        worst = running_max(worst, v / ref - 1.0 if ref > 0 else np.inf)
+    rep.add("telescope-decay-rate", worst, 1e-9,
             "entire bounds of lambda_N stay below the half-factorial envelope")
     rep.notes["rho"] = round17(rho)
     return rep

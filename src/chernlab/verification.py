@@ -23,7 +23,7 @@ from .hilbert import (
     standard_clifford_module,
     trace_norm,
 )
-from .report import ValidationReport
+from .report import ValidationReport, running_max
 
 # -- vectorized word-layer operators ------------------------------------------------
 
@@ -70,7 +70,7 @@ def _mvals(va, words):
 
 
 def _emit(chunks, words, coeffs):
-    keep = np.abs(coeffs) > 0
+    keep = coeffs != 0  # drops exact zeros only; a NaN stays and fails the check
     if np.any(keep):
         chunks.append((words[keep], coeffs[keep]))
 
@@ -84,7 +84,7 @@ def _apply_d(va, words, coeffs):
         col = words[:, k]
         for e in range(va.diff_tgt.shape[1]):
             cf = va.diff_cf[col, e]
-            nz = np.abs(cf) > 0
+            nz = cf != 0
             if not np.any(nz):
                 continue
             new = words[nz].copy()
@@ -106,7 +106,7 @@ def _apply_b(va, words, coeffs):
         a, b = words[:, k], words[:, k + 1]
         for e in range(va.prod_tgt.shape[2]):
             cf = va.prod_cf[a, b, e]
-            nz = np.abs(cf) > 0
+            nz = cf != 0
             if not np.any(nz):
                 continue
             new = np.concatenate([words[nz, :k], va.prod_tgt[a[nz], b[nz], e][:, None], words[nz, k + 2 :]], axis=1)
@@ -116,7 +116,7 @@ def _apply_b(va, words, coeffs):
     wrap_sign = (-1.0) ** (((va.deg[a] - 1) * m[:, N]) % 2)
     for e in range(va.prod_tgt.shape[2]):
         cf = va.prod_cf[a, b, e]
-        nz = np.abs(cf) > 0
+        nz = cf != 0
         if not np.any(nz):
             continue
         new = np.concatenate([va.prod_tgt[a[nz], b[nz], e][:, None], words[nz, 1:N]], axis=1)
@@ -156,7 +156,7 @@ def _accumulate_max(va, chunks):
         acc = np.zeros(len(uniq), dtype=complex)
         np.add.at(acc, inv, coeffs)
         if len(acc):
-            worst = max(worst, float(np.max(np.abs(acc))))
+            worst = running_max(worst, np.max(np.abs(acc)))
     return worst
 
 
@@ -203,7 +203,7 @@ def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0,
             if name_a != name_b:
                 for w, c in first[name_a]:
                     chunks.extend(ops[name_b](va, w, c))
-            worst[(name_a, name_b)] = max(worst[(name_a, name_b)], _accumulate_max(va, chunks))
+            worst[(name_a, name_b)] = running_max(worst[(name_a, name_b)], _accumulate_max(va, chunks))
     rep = ValidationReport(f"complex-axioms:{alg.name}")
     labels = {("d", "d"): "d d = 0", ("b", "b"): "b b = 0", ("B", "B"): "B B = 0",
               ("d", "b"): "d b + b d = 0", ("d", "B"): "d B + B d = 0", ("b", "B"): "b B + B b = 0"}

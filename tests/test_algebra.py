@@ -177,3 +177,15 @@ def test_json_round_trip():
 def test_malformed_structure_constants_raise():
     with pytest.raises(AlgebraError):
         DgAlgebra(2, [0, 0], 0, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_degree_is_frozen_after_construction():
+    degree = np.array([0, 1, 1, 2])
+    alg = exterior_algebra(2)
+    own = DgAlgebra(alg.dim, degree, alg.unit_index, alg.mul, alg.diff)
+    with pytest.raises(ValueError):
+        own.degree[1] = 3
+    degree[1] = 3  # the caller's array stays writable and is not shared
+    assert own.degree[1] == 1
+    assert own.degree_tuple == (0, 1, 1, 2)
+    assert all(type(d) is int for d in own.degree_tuple)

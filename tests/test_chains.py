@@ -4,6 +4,7 @@ alpha intertwining identity and the Chen normalization operators."""
 import numpy as np
 import pytest
 
+from chernlab import verification
 from chernlab.algebra import acyclic_extension
 from chernlab.chains import (
     BAR,
@@ -12,6 +13,7 @@ from chernlab.chains import (
     B_connes,
     Chain,
     ChainError,
+    _all_basis_words,
     alpha_map,
     b_cyclic,
     b_prime,
@@ -328,3 +330,85 @@ def test_chen_subspace_dtot_invariance_and_close_each():
                 if len(w) - 1 <= 2:
                     windowed.add_term(w, v)
             assert sub.residual(windowed) <= 1e-9 * max(1.0, windowed.norm())
+
+
+# -- the dict kernels against the vectorized layer kernels --------------------------
+
+SIGN_ALGS = {
+    "Ext2": ALGS["Ext2"],
+    "Circle3_T": ALGS["Circle3_T"],
+    "Ext2_T": ALGS["Ext2_T"],  # acyclic_extension(exterior_algebra(2))
+}
+
+
+def _merged(chunks):
+    out = {}
+    for words, coeffs in chunks:
+        for w, cf in zip(map(tuple, words.tolist()), coeffs.tolist()):
+            out[w] = out.get(w, 0.0) + cf
+    return out
+
+
+@pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
+def test_dict_differentials_match_array_kernels(alg_name):
+    # the two implementations of the sign conventions, pinned to each other
+    # on every reduced word of at most 4 slots with random coefficients
+    alg = SIGN_ALGS[alg_name]
+    va = verification._VecAlg(alg)
+    rng = np.random.default_rng(23)
+    pairs = [(d_cyclic, verification._apply_d), (b_cyclic, verification._apply_b),
+             (B_connes, verification._apply_B)]
+    for N in range(4):
+        words, sampled = verification._layer_words(alg, N)
+        assert not sampled
+        coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+        c = Chain(alg, CYCLIC, zip(map(tuple, words.tolist()), coeffs.tolist()))
+        for op, apply in pairs:
+            got = op(c).terms
+            ref = _merged(apply(va, words, coeffs))
+            # the two merge in different orders, so compare relative to the
+            # largest coefficient (up to about 22 here)
+            scale = max([1.0] + [abs(cf) for cf in ref.values()])
+            worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
+                        default=0.0)
+            assert worst <= 1e-14 * scale, f"{op.__name__} on {alg_name}, N={N}: {worst}"
+
+
+@pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
+def test_B_connes_kills_unit_led_words(alg_name):
+    alg = SIGN_ALGS[alg_name]
+    u = alg.unit_index
+    c = Chain(alg, CYCLIC, {w: 1.0 + 0.5j for w in _all_basis_words(alg, 3) if w[0] == u})
+    assert len(c.terms) > 1
+    assert B_connes(c).terms == {}
+
+
+def _reference_expansion(alg, kind, slots, coeff, tol):
+    """The tensor expansion as a product loop over the slots."""
+    words = [((), coeff)]
+    for vec in slots:
+        nz = np.nonzero(np.abs(vec) > tol)[0]
+        words = [(w + (int(i),), cf * vec[i]) for w, cf in words for i in nz]
+    out = Chain(alg, kind)
+    for w, cf in words:
+        out.add_term(w, cf)
+    return out
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, BAR_RED, BAR])
+def test_from_elements_matches_product_loop(kind):
+    alg = ALGS["Circle3_T"]
+    rng = np.random.default_rng(29)
+    tol = 0.3
+    for n_slots in range(4):
+        slots = []
+        for _ in range(n_slots):
+            vec = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+            vec[rng.random(alg.dim) < 0.4] = 0.0
+            vec[alg.unit_index] = 1.0 + 0.5j  # a unit component above tol
+            vec[int(rng.integers(0, alg.dim))] = 0.1  # one component under tol
+            slots.append(vec)
+        got = Chain.from_elements(alg, kind, slots, coeff=0.7 - 0.2j, tol=tol)
+        ref = _reference_expansion(alg, kind, slots, 0.7 - 0.2j, tol)
+        assert list(got.terms) == list(ref.terms)  # same words, same order
+        assert all(got.terms[w] == cf for w, cf in ref.terms.items())

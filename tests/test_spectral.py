@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra
+from chernlab import spectral
+from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
+from chernlab.chains import CYCLIC, Chain
 from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
+from chernlab.hilbert import gauss_legendre_01
 from chernlab.spectral import (
     SpectralError,
     TERM_SIGN,
@@ -227,3 +230,64 @@ def test_doubling_reshuffle_isomorphism():
         for a in range(lifted.dim)
     )
     assert worst <= 1e-13
+
+
+CIRCLE2_TERMS = {1: 4, 2: 32, 3: 192, 4: 1024, 5: 5120, 6: 24576}
+
+
+def _ch_g_by_sums(g, N_max):
+    """Ch(g) for m = 1, each tensor word expanded by a product loop and
+    added term by term with add_term."""
+    alg_T = acyclic_extension(g.alg)
+    omega_T = lift_matrix_to_ext(maurer_cartan(g), alg_T)
+    unit_vec = alg_T.unit.coeffs
+    out = {}
+    for N in range(1, N_max + 1):
+        nodes, weights = gauss_legendre_01(N + 1)
+        acc = Chain(alg_T, CYCLIC)
+        for s, w in zip(nodes, weights):
+            a_s, b = ab_matrix_slots(omega_T, s)
+            a_vec, b_vec = a_s.entries[0, 0], b.entries[0, 0]
+            for k in range(1, N + 1):
+                words = [((), w)]
+                for vec in [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k):
+                    nz = np.nonzero(vec)[0]
+                    words = [(t + (int(i),), cf * vec[i]) for t, cf in words for i in nz]
+                for t, cf in words:
+                    acc.add_term(t, cf)
+        out[N] = acc
+    return out
+
+
+def test_ch_g_term_counts_on_the_n2_circle():
+    alg = discrete_circle_algebra(2)
+    ch = ch_g(circle_loop_element(alg, eps=0.5, seed=20260818), 6)
+    assert {N: len(ch.component(N).terms) for N in range(1, 7)} == CIRCLE2_TERMS
+
+
+def test_ch_g_matches_a_sum_of_expanded_words(small_g):
+    # the in-place build gives the same words, in the same order, with equal coefficients
+    ch = ch_g(small_g, 4)
+    ref = _ch_g_by_sums(small_g, 4)
+    for N in range(1, 5):
+        got = ch.component(N).terms
+        assert list(got) == list(ref[N].terms)
+        assert all(got[w] == cf for w, cf in ref[N].terms.items())
+    total = ch.total()
+    assert list(total.terms) == [w for N in range(1, 5) for w in ref[N].terms]
+
+
+def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
+    # one NaN entire bound must fail the decay check, not vanish in a max
+    inner = spectral.entire_bound
+
+    def poisoned(c, *args, **kwargs):
+        out = inner(c, *args, **kwargs)
+        if c.terms and len(next(iter(c.terms))) == 5:  # lambda_4
+            out.value = float("nan")
+        return out
+
+    monkeypatch.setattr(spectral, "entire_bound", poisoned)
+    rep = ch_g_closed(small_g, 4)
+    assert not rep.passed
+    assert [c.check_id for c in rep.failing()] == ["telescope-decay-rate"]

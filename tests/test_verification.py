@@ -1,0 +1,27 @@
+"""The vectorized word-layer checks behind criterion 01: a check passes
+only on finite residuals."""
+
+import numpy as np
+
+from chernlab import verification
+from chernlab.fixtures import exterior_algebra
+
+
+def test_nan_product_entry_fails_the_axiom_checks(monkeypatch):
+    alg = exterior_algebra(2)
+    assert verification.complex_axiom_residuals(alg, max_slots=4).passed
+    (i, j), _ = next((pair, e) for pair, e in alg.mul_table.items() if alg.unit_index not in pair)
+    clean = verification._VecAlg
+
+    class Poisoned(clean):
+        def __init__(self, a):
+            super().__init__(a)
+            self.prod_cf[i, j, 0] = np.nan
+
+    monkeypatch.setattr(verification, "_VecAlg", Poisoned)
+    with np.errstate(invalid="ignore"):
+        rep = verification.complex_axiom_residuals(alg, max_slots=4)
+    assert not rep.passed
+    bad = {c.check_id for c in rep.failing()}
+    assert "bb" in bad
+    assert all(np.isnan(rep.residual(cid)) for cid in bad)
