@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from .report import ValidationReport
 
@@ -64,6 +64,12 @@ class GradedHilbert:
         return None
 
 
+def _frozen(m):
+    out = np.array(m, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
 def _clifford_pair(p):
     """e_1, e_2 on C^2 tensor C^p in the diag(1,-1) grading."""
     e1 = np.kron(np.array([[0, 1], [-1, 0]], dtype=complex), np.eye(p))
@@ -96,25 +102,28 @@ class CliffordModule:
 
     H: GradedHilbert
     q: int
-    e: list
+    e: tuple  # generators, stored as read-only copies
 
     def __post_init__(self):
-        self.e = [np.asarray(m, dtype=complex) for m in self.e]
+        # read-only copies: the volume element below is built from them once
+        self.e = tuple(_frozen(m) for m in self.e)
         if len(self.e) != self.q:
             raise HilbertError("need exactly q generator matrices")
         for m in self.e:
             if m.shape != (self.H.dim, self.H.dim):
                 raise HilbertError("generator has wrong shape")
+        out = np.eye(self.dim, dtype=complex)
+        for m in self.e:
+            out = out @ m
+        self._volume = _frozen(out)
 
     @property
     def dim(self):
         return self.H.dim
 
     def volume_element(self) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for m in self.e:
-            out = out @ m
-        return out
+        """e_1 ... e_q (read-only)."""
+        return self._volume
 
     def supercommutes(self, A, tol=1e-12) -> float:
         """Max residual of the supercommutators [e_i, A] (graded)."""
@@ -183,12 +192,12 @@ def trace_norm(A) -> float:
 # -- block-exponential kernels ---------------------------------------------------
 
 
-def chain_exp_topright(diag, bands):
-    """Top-right block of expm of a block upper-banded matrix.
+def _assemble(diag, bands):
+    """Dense matrix of a banded block chain.
 
     diag: list of K+1 diagonal blocks.  bands: dict mapping a step size
-    s >= 1 to a dict {j: block} placing a block from node j to node j+s
-    (nodes 0-based).  Returns expm(G)[0:d, K*d:(K+1)*d].
+    s >= 0 to a dict {j: block} placing a block from node j to node j+s
+    (nodes 0-based; a step-0 block replaces the diagonal block of node j).
     """
     K = len(diag) - 1
     d = diag[0].shape[0]
@@ -200,25 +209,48 @@ def chain_exp_topright(diag, bands):
             if block is None:
                 continue
             G[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
-    E = expm(G)
-    return E[0:d, K * d : (K + 1) * d]
+    return G
+
+
+def _top_row(E, d):
+    """The d x d blocks (0, 0), ..., (0, K) of a (K+1)d x (K+1)d matrix."""
+    return [E[0:d, k * d : (k + 1) * d] for k in range(E.shape[1] // d)]
+
+
+def chain_exp_row(diag, bands):
+    """Top block row of expm of a block upper-banded matrix.
+
+    Layout as in _assemble.  The chain is block upper-triangular, so
+    block (0, k) is the top-right block of the chain cut to nodes 0..k:
+    one exponential at the top degree gives every shorter prefix.
+    """
+    return _top_row(expm(_assemble(diag, bands)), diag[0].shape[0])
+
+
+def chain_exp_topright(diag, bands):
+    """Top-right block expm(G)[0:d, K*d:(K+1)*d] of a banded chain."""
+    return chain_exp_row(diag, bands)[-1]
+
+
+def marked_chain_exp_row(diag, bands, marked):
+    """Top block rows of E = expm(G) and of the paths with one marked step.
+
+    Layout as in chain_exp_row; marked maps step sizes (0 allowed) to
+    {j: block}.  The sum over paths carrying exactly one marked step is
+    the top-right block of expm([[G, M], [0, G]]), which is the Frechet
+    derivative L(G, M) of the exponential at G in the direction M
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).  Returns the
+    two rows (E blocks, L blocks).
+    """
+    d = diag[0].shape[0]
+    zeros = [np.zeros((d, d), dtype=complex)] * len(diag)
+    E, L = expm_frechet(_assemble(diag, bands), _assemble(zeros, marked))
+    return _top_row(E, d), _top_row(L, d)
 
 
 def marked_chain_exp_topright(diag, bands, marked):
-    """Sum over paths carrying exactly one marked step.
-
-    Same layout as chain_exp_topright; marked maps step sizes (0 allowed)
-    to {j: block}.  The two-copy augmentation [[G, M], [0, G]] is itself a
-    banded chain on 2(K+1) nodes: every band repeats on the second copy,
-    and a marked step s from node j becomes the step K+1+s.
-    """
-    K = len(diag) - 1
-    doubled = {}
-    for step, placed in bands.items():
-        doubled[step] = {**placed, **{K + 1 + j: block for j, block in placed.items()}}
-    for step, placed in marked.items():
-        doubled.setdefault(K + 1 + step, {}).update(placed)
-    return chain_exp_topright(diag * 2, doubled)
+    """Sum over paths from node 0 to node K carrying exactly one marked step."""
+    return marked_chain_exp_row(diag, bands, marked)[1][-1]
 
 
 def heat_bracket(H, A_list, check=True, n_max=N_BRACKET_MAX):

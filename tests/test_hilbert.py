@@ -10,11 +10,13 @@ from chernlab.hilbert import (
     bracket_insert_unit,
     bracket_oracle,
     bracket_split_quadrature,
+    chain_exp_row,
     chain_exp_topright,
     clifford_validate,
     cstr,
     cstr_cyclic_sum,
     heat_bracket,
+    marked_chain_exp_row,
     marked_chain_exp_topright,
     simplex_bracket_quadrature,
     standard_clifford_module,
@@ -33,6 +35,15 @@ def _rand_psd(rng, d, scale=1.0):
 
 def _rand_mat(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _place(layout, d, nodes):
+    """Dense (nodes*d)-square matrix with blocks {step: {j: block}} at (j, j + step)."""
+    out = np.zeros((nodes * d, nodes * d), dtype=complex)
+    for step, placed in layout.items():
+        for j, block in placed.items():
+            out[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
+    return out
 
 
 def test_clifford_q0_trivial():
@@ -282,16 +293,74 @@ def test_marked_chain_exp_matches_two_copy_matrix():
     marked = {0: {j: 0.5 * _rand_mat(rng, d) for j in range(K + 1)},
               1: {j: 0.5 * _rand_mat(rng, d) for j in range(K)}}
     n = (K + 1) * d
-
-    def place(layout):
-        out = np.zeros((n, n), dtype=complex)
-        for step, placed in layout.items():
-            for j, block in placed.items():
-                out[j * d : (j + 1) * d, (j + step) * d : (j + step + 1) * d] = block
-        return out
-
-    G = place({0: dict(enumerate(diag)), **bands})
-    big = np.block([[G, place(marked)], [np.zeros((n, n)), G]])
+    G = _place({0: dict(enumerate(diag)), **bands}, d, K + 1)
+    big = np.block([[G, _place(marked, d, K + 1)], [np.zeros((n, n)), G]])
     ref = expm(big)[0:d, n + K * d :]
     out = marked_chain_exp_topright(diag, bands, marked)
     assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_chain_exp_row_blocks_are_prefix_topright():
+    # block (0, k) of the row is the top-right block of the exponential of
+    # the chain cut to nodes 0..k, bands included only inside the cut
+    rng = np.random.default_rng(43)
+    d, K = 3, 6
+    diag = [-_rand_psd(rng, d) for _ in range(K + 1)]
+    bands = {1: {j: _rand_mat(rng, d) for j in range(K)},
+             2: {j: _rand_mat(rng, d) for j in range(K - 1)}}
+    row = chain_exp_row(diag, bands)
+    assert len(row) == K + 1
+    for k in range(K + 1):
+        cut = {step: {j: b for j, b in placed.items() if j + step <= k}
+               for step, placed in bands.items()}
+        ref = expm(_place({0: dict(enumerate(diag[: k + 1])), **cut}, d, k + 1))[0:d, k * d :]
+        assert np.max(np.abs(row[k] - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    assert np.array_equal(chain_exp_topright(diag, bands), row[-1])
+
+
+@pytest.mark.parametrize("norm", [0.1, 1.0, 10.0, 100.0])
+def test_marked_chain_exp_row_matches_two_copy_matrix(norm):
+    # marks at steps 0, 1 and 2 on a chain scaled to ||G||_1 = norm; both
+    # rows against expm of the explicit [[G, M], [0, G]] augmentation
+    rng = np.random.default_rng(47)
+    d, K = 3, 5
+    diag = [-_rand_psd(rng, d) for _ in range(K + 1)]
+    bands = {1: {j: _rand_mat(rng, d) for j in range(K)},
+             2: {j: _rand_mat(rng, d) for j in range(K - 1)}}
+    marked = {0: {j: _rand_mat(rng, d) for j in range(K + 1)},
+              1: {j: _rand_mat(rng, d) for j in range(K)},
+              2: {j: _rand_mat(rng, d) for j in range(K - 1)}}
+    n = (K + 1) * d
+    c = norm / np.linalg.norm(_place({0: dict(enumerate(diag)), **bands}, d, K + 1), 1)
+    diag = [c * D for D in diag]
+    bands = {step: {j: c * b for j, b in placed.items()} for step, placed in bands.items()}
+    G = _place({0: dict(enumerate(diag)), **bands}, d, K + 1)
+    big = expm(np.block([[G, _place(marked, d, K + 1)], [np.zeros((n, n)), G]]))
+    E, L = marked_chain_exp_row(diag, bands, marked)
+    for got, ref in ((np.hstack(E), big[0:d, 0:n]), (np.hstack(L), big[0:d, n:])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(marked_chain_exp_topright(diag, bands, marked), L[-1])
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_cstr_matches_the_volume_element_written_out(q):
+    cm = standard_clifford_module(q, 2, 3) if q == 0 else standard_clifford_module(q, 2)
+    rng = np.random.default_rng(53 + q)
+    A = _rand_mat(rng, cm.dim)
+    gamma = np.eye(cm.dim, dtype=complex)
+    for m in cm.e:
+        gamma = gamma @ m
+    ref = 2.0 ** (-q) * np.sum(cm.H.parity * np.diagonal(gamma @ A))
+    assert abs(cstr(cm, A) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_clifford_generators_are_read_only_copies():
+    e1 = np.array([[0, 1], [-1, 0]], dtype=complex)
+    cm = CliffordModule(GradedHilbert(np.array([1, -1])), 1, [e1])
+    e1[0, 1] = 5.0  # the caller's array is not the stored one
+    assert cm.e[0][0, 1] == 1.0
+    with pytest.raises(ValueError):
+        cm.e[0][0, 1] = 5.0
+    with pytest.raises(ValueError):
+        cm.volume_element()[0, 0] = 2.0
+    assert np.array_equal(cm.volume_element(), cm.e[0])

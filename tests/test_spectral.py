@@ -7,7 +7,7 @@ from chernlab import spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
 from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
-from chernlab.hilbert import gauss_legendre_01
+from chernlab.hilbert import gauss_legendre_01, heat_bracket
 from chernlab.spectral import (
     SpectralError,
     TERM_SIGN,
@@ -23,6 +23,7 @@ from chernlab.spectral import (
     perturbation_series,
     sf_endpoint_oracle,
     sf_integral,
+    sf_series_term,
     twisted_family,
 )
 from scipy.linalg import expm
@@ -291,3 +292,69 @@ def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
     rep = ch_g_closed(small_g, 4)
     assert not rep.passed
     assert [c.check_id for c in rep.failing()] == ["telescope-decay-rate"]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.6])
+def test_pairing_rows_match_per_degree_terms(tf6, s):
+    # one marked exponential at N = 10 against one per degree
+    p_row, sf_row = spectral._pairing_rows(tf6, s, 10)
+    for N in range(1, 11):
+        for got, ref in ((p_row[N - 1], pairing_term(tf6, N, s)),
+                         (sf_row[N - 1], sf_series_term(tf6, N - 1, s))):
+            assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+            # the values fall with N to far below 1e-15: compare them relatively too
+            assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0])
+def test_heat_series_matches_per_order_brackets(tf6, T):
+    Q2 = tf6.Q_m @ tf6.Q_m
+    X = tf6.X_s(0.7)
+    ref = expm(-T * Q2)
+    for M in range(1, 9):
+        ref = ref + (-T) ** M * heat_bracket(T * Q2, [X] * M, check=False)
+    got = spectral._heat_series(Q2, X, T, 8)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_pairing_nan_term_fails_the_term_identity(circle6, monkeypatch):
+    # one NaN Clifford supertrace must fail the per-degree check, not
+    # vanish in a max
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    inner = spectral.cstr
+    calls = []
+
+    def poisoned(cm, A):
+        calls.append(1)
+        return complex("nan") if len(calls) == 1 else inner(cm, A)
+
+    monkeypatch.setattr(spectral, "cstr", poisoned)
+    rep = pairing(circle6, g, N_max=6, tail_tol=1e-3)
+    assert calls
+    assert "per-degree-term-identity" in [c.check_id for c in rep.checks.failing()]
+
+
+def test_affine_sf_check_fails_on_a_perturbed_oracle(circle6, monkeypatch):
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    inner = spectral.diagnostic_affine_sf
+    seen = {}
+
+    def perturbed(Q0, Q1, s_nodes=64):
+        out = inner(Q0, Q1, s_nodes=s_nodes)
+        seen["value"] = abs(out["oracle"])
+        out["oracle"] += 1e-10
+        return out
+
+    monkeypatch.setattr(spectral, "diagnostic_affine_sf", perturbed)
+    rep = pairing(circle6, g, N_max=6, tail_tol=1e-3)
+    assert seen["value"] > 1e-6  # the identity is checked on a nonzero value
+    assert [c.check_id for c in rep.checks.failing()] == ["affine-sf-erf-identity"]
+
+
+def test_pairing_refuses_a_non_finite_kappa_ratio(circle6):
+    # a constant loop has omega = 0, so the trace-norm bound of the word
+    # (B,) is 0 and its ratio infinite; that used to give kappa = inf and
+    # a NaN tail bound, with which the report passed
+    g = circle_loop_element(circle6.alg, eps=0.0, seed=7)
+    with pytest.raises(SpectralError, match="trace-norm ratio"):
+        pairing(circle6, g, N_max=4, tail_tol=1e-3)
