@@ -30,6 +30,7 @@ from .hilbert import (
     CliffordModule,
     HilbertError,
     N_BRACKET_MAX,
+    _frozen,
     chain_exp_topright,
     cstr,
     gauss_legendre_01,
@@ -37,7 +38,7 @@ from .hilbert import (
     marked_chain_exp_topright,
     trace_norm,
 )
-from .report import ValidationReport
+from .report import ValidationReport, running_max
 
 
 class ModuleError(ValueError):
@@ -47,8 +48,23 @@ class ModuleError(ValueError):
 # -- module types -----------------------------------------------------------------
 
 
+class _FrozenOperators:
+    """Stores c_mats and Q as read-only copies, on construction and on every
+    reassignment: the curvature tables and the quantization cache are built
+    from them, so they may not change under the caches."""
+
+    def __setattr__(self, name, value):
+        if name in ("c_mats", "Q"):
+            value = _frozen(value)
+            if "_phi_cache" in self.__dict__:
+                # built from the old operator
+                self._phi_cache = {}
+                self._curv = None
+        super().__setattr__(name, value)
+
+
 @dataclass
-class CqFredholmModule:
+class CqFredholmModule(_FrozenOperators):
     """(H, c, Q) with a Clifford action; weak modules drop multiplicativity."""
 
     alg: DgAlgebra
@@ -59,8 +75,6 @@ class CqFredholmModule:
     name: str = "module"
 
     def __post_init__(self):
-        self.c_mats = np.asarray(self.c_mats, dtype=complex)
-        self.Q = np.asarray(self.Q, dtype=complex)
         h = self.cm.dim
         if self.c_mats.shape != (self.alg.dim, h, h):
             raise ModuleError("c_mats has wrong shape")
@@ -93,7 +107,7 @@ class CqFredholmModule:
 
 
 @dataclass
-class OddFredholmModule:
+class OddFredholmModule(_FrozenOperators):
     """Ungraded (H, c, Q); the doubling produces a q = 1 module."""
 
     alg: DgAlgebra
@@ -103,8 +117,6 @@ class OddFredholmModule:
     name: str = "odd-module"
 
     def __post_init__(self):
-        self.c_mats = np.asarray(self.c_mats, dtype=complex)
-        self.Q = np.asarray(self.Q, dtype=complex)
         if self.c_mats.ndim != 3 or self.c_mats.shape[0] != self.alg.dim:
             raise ModuleError("c_mats has wrong shape")
         if self.Q.shape != self.c_mats.shape[1:]:
@@ -251,6 +263,13 @@ class Curvature:
             f1[i] = M.Q @ stack[i] - sign * stack[i] @ M.Q - M.c(alg.diff[:, i])
         self.f1_table = f1
         self.sign_vec = (-1.0) ** (np.asarray(deg) % 2)
+        self._frame = None
+
+    def _basis_frame(self) -> "_HalfFrame":
+        """The basis-word tables in the Clifford half-frame, built on first use."""
+        if self._frame is None:
+            self._frame = _HalfFrame(self)
+        return self._frame
 
     def F0(self):
         return self.M.Q2
@@ -284,6 +303,96 @@ class Curvature:
         if len(slots) == 2:
             return self.F2(slots[0], slots[1])
         return np.zeros((self.M.hdim, self.M.hdim), dtype=complex)
+
+
+class _HalfFrame:
+    """Curvature blocks of basis words, reduced to half the space when q >= 1.
+
+    P = Gamma e_1 is a Hermitian involution that commutes with every
+    C_q-equivariant operator (an even one commutes with Gamma and e_1, an
+    odd one anticommutes with both).  With U_+ an orthonormal basis of its
+    +1 eigenspace and U_- = e_1 U_+, an equivariant X of parity p is
+    U_+ X_+ U_+* + (-1)^p U_- X_+ U_-* with X_+ = U_+* X U_+.  Every block
+    of the chain of a basis word is equivariant, and the chain's top-right
+    block has the parity p of the word, so one exponential of the reduced
+    chain gives Phi.  For q = 0 the frame is the identity.
+
+    The frame is trusted only after a guard: c_i (parity |i|) and Q (odd)
+    must be block-diagonal in (U_+, U_-) with the signed lower block, to
+    1e-12 max(1, max|c|, max|Q|), the tolerance of module_validate.
+    """
+
+    def __init__(self, cur: Curvature):
+        M = cur.M
+        self.mul = M.alg.mul
+        self.parity = tuple(d % 2 for d in M.alg.degree_tuple)
+        self.sign_vec = cur.sign_vec
+        if M.q == 0:
+            self.U = None
+            self.c, self.f1, self.q2 = M.c_mats, cur.f1_table, M.Q2
+        else:
+            self.U = _half_frame_basis(M, cur.sign_vec)
+            self.Uh = self.U.conj().T
+            Up = self.U[:, : M.hdim // 2]
+            self.c, self.f1, self.q2 = (Up.conj().T @ X @ Up for X in (M.c_mats, cur.f1_table, M.Q2))
+        self._f2_rows = {}
+
+    def f2(self, i, j):
+        """F_2(e_i, e_j) = (-1)^{|i|} (sum_k mul[i, j, k] c_k - c_i c_j), one row i at a time."""
+        row = self._f2_rows.get(i)
+        if row is None:
+            prod = np.tensordot(self.mul[i], self.c, axes=1)
+            row = self.sign_vec[i] * (prod - self.c[i] @ self.c)
+            self._f2_rows[i] = row
+        return row[j]
+
+    def bands(self, T, word):
+        """The reduced chain of Curvature.bands on a basis word."""
+        diag = [-T * self.q2] * (len(word) + 1)
+        bands = {
+            1: {j: -T * self.f1[i] for j, i in enumerate(word)},
+            2: {j: -T * self.f2(i, k) for j, (i, k) in enumerate(zip(word, word[1:]))},
+        }
+        return diag, bands
+
+    def lift(self, phi, word):
+        """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the word's chain."""
+        if self.U is None:
+            return phi
+        h2 = phi.shape[0]
+        sign = -1.0 if sum(self.parity[i] + 1 for i in word) % 2 else 1.0
+        left = np.concatenate([self.U[:, :h2] @ phi, sign * (self.U[:, h2:] @ phi)], axis=1)
+        return left @ self.Uh
+
+
+def _half_frame_basis(M, sign_vec, tol=1e-12):
+    """U = [U_+, e_1 U_+] for a q >= 1 module, after the guard of _HalfFrame;
+    sign_vec holds (-1)^{|i|} per basis index."""
+    h = M.hdim
+    G = M.cm.H.parity.astype(float)
+    e1 = M.cm.e[0]
+    w, V = np.linalg.eigh(G[:, None] * e1)
+    Up = V[:, w > 0]
+    if 2 * Up.shape[1] != h:
+        raise ModuleError(f"Gamma e_1 has {Up.shape[1]} positive eigenvalues on a {h}-dimensional space")
+    U = np.concatenate([Up, e1 @ Up], axis=1)
+    h2 = h // 2
+    ops = np.concatenate([M.c_mats, M.Q[None]], axis=0)
+    signs = np.append(sign_vec, -1.0)
+    R = U.conj().T @ ops @ U
+    upper, lower = R[:, :h2, :h2], R[:, h2:, h2:]
+    residual = max(
+        float(np.max(np.abs(U.conj().T @ U - np.eye(h)))),
+        float(np.max(np.abs(R[:, :h2, h2:]))),
+        float(np.max(np.abs(R[:, h2:, :h2]))),
+        float(np.max(np.abs(lower - signs[:, None, None] * upper))),
+    )
+    scale = max(1.0, float(np.max(np.abs(ops))))
+    if not residual <= tol * scale:
+        raise ModuleError(
+            f"module is not C_q-equivariant in the half-frame of Gamma e_1: residual {residual:.2e}"
+            f" > {tol:.0e} * {scale:.3g} (see module_validate)")
+    return U
 
 
 def curvature(M: CqFredholmModule) -> OperatorBarCochain:
@@ -350,11 +459,16 @@ def quantize(M: CqFredholmModule, T, word, engine="banded", max_blocks=None, unp
         hit = M._phi_cache.get(key)
         if hit is not None:
             return hit
-    slots = _as_slot_vecs(M.alg, word)
     cur = _curvature_tables(M)
     if engine == "banded" and max_blocks is None and not unpruned:
-        out = chain_exp_topright(*cur.bands(T, slots))
+        if key is not None:
+            # basis words: table lookups, and half-size blocks when q >= 1
+            frame = cur._basis_frame()
+            out = frame.lift(chain_exp_topright(*frame.bands(T, key[1])), key[1])
+        else:
+            out = chain_exp_topright(*cur.bands(T, _as_slot_vecs(M.alg, word)))
     else:
+        slots = _as_slot_vecs(M.alg, word)
         Q2 = M.Q2
         out = np.zeros((M.hdim, M.hdim), dtype=complex)
         max_part = N if unpruned else 2
@@ -442,7 +556,7 @@ def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, max_len=3, ext_alg=Non
             "T_i^f": chen_Ti(f, i_gap, c),
         }
         for key, img in images.items():
-            values[key] = max(values[key], abs(chern_eval(M_T, img, T)))
+            values[key] = running_max(values[key], abs(chern_eval(M_T, img, T)))
     rep = ValidationReport(f"chen-vanish:{M.name}")
     for key, val in values.items():
         rep.add(f"vanishes-on-{key}", val / scale, 1e-9, f"Ch of the extension kills {key} images")
@@ -618,7 +732,7 @@ def transgression_check(hom: Homotopy, words, s_nodes=32, ext_alg=None) -> Valid
         lhs = chern_eval(M1, chain) - chern_eval(M0, chain)
         sign = (-1.0) ** cs_parity  # (-1)^{|D_tot| |CS|}
         rhs = sign * chern_simons_eval(hom_T, d_total(chain), s_nodes=s_nodes)
-        worst = max(worst, abs(lhs - rhs))
+        worst = running_max(worst, abs(lhs - rhs))
     rep.add("transgression-formula", worst / scale, 1e-6,
             "Ch(s=1) - Ch(s=0) = (d + b - B)^dual CS", note=f"{len(list(words))} words")
     rep.notes["scale"] = scale
@@ -674,6 +788,8 @@ def calibrate_nu(M: CqFredholmModule, words, Ts, safety=1.25):
             continue
         for T in Ts:
             r = phi_estimate_ratio(M, w, T, kappa=1.0)
+            if not np.isfinite(r):
+                raise ModuleError(f"trace-norm ratio {r} on a calibration word of length {N}")
             if r > 0:
                 worst = max(worst, r ** (1.0 / N))
     return worst * safety

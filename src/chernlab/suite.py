@@ -44,7 +44,7 @@ from .fredholm import (
     getzler_closed_form,
     phi_estimate_ratio,
 )
-from .report import ValidationReport
+from .report import ValidationReport, running_max
 from .serialize import round17
 from .spectral import ch_g_closed, pairing, partition_resum_check
 from .verification import (
@@ -184,7 +184,7 @@ def group_chern(cfg: SuiteConfig):
                           for _ in range(150 if not cfg.fast else 40)]
         worst = 0.0
         for w in base_words:
-            worst = max(worst, abs(coclosed_residual(M, w)))
+            worst = running_max(worst, abs(coclosed_residual(M, w)))
         rep.add("coclosed-base", worst / scale, 1e-9,
                 "(d + b - B)^dual Ch = 0 over the base algebra",
                 note=f"{len(base_words)} words, max length {max_len}")
@@ -195,7 +195,7 @@ def group_chern(cfg: SuiteConfig):
                          for _ in range(100 if not cfg.fast else 30)]
         worst = 0.0
         for w in ext_words:
-            worst = max(worst, abs(coclosed_residual(M_T, w)))
+            worst = running_max(worst, abs(coclosed_residual(M_T, w)))
         rep.add("coclosed-extension", worst / scale_T, 1e-8,
                 "(d + b - B)^dual Ch = 0 over the acyclic extension",
                 note=f"{len(ext_words)} words")
@@ -203,7 +203,7 @@ def group_chern(cfg: SuiteConfig):
         for _ in range(30 if cfg.fast else 60):
             N = int(rng.integers(0, 3))
             w = random_basis_word(ext, CYCLIC, N, rng)
-            worst = max(worst, chern_pullback_residual(M_T, w))
+            worst = running_max(worst, chern_pullback_residual(M_T, w))
         rep.add("pullback-identity", worst / scale_T, 1e-9,
                 "Ch of the extension = - rotation-pullback of CStr(Phi)")
         # wrong-parity vanishing
@@ -213,7 +213,7 @@ def group_chern(cfg: SuiteConfig):
             w = random_basis_word(M.alg, CYCLIC, N, rng)
             c = Chain.basis_word(M.alg, CYCLIC, w)
             if c.parity() != M.q % 2:
-                worst = max(worst, abs(chern_eval(M, c)))
+                worst = running_max(worst, abs(chern_eval(M, c)))
         rep.add("wrong-parity-vanishing", worst / scale, 1e-12,
                 "the character kills words of the wrong parity")
         reports.append(rep)
@@ -231,9 +231,9 @@ def group_chern(cfg: SuiteConfig):
         w = random_basis_word(Modd.alg, CYCLIC, N, rng)
         closed = getzler_closed_form(Modd, w)
         doubled = chern_eval(Mq1, w)
-        worst = max(worst, abs(closed - doubled))
+        worst = running_max(worst, abs(closed - doubled))
         if N % 2 == 0:
-            worst_even = max(worst_even, abs(doubled))
+            worst_even = running_max(worst_even, abs(doubled))
     scale = chern_scale(Mq1)
     rep.add("doubled-equals-closed-form", worst / scale, 1e-9,
             "doubled-module character = alternating heat commutator integral")

@@ -32,6 +32,7 @@ from chernlab.fredholm import (
     getzler_closed_form,
     transgression_check,
 )
+from chernlab.report import running_max
 from chernlab.spectral import ch_g_closed, pairing, perturbation_series, twisted_family
 from chernlab.suite import SuiteConfig, fundamental_estimate_report
 from chernlab.verification import (
@@ -150,9 +151,9 @@ def test_criterion_05_coclosedness():
         scale_T = chern_scale(M_T)
         base, extw = _coclosed_fixture_words(M, ext, rng)
         for w in base:
-            worst = max(worst, abs(coclosed_residual(M, w)) / scale)
+            worst = running_max(worst, abs(coclosed_residual(M, w)) / scale)
         for w in extw:
-            worst = max(worst, abs(coclosed_residual(M_T, w)) / scale_T)
+            worst = running_max(worst, abs(coclosed_residual(M_T, w)) / scale_T)
         n_checked += len(base) + len(extw)
     _verdict(5, "coclosedness", worst <= 1e-9,
              f"max scaled residual {worst:.2e} <= 1e-9 over {n_checked} words (3 fixtures + extensions)",

@@ -1,5 +1,7 @@
 """Fredholm modules, the quantization map and the Chern character."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from chernlab.fixtures import (
     getzler_trivial,
     random_weak_cq,
 )
+from chernlab.cochains import word_to_vecs
 from chernlab.fredholm import (
+    CqFredholmModule,
     Homotopy,
     ModuleError,
     acyclic_extend_module,
@@ -311,3 +315,137 @@ def test_trace_norm_bound_calibrated(circle_doubled):
         w = random_basis_word(M.alg, CYCLIC, 1 + int(rng.integers(0, 3)), rng)[1:]
         for T in (0.25, 1.0, 4.0):
             assert phi_estimate_ratio(M, w, T, kappa=kappa) <= 1.0 + 1e-10
+
+
+def test_calibrate_nu_refuses_a_non_finite_ratio(circle_doubled):
+    from chernlab.fredholm import calibrate_nu
+
+    M = circle_doubled
+    with pytest.raises(ModuleError, match="trace-norm ratio"):
+        calibrate_nu(M, [(np.zeros(M.alg.dim, dtype=complex),)], [1.0])
+
+
+# -- basis words in the Clifford half-frame ----------------------------------------------
+
+
+def _all_words(dim, max_slots):
+    return [w for N in range(max_slots + 1) for w in itertools.product(range(dim), repeat=N)]
+
+
+_HALF_FRAME_MODULES = {
+    "q0": lambda: random_weak_cq(hdim=4, q=0, seed=21, k=2),
+    "q1": lambda: random_weak_cq(hdim=6, q=1, seed=22, k=2),
+    "q2": lambda: random_weak_cq(hdim=8, q=2, seed=23, k=2),
+    "circle~": lambda: double_odd(discrete_circle(2, seed=3)),
+    "circle~_T": lambda: acyclic_extend_module(double_odd(discrete_circle(2, seed=3))),
+}
+
+
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~", "circle~_T"])
+def test_basis_word_quantize_matches_vector_slots_and_partitions(name):
+    # basis words run on lookup tables (and half-size blocks when q >= 1);
+    # coefficient-vector words and the partition enumeration do not
+    M = _HALF_FRAME_MODULES[name]()
+    words = _all_words(M.alg.dim, 3)
+    for T in (0.5, 1.0, 2.0):
+        for w in words:
+            phi = quantize(M, T, w)
+            assert phi.shape == (M.hdim, M.hdim)
+            tol = 1e-13 * max(1.0, float(np.max(np.abs(phi))))
+            dense = quantize(M, T, word_to_vecs(M.alg, w))
+            assert np.max(np.abs(phi - dense)) <= tol, (T, w)
+            parts = quantize(M, T, w, engine="partitions")
+            assert np.max(np.abs(phi - parts)) <= tol, (T, w)
+
+
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~_T"])
+def test_basis_word_chain_runs_on_half_size_blocks(name, monkeypatch):
+    import chernlab.fredholm as fredholm
+
+    M = _HALF_FRAME_MODULES[name]()
+    sizes = []
+    inner = fredholm.chain_exp_topright
+
+    def recording(diag, bands):
+        sizes.append({block.shape for block in diag})
+        return inner(diag, bands)
+
+    monkeypatch.setattr(fredholm, "chain_exp_topright", recording)
+    for w in [(), (1,), (1, 2), (2, 1, 3)]:
+        quantize(M, 1.0, w)
+    h = M.hdim // 2 if M.q >= 1 else M.hdim
+    assert sizes == [{(h, h)}] * 4
+
+
+def _non_equivariant(M, which, eps=1e-6):
+    """A copy of M whose c(e_1) or Q carries a small part that breaks the C_q action."""
+    rng = np.random.default_rng(31)
+    noise = eps * (rng.standard_normal((M.hdim, M.hdim)) + 1j * rng.standard_normal((M.hdim, M.hdim)))
+    c_mats, Q = np.array(M.c_mats), np.array(M.Q)
+    p = int(M.alg.degree[1]) % 2
+    G = M.cm.H.parity.astype(float)
+    if which == "c":
+        c_mats[1] += noise
+    elif which == "c-flipped":
+        # right parity, wrong sign past e_1: off-diagonal in the half-frame
+        c_mats[1] += G[:, None] * M.cm.project_equivariant(noise, p)
+    elif which == "c-wrong-parity":
+        # equivariant of the other parity: commutes with Gamma e_1, wrong sign on U_-
+        c_mats[1] += M.cm.project_equivariant(noise, 1 - p)
+    else:
+        Q += noise + noise.conj().T
+    return CqFredholmModule(M.alg, M.cm, c_mats, Q, weak=True, name=f"{M.name}+{which}")
+
+
+@pytest.mark.parametrize("which", ["c", "c-flipped", "c-wrong-parity", "Q"])
+def test_half_frame_guard_refuses_a_non_equivariant_module(which):
+    M = _non_equivariant(random_weak_cq(hdim=6, q=1, seed=22, k=2), which)
+    assert not module_validate(M).passed
+    with pytest.raises(ModuleError, match="equivariant"):
+        quantize(M, 1.0, (1,))
+    # vector-slot words keep the dense path and do not consult the frame
+    quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+
+
+def test_module_operators_are_read_only_copies():
+    base = random_weak_cq(hdim=6, q=1, seed=22, k=2)
+    c_mats, Q = np.array(base.c_mats), np.array(base.Q)
+    M = CqFredholmModule(base.alg, base.cm, c_mats, Q)
+    assert c_mats.flags.writeable and Q.flags.writeable
+    with pytest.raises(ValueError):
+        M.c_mats[1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        M.Q[0, 1] = 1.0
+    odd = discrete_circle(3, seed=0)
+    with pytest.raises(ValueError):
+        odd.c_mats[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        odd.Q[0, 0] = 2.0
+    # reassignment stores a new frozen copy and drops what was built from the old one
+    before = quantize(M, 1.0, (1,))
+    M.Q = 2.0 * Q
+    assert not M.Q.flags.writeable
+    after = quantize(M, 1.0, (1,))
+    dense = quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+    assert np.max(np.abs(after - dense)) <= 1e-13 * max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(after - before)) > 1e-3
+
+
+def test_nan_coclosed_residual_fails_the_chern_group(monkeypatch):
+    import chernlab.suite as suite
+
+    inner = suite.coclosed_residual
+    calls = []
+
+    def poisoned(M, chain, *args, **kwargs):
+        calls.append(chain)
+        if len(calls) == 1:
+            return complex(np.nan)
+        return inner(M, chain, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "coclosed_residual", poisoned)
+    reports = suite.group_chern(suite.SuiteConfig(seed=0, n=3, fast=True))
+    first = reports[0]
+    assert first.subject.startswith("chern:")
+    assert not next(c for c in first.checks if c.check_id == "coclosed-base").passed
+    assert not first.passed
