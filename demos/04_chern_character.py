@@ -17,6 +17,7 @@ from chernlab import (
     getzler_closed_form,
     module_validate,
     quantize,
+    quantize_partitions,
     transgression_check,
 )
 from chernlab.chains import CYCLIC, random_basis_word
@@ -33,8 +34,8 @@ print()
 print("== the quantization map on words ==")
 rng = np.random.default_rng(3)
 w = random_basis_word(M.alg, CYCLIC, 2, rng)
-banded = quantize(M, 1.0, w[1:], engine="banded")
-parts = quantize(M, 1.0, w[1:], engine="partitions")
+banded = quantize(M, 1.0, w[1:])
+parts = quantize_partitions(M, 1.0, w[1:])
 print(f"banded block-exponential vs partition enumeration: "
       f"{np.max(np.abs(banded - parts)):.2e}")
 

@@ -37,13 +37,14 @@ class DgAlgebra:
 
     def __init__(self, dim, degree, unit_index, mul, diff, name="algebra"):
         self.dim = int(dim)
-        # a private read-only copy: degree_tuple and the caches downstream
-        # assume the grading never changes
+        # private read-only copies: degree_tuple, mul_table, diff_table and
+        # the caches downstream assume the structure never changes
         self.degree = np.array(degree, dtype=int)
-        self.degree.flags.writeable = False
+        self.mul = np.array(mul, dtype=complex)
+        self.diff = np.array(diff, dtype=complex)
+        for arr in (self.degree, self.mul, self.diff):
+            arr.flags.writeable = False
         self.unit_index = int(unit_index)
-        self.mul = np.asarray(mul, dtype=complex)
-        self.diff = np.asarray(diff, dtype=complex)
         self.name = name
         if self.dim < 1:
             raise AlgebraError("dim must be >= 1")
@@ -98,39 +99,6 @@ class DgAlgebra:
 
     def diff_coeffs(self, a):
         return self.diff @ a
-
-    def invert_deg0(self, a: "AlgebraElement") -> "AlgebraElement":
-        """Inverse of a degree-0 element.
-
-        Uses the pointwise hooks when available, the regular
-        representation of the degree-0 subalgebra otherwise.
-        """
-        coeffs = a.coeffs
-        nz = np.nonzero(np.abs(coeffs) > 1e-14)[0]
-        if any(self.degree[i] != 0 for i in nz):
-            raise AlgebraError("element is not of degree 0")
-        if self.deg0_eval is not None:
-            vals = self.deg0_eval(coeffs)
-            if np.min(np.abs(vals)) < 1e-12:
-                raise AlgebraError("degree-0 element vanishes at a point, not invertible")
-            return self.element(self.deg0_uneval(1.0 / vals))
-        deg0 = self.degree0_indices()
-        # left multiplication by a restricted to the degree-0 subalgebra
-        L = np.einsum("i,ijk->kj", coeffs[deg0], self.mul[np.ix_(deg0, deg0, deg0)])
-        rhs = np.zeros(len(deg0), dtype=complex)
-        rhs[deg0.index(self.unit_index)] = 1.0
-        try:
-            sol = np.linalg.solve(L, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraError("degree-0 element is not invertible") from exc
-        out = np.zeros(self.dim, dtype=complex)
-        out[deg0] = sol
-        inv = self.element(out)
-        check = (a * inv).coeffs - self.unit.coeffs
-        check2 = (inv * a).coeffs - self.unit.coeffs
-        if max(np.max(np.abs(check)), np.max(np.abs(check2))) > 1e-9:
-            raise AlgebraError("degree-0 element has no two-sided inverse")
-        return inv
 
     # -- serialization ----------------------------------------------------
 
@@ -200,16 +168,9 @@ class AlgebraElement:
     def d(self) -> "AlgebraElement":
         return AlgebraElement(self.parent.diff_coeffs(self.coeffs), self.parent)
 
-    def homogeneous_part(self, degree) -> "AlgebraElement":
-        mask = (self.parent.degree == degree).astype(complex)
-        return AlgebraElement(self.coeffs * mask, self.parent)
-
     def degrees_present(self):
         nz = np.nonzero(np.abs(self.coeffs) > 0)[0]
         return sorted({int(self.parent.degree[i]) for i in nz})
-
-    def is_homogeneous(self):
-        return len(self.degrees_present()) <= 1
 
     def norm(self) -> float:
         """Designated seminorm: max absolute basis coefficient."""
@@ -407,10 +368,6 @@ class MatrixElement:
     def scale(self, scalar):
         return MatrixElement(self.entries * complex(scalar), self.alg)
 
-    def left_mult_element(self, a: AlgebraElement):
-        out = np.einsum("i,pqj,ijk->pqk", a.coeffs, self.entries, self.alg.mul)
-        return MatrixElement(out, self.alg)
-
     def __matmul__(self, other):
         if self.m != other.m:
             raise AlgebraError("matrix sizes differ")
@@ -436,10 +393,6 @@ class MatrixElement:
             for q in range(self.m):
                 degs.update(self.entry(p, q).degrees_present())
         return sorted(degs)
-
-    def homogeneous_part(self, degree):
-        mask = (self.alg.degree == degree).astype(complex)
-        return MatrixElement(self.entries * mask[None, None, :], self.alg)
 
     def inverse_deg0(self) -> "MatrixElement":
         """Inverse of a degree-0 matrix.

@@ -189,10 +189,6 @@ class Chain:
         out.terms = {w: c for w, c in self.terms.items() if len(w) == length}
         return out
 
-    def components_present(self):
-        off = 1 if self.kind == CYCLIC else 0
-        return sorted({len(w) - off for w in self.terms})
-
     # -- grading ------------------------------------------------------------
 
     def word_parity(self, word) -> int:

@@ -11,8 +11,8 @@ The quantization map on a word with N slots is evaluated through one
 augmented block exponential: nodes 0..N carry -T Q^2 on the diagonal,
 arity-1 curvature blocks on the first superdiagonal and arity-2 blocks
 on the second; the top-right block of the exponential is the full sum
-over ordered partitions.  An explicit partition enumeration is kept as
-an independent cross-check.
+over ordered partitions.  An explicit partition enumeration,
+quantize_partitions, is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -271,16 +271,12 @@ class Curvature:
             self._frame = _HalfFrame(self)
         return self._frame
 
-    def F0(self):
-        return self.M.Q2
-
     def F1(self, vec):
         return np.einsum("i,ijk->jk", np.asarray(vec, dtype=complex), self.f1_table)
 
     def F2(self, vec1, vec2):
-        signed = np.asarray(vec1, dtype=complex) * self.sign_vec
-        prod = self.M.alg.multiply_coeffs(signed, np.asarray(vec2, dtype=complex))
-        return self.M.c(prod) - self.M.c(signed) @ self.M.c(vec2)
+        rows = _f2_rows(self.M.alg.mul, self.M.c_mats, self.sign_vec, vec1)
+        return np.tensordot(np.asarray(vec2, dtype=complex), rows, axes=1)
 
     def bands(self, T, slots):
         """Block chain of Phi_T on a word: -T Q^2 on the N+1 diagonal nodes,
@@ -297,12 +293,12 @@ class Curvature:
         }
         return diag, bands
 
-    def block(self, slots):
-        if len(slots) == 1:
-            return self.F1(slots[0])
-        if len(slots) == 2:
-            return self.F2(slots[0], slots[1])
-        return np.zeros((self.M.hdim, self.M.hdim), dtype=complex)
+
+def _f2_rows(mul, c, sign_vec, u):
+    """F_2(u, e_j) = (-1)^{|u|} (c(u e_j) - c(u) c_j) for every basis index j,
+    stacked on axis 0; c is a table of c_j (full or in the half-frame)."""
+    su = np.asarray(u, dtype=complex) * sign_vec
+    return np.tensordot(np.tensordot(su, mul, axes=1), c, axes=1) - np.tensordot(su, c, axes=1) @ c
 
 
 class _HalfFrame:
@@ -335,15 +331,13 @@ class _HalfFrame:
             self.Uh = self.U.conj().T
             Up = self.U[:, : M.hdim // 2]
             self.c, self.f1, self.q2 = (Up.conj().T @ X @ Up for X in (M.c_mats, cur.f1_table, M.Q2))
-        self._f2_rows = {}
+        self._rows = {}
 
     def f2(self, i, j):
-        """F_2(e_i, e_j) = (-1)^{|i|} (sum_k mul[i, j, k] c_k - c_i c_j), one row i at a time."""
-        row = self._f2_rows.get(i)
+        """F_2(e_i, e_j) in the frame, one row i at a time."""
+        row = self._rows.get(i)
         if row is None:
-            prod = np.tensordot(self.mul[i], self.c, axes=1)
-            row = self.sign_vec[i] * (prod - self.c[i] @ self.c)
-            self._f2_rows[i] = row
+            row = self._rows[i] = _f2_rows(self.mul, self.c, self.sign_vec, np.eye(len(self.mul))[i])
         return row[j]
 
     def bands(self, T, word):
@@ -398,7 +392,7 @@ def _half_frame_basis(M, sign_vec, tol=1e-12):
 def curvature(M: CqFredholmModule) -> OperatorBarCochain:
     """F as an even operator bar cochain with arities 0, 1, 2 only."""
     cur = _curvature_tables(M)
-    comp = {0: cur.F0(), 1: cur.F1, 2: cur.F2}
+    comp = {0: M.Q2, 1: cur.F1, 2: cur.F2}
     return OperatorBarCochain.from_arity_maps(M.alg, M.hdim, 0, comp, label="curvature")
 
 
@@ -414,18 +408,17 @@ def _curvature_tables(M) -> Curvature:
     return M._curv
 
 
-def _compositions(N, max_part, max_blocks=None):
-    """Ordered compositions of N into parts of size <= max_part."""
+def _compositions(N, max_blocks=None):
+    """Ordered compositions of N into parts of size 1 or 2."""
     out = []
 
     def rec(rem, acc):
         if rem == 0:
-            if max_blocks is None or len(acc) <= max_blocks:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
-        for p in range(1, min(max_part, rem) + 1):
-            if max_blocks is not None and len(acc) + 1 > max_blocks:
-                continue
+        if max_blocks is not None and len(acc) == max_blocks:
+            return
+        for p in range(1, min(2, rem) + 1):
             acc.append(p)
             rec(rem - p, acc)
             acc.pop()
@@ -440,53 +433,48 @@ def _as_slot_vecs(alg, word):
     return tuple(np.asarray(v, dtype=complex) for v in word)
 
 
-def quantize(M: CqFredholmModule, T, word, engine="banded", max_blocks=None, unpruned=False):
-    """Heat-kernel quantization of the curvature on one bar word.
-
-    word: tuple of basis indices or coefficient vectors (N slots).  With
-    engine="partitions" the sum over ordered partitions is enumerated
-    explicitly (blocks of size <= 2 unless unpruned); max_blocks caps the
-    number of blocks, used by truncation-matched resummation checks.
-    """
+def _check_word(T, N):
     if T <= 0:
         raise ModuleError("quantization needs T > 0")
-    N = len(word)
     if N > N_BRACKET_MAX:
         raise HilbertError(f"word length {N} exceeds the bracket bound {N_BRACKET_MAX}")
-    key = None
-    if N == 0 or isinstance(word[0], (int, np.integer)):
-        key = (float(T), tuple(int(i) for i in word), engine, max_blocks, unpruned)
-        hit = M._phi_cache.get(key)
-        if hit is not None:
-            return hit
-    cur = _curvature_tables(M)
-    if engine == "banded" and max_blocks is None and not unpruned:
-        if key is not None:
-            # basis words: table lookups, and half-size blocks when q >= 1
-            frame = cur._basis_frame()
-            out = frame.lift(chain_exp_topright(*frame.bands(T, key[1])), key[1])
-        else:
-            out = chain_exp_topright(*cur.bands(T, _as_slot_vecs(M.alg, word)))
-    else:
-        slots = _as_slot_vecs(M.alg, word)
-        Q2 = M.Q2
-        out = np.zeros((M.hdim, M.hdim), dtype=complex)
-        max_part = N if unpruned else 2
-        for comp in _compositions(N, max_part, max_blocks):
-            blocks = []
-            pos = 0
-            for p in comp:
-                blocks.append(cur.block(slots[pos : pos + p]))
-                pos += p
-            out = out + (-T) ** len(comp) * heat_bracket(T * Q2, blocks, check=False)
-    if key is not None:
-        M._phi_cache[key] = out
+
+
+def quantize(M: CqFredholmModule, T, word):
+    """Heat-kernel quantization of the curvature on one bar word.
+
+    word: tuple of basis indices or coefficient vectors (N slots).  Basis
+    words are cached per (T, word) and run on the curvature tables, on
+    half-size blocks when q >= 1.
+    """
+    _check_word(T, len(word))
+    if len(word) and not isinstance(word[0], (int, np.integer)):
+        return chain_exp_topright(*_curvature_tables(M).bands(T, _as_slot_vecs(M.alg, word)))
+    key = (float(T), tuple(int(i) for i in word))
+    out = M._phi_cache.get(key)
+    if out is None:
+        frame = _curvature_tables(M)._basis_frame()
+        out = M._phi_cache[key] = frame.lift(chain_exp_topright(*frame.bands(T, key[1])), key[1])
     return out
 
 
-def phi_cochain(M: CqFredholmModule, T) -> OperatorBarCochain:
-    """The quantization map as an even operator bar cochain."""
-    return OperatorBarCochain(M.alg, M.hdim, 0, lambda slots: quantize(M, T, slots), label=f"phi_T={T}")
+def quantize_partitions(M: CqFredholmModule, T, word, max_blocks=None):
+    """Phi_T on one bar word by explicit enumeration of the ordered
+    partitions into blocks of one or two slots: an independent cross-check
+    of quantize.  max_blocks caps the number of blocks, used by
+    truncation-matched resummation checks."""
+    _check_word(T, len(word))
+    slots = _as_slot_vecs(M.alg, word)
+    cur = _curvature_tables(M)
+    Q2 = M.Q2
+    out = np.zeros((M.hdim, M.hdim), dtype=complex)
+    for comp in _compositions(len(slots), max_blocks):
+        blocks, pos = [], 0
+        for p in comp:
+            blocks.append(cur.F1(slots[pos]) if p == 1 else cur.F2(slots[pos], slots[pos + 1]))
+            pos += p
+        out = out + (-T) ** len(comp) * heat_bracket(T * Q2, blocks, check=False)
+    return out
 
 
 # -- Chern character ---------------------------------------------------------------------
@@ -769,7 +757,7 @@ def phi_estimate_ratio(M: CqFredholmModule, word, T, kappa=1.0):
     """||Phi_T(word)||_1 divided by the calibrated bound."""
     slots = _as_slot_vecs(M.alg, word)
     N = len(slots)
-    lhs = trace_norm(quantize(M, T, slots))
+    lhs = trace_norm(quantize(M, T, word))
     nu_prod = 1.0
     for v in slots:
         nu_prod *= kappa * float(np.max(np.abs(v)))

@@ -60,7 +60,10 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        worst = 0.0
+        for c in self.checks:
+            worst = running_max(worst, c.residual)
+        return worst
 
     def failing(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]

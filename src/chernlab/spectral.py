@@ -46,7 +46,7 @@ from .fredholm import (
     chern_eval,
     double_odd,
     matrix_module,
-    quantize,
+    quantize_partitions,
 )
 from .hilbert import (
     chain_exp_row,
@@ -117,13 +117,11 @@ def lifted_coeffs(lifted: DgAlgebra, me: MatrixElement) -> np.ndarray:
     return out
 
 
-def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra, m: int) -> Chain:
-    """C(Mat_m(alg)) -> C(alg): trace the matrix factors around the loop."""
-    if m == 1:
-        out = Chain(target, chain.kind)
-        for w, cf in chain.terms.items():
-            out.add_term(w, cf)
-        return out
+def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Chain:
+    """C(Mat_m(alg)) -> C(alg): trace the matrix factors around the loop;
+    for m = 1, with lifted the target itself, the chain is returned as is."""
+    if lifted is target:
+        return chain
     mats = lifted._mat_basis
     base_dim = target.dim
     out = Chain(target, chain.kind)
@@ -180,7 +178,7 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
     lifted = mat_lift(alg_T, g.m) if g.m > 1 else alg_T
-    unit_idx = alg_T.unit_index
+    unit_vec = _unit_vec(lifted)
     chains = {0: Chain(alg_T, CYCLIC)}
     total_terms = 0
     for N in range(1, N_max + 1):
@@ -188,20 +186,11 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
         acc = Chain(lifted, CYCLIC)
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
-            if g.m > 1:
-                a_vec = lifted_coeffs(lifted, a_s)
-                b_vec = lifted_coeffs(lifted, b)
-                unit_vec = np.zeros(lifted.dim, dtype=complex)
-                unit_vec[lifted.unit_index] = 1.0
-            else:
-                a_vec = a_s.entries[0, 0]
-                b_vec = b.entries[0, 0]
-                unit_vec = np.zeros(alg_T.dim, dtype=complex)
-                unit_vec[unit_idx] = 1.0
+            a_vec, b_vec = lifted_coeffs(lifted, a_s), lifted_coeffs(lifted, b)
             for k in range(1, N + 1):
                 slots = [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k)
                 acc._add_tensor(slots, w)
-        comp = generalized_trace(acc, lifted, alg_T, g.m) if g.m > 1 else acc
+        comp = generalized_trace(acc, lifted, alg_T)
         total_terms += len(comp.terms)
         if total_terms > max_terms:
             raise SpectralError(
@@ -213,6 +202,12 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     for N, c in chains.items():
         if c.terms and c.parity() != 1:
             raise SpectralError(f"character component {N} is not odd")
+    return out
+
+
+def _unit_vec(alg: DgAlgebra) -> np.ndarray:
+    out = np.zeros(alg.dim, dtype=complex)
+    out[alg.unit_index] = 1.0
     return out
 
 
@@ -231,47 +226,31 @@ def _omega_and_dg_vectors(ch: OddChernChain):
 def _lambda_chain(ch: OddChernChain, N: int, lifted) -> Chain:
     """lambda_N = Tr(1 (x) omega^(N-2) (x) dg^{-1} (x) dg), N >= 2."""
     omega_T, dg, dginv, _, _ = _omega_and_dg_vectors(ch)
-    alg_T = ch.alg_T
-    m = ch.g.m
-    if m > 1:
-        unit_vec = np.zeros(lifted.dim, dtype=complex)
-        unit_vec[lifted.unit_index] = 1.0
-        slots = [unit_vec] + [lifted_coeffs(lifted, omega_T)] * (N - 2) \
-            + [lifted_coeffs(lifted, dginv), lifted_coeffs(lifted, dg)]
-        raw = Chain.from_elements(lifted, CYCLIC, slots)
-        return generalized_trace(raw, lifted, alg_T, m)
-    unit_vec = np.zeros(alg_T.dim, dtype=complex)
-    unit_vec[alg_T.unit_index] = 1.0
-    slots = [unit_vec] + [omega_T.entries[0, 0]] * (N - 2) + [dginv.entries[0, 0], dg.entries[0, 0]]
-    return Chain.from_elements(alg_T, CYCLIC, slots)
+    slots = [_unit_vec(lifted)] + [lifted_coeffs(lifted, omega_T)] * (N - 2) \
+        + [lifted_coeffs(lifted, dginv), lifted_coeffs(lifted, dg)]
+    return generalized_trace(Chain.from_elements(lifted, CYCLIC, slots), lifted, ch.alg_T)
 
 
 def _chen_witness(ch: OddChernChain, N: int, lifted) -> Chain:
     """Explicit Chen-subcomplex element with
     witness_N = (D Ch(g))_N + lambda_N - lambda_{N+1} (exact identity)."""
     omega_T, dg, dginv, g_T, ginv_T = _omega_and_dg_vectors(ch)
-    alg_T = ch.alg_T
-    m = ch.g.m
-    work_alg = lifted if m > 1 else alg_T
-    unit_vec = np.zeros(work_alg.dim, dtype=complex)
-    unit_vec[work_alg.unit_index] = 1.0
+    unit_vec = _unit_vec(lifted)
 
     def vec(me):
-        return lifted_coeffs(lifted, me) if m > 1 else me.entries[0, 0]
+        return lifted_coeffs(lifted, me)
 
     if N >= 2:
-        base = Chain.from_elements(work_alg, CYCLIC,
+        base = Chain.from_elements(lifted, CYCLIC,
                                    [unit_vec] + [vec(omega_T)] * (N - 1) + [vec(dg)])
-        witness = chen_Ti(work_alg.element(vec(ginv_T)), N - 1, base)
+        witness = chen_Ti(lifted.element(vec(ginv_T)), N - 1, base)
     else:
-        base1 = Chain.from_elements(work_alg, CYCLIC, [unit_vec, vec(dg)])
-        t1 = chen_Ti(work_alg.element(vec(ginv_T)), 0, base1)
-        base2 = Chain.from_elements(work_alg, CYCLIC, [vec(ginv_T)])
-        t2 = chen_Ti(work_alg.element(vec(g_T)), 0, base2)
+        base1 = Chain.from_elements(lifted, CYCLIC, [unit_vec, vec(dg)])
+        t1 = chen_Ti(lifted.element(vec(ginv_T)), 0, base1)
+        base2 = Chain.from_elements(lifted, CYCLIC, [vec(ginv_T)])
+        t2 = chen_Ti(lifted.element(vec(g_T)), 0, base2)
         witness = t1 - t2
-    if m > 1:
-        witness = generalized_trace(witness, lifted, alg_T, m)
-    return witness
+    return generalized_trace(witness, lifted, ch.alg_T)
 
 
 def ch_g_closed(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
@@ -546,7 +525,7 @@ def partition_resum_check(tf: TwistedFamily, s, T, M_max):
     a_vec, _ = tf.ab_vectors(s)
     rhs = np.zeros_like(lhs)
     for N in range(0, 2 * M_max + 1):
-        rhs = rhs + quantize(Mdt, T, (a_vec,) * N, engine="partitions", max_blocks=M_max)
+        rhs = rhs + quantize_partitions(Mdt, T, (a_vec,) * N, max_blocks=M_max)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -571,8 +550,7 @@ def pairing_term(tf: TwistedFamily, N, s):
 def pairing_term_direct(tf: TwistedFamily, N, s):
     """Same term by explicit words (cross-check for small N)."""
     a_vec, b_vec = tf.ab_vectors(s)
-    unit_vec = np.zeros(tf.lifted.dim, dtype=complex)
-    unit_vec[tf.lifted.unit_index] = 1.0
+    unit_vec = _unit_vec(tf.lifted)
     total = 0.0 + 0.0j
     for k in range(1, N + 1):
         word = (unit_vec,) + (a_vec,) * (k - 1) + (b_vec,) + (a_vec,) * (N - k)

@@ -271,7 +271,7 @@ def delta_leibniz_report(alg: DgAlgebra, n_cochains=200, seed=0, tol=1e-10,
         a = lhs.eval_word(w)
         b = rhs.eval_word(w)
         scale = max(scale, float(np.max(np.abs(a))))
-        worst = max(worst, float(np.max(np.abs(a - b))))
+        worst = running_max(worst, float(np.max(np.abs(a - b))))
     rep = ValidationReport(f"delta-leibniz:{alg.name}")
     rep.add("graded-leibniz-for-delta", worst / scale, tol,
             "delta(l1 l2) = (delta l1) l2 + (-1)^{|l1|} l1 (delta l2)",
@@ -290,7 +290,7 @@ def codifferential_squares_report(alg: DgAlgebra, n_words=50, seed=0, tol=1e-12)
         N = int(rng.integers(0, 4))
         w = random_basis_word(alg, CYCLIC, N, rng)
         c = Chain.basis_word(alg, CYCLIC, w)
-        worst = max(worst, d_total(d_total(c)).norm())
+        worst = running_max(worst, d_total(d_total(c)).norm())
     rep = ValidationReport(f"codifferential-squared:{alg.name}")
     rep.add("dual-differential-squares-to-zero", worst, tol, "(d+b-B)^2 = 0 chain-side")
     return rep
@@ -315,14 +315,15 @@ def bracket_kernel_report(n_instances=100, seed=0, tol=1e-8, oracle_nodes=32,
         plain = heat_bracket(H, ops)
         ref = max(float(np.linalg.norm(plain)), 1e-30)
         oracle = bracket_oracle(H, ops, nodes=oracle_nodes)
-        worst_oracle = max(worst_oracle, float(np.linalg.norm(plain - oracle)) / ref)
+        worst_oracle = running_max(worst_oracle, float(np.linalg.norm(plain - oracle)) / ref)
         total = sum(bracket_insert_unit(H, ops, j) for j in range(N + 1))
-        worst_unit = max(worst_unit, float(np.linalg.norm(total - plain)) / ref)
+        worst_unit = running_max(worst_unit, float(np.linalg.norm(total - plain)) / ref)
         B = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         k = int(rng.integers(1, N + 2))
         merged = heat_bracket(H, ops[: k - 1] + [B] + ops[k - 1 :])
         split = bracket_split_quadrature(H, ops, B, k, nodes=64)
-        worst_split = max(worst_split, float(np.linalg.norm(merged - split)) / max(float(np.linalg.norm(merged)), 1e-30))
+        worst_split = running_max(worst_split,
+                                  float(np.linalg.norm(merged - split)) / max(float(np.linalg.norm(merged)), 1e-30))
     rep = ValidationReport("bracket-kernel")
     rep.add("block-exponential-vs-oracle", worst_oracle, tol, "relative Frobenius error")
     rep.add("insert-unit-aggregate", worst_unit, tol, "sum over gaps of unit insertions = plain bracket")
@@ -345,7 +346,7 @@ def supertrace_report(n_tuples=200, seed=0, tol=1e-9) -> ValidationReport:
         B = cm.project_equivariant(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), pb)
         com = A @ B - (-1.0) ** (pa * pb) * B @ A
         ref = max(1.0, float(np.linalg.norm(A)) * float(np.linalg.norm(B)))
-        worst_comm = max(worst_comm, abs(cstr(cm, com)) / ref)
+        worst_comm = running_max(worst_comm, abs(cstr(cm, com)) / ref)
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         H = cm.project_equivariant(raw @ raw.conj().T, 0)
         H = 0.5 * (H + H.conj().T)
@@ -356,7 +357,7 @@ def supertrace_report(n_tuples=200, seed=0, tol=1e-9) -> ValidationReport:
         ops = [cm.project_equivariant(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
                                       int(rng.integers(0, 2))) for _ in range(n_ops)]
         res, _, rhs = cstr_cyclic_sum(cm, H, ops)
-        worst_cyc = max(worst_cyc, res / max(1.0, abs(rhs)))
+        worst_cyc = running_max(worst_cyc, res / max(1.0, abs(rhs)))
     rep = ValidationReport("clifford-supertrace")
     rep.add("kills-supercommutators", worst_comm, tol, "CStr([A, B]) = 0 on equivariant pairs")
     rep.add("rotation-identity", worst_cyc, tol,
@@ -387,7 +388,7 @@ def bracket_trace_norm_report(n_instances=100, seed=0) -> ValidationReport:
             fact *= j
         bound = np.prod([np.linalg.norm(A, 2) for A in ops]) / fact
         bound *= float(np.trace(expm(-T * (Q @ Q) / 2)).real) * np.exp(T / 2)
-        worst = max(worst, lhs / bound)
+        worst = running_max(worst, lhs / bound)
     rep = ValidationReport("bracket-trace-norm-bound")
     rep.add("schatten1-bound", max(worst - 1.0, 0.0), 1e-10,
             "bracket trace norm under the factorial heat bound")

@@ -72,7 +72,7 @@ def test_criterion_01_complex_axioms():
     total_words = 0
     for alg, L, sample in plan:
         rep = complex_axiom_residuals(alg, max_slots=L, sample=sample, seed=SEED)
-        worst = max(worst, rep.max_residual())
+        worst = running_max(worst, rep.max_residual())
         total_words += rep.notes["n_words"]
     _verdict(1, "complex axioms", worst <= 1e-12,
              f"max residual {worst:.2e} <= 1e-12 over {total_words} basis words", t0, 10)
@@ -170,7 +170,7 @@ def test_criterion_06_chen_vanishing():
     worst = 0.0
     for M in fixtures:
         rep = chen_vanish(M, seed=SEED + 5, n_words=100)
-        worst = max(worst, rep.max_residual())
+        worst = running_max(worst, rep.max_residual())
     _verdict(6, "Chen vanishing", worst <= 1e-9,
              f"max scaled value {worst:.2e} <= 1e-9 over 100 words x 4 operator families x 3 strong fixtures",
              t0, 120)
@@ -203,11 +203,11 @@ def test_criterion_07_transgression():
             if abs(lhs) > 1e-8:
                 nonzero += 1
         rep = transgression_check(hom, words, s_nodes=24, ext_alg=ext)
-        worst_t = max(worst_t, rep.residual("transgression-formula"))
+        worst_t = running_max(worst_t, rep.residual("transgression-formula"))
         for _ in range(8):
             N = int(rng.integers(0, 3))
             w = random_basis_word(hom.alg, "bar_red", N, rng)
-            worst_b = max(worst_b, bianchi_residual(hom, float(rng.uniform(0.1, 0.9)), 1.0, w))
+            worst_b = running_max(worst_b, bianchi_residual(hom, float(rng.uniform(0.1, 0.9)), 1.0, w))
     ok = worst_t <= 1e-6 and worst_b <= 1e-6 and nonzero > 0
     _verdict(7, "transgression", ok,
              f"formula residual {worst_t:.2e}, Bianchi residual {worst_b:.2e} <= 1e-6 "
@@ -226,10 +226,10 @@ def test_criterion_08_odd_closed_form():
         w = random_basis_word(Modd.alg, CYCLIC, N, rng)
         closed = getzler_closed_form(Modd, w)
         doubled = chern_eval(M, w)
-        worst = max(worst, abs(closed - doubled) / scale)
+        worst = running_max(worst, abs(closed - doubled) / scale)
         if N % 2 == 0:
             assert closed == 0.0
-            worst_even = max(worst_even, abs(doubled) / scale)
+            worst_even = running_max(worst_even, abs(doubled) / scale)
     ok = worst <= 1e-9 and worst_even <= 1e-12
     _verdict(8, "odd closed form", ok,
              f"doubled-vs-closed-form {worst:.2e} <= 1e-9; even-degree values {worst_even:.2e}", t0, 60)
@@ -256,7 +256,7 @@ def test_criterion_10_spectral_flow_pairing():
     worst_ps = 0.0
     for s in (0.0, 0.5, 1.0):
         ps, _ = perturbation_series(tf, s, 1.0, 14)
-        worst_ps = max(worst_ps, float(np.max(np.abs(ps - expm(-(tf.Q_s(s) @ tf.Q_s(s)))))))
+        worst_ps = running_max(worst_ps, float(np.max(np.abs(ps - expm(-(tf.Q_s(s) @ tf.Q_s(s)))))))
     nonzero = rep.checks.notes["nonzero_terms"]
     ok = rep.verdict and worst_ps <= 1e-8 and nonzero == 10
     _verdict(10, "spectral-flow pairing", ok,

@@ -179,6 +179,20 @@ def test_malformed_structure_constants_raise():
         DgAlgebra(2, [0, 0], 0, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_structure_constants_are_frozen_after_construction():
+    alg = exterior_algebra(2)
+    mul, diff = np.array(alg.mul), np.array(alg.diff)
+    own = DgAlgebra(alg.dim, alg.degree, alg.unit_index, mul, diff)
+    with pytest.raises(ValueError):
+        own.mul[1, 2, 3] = 5.0
+    with pytest.raises(ValueError):
+        own.diff[1, 0] = 5.0
+    mul[1, 2, 3] = 5.0  # the caller's arrays stay writable and are not shared
+    diff[1, 0] = 5.0
+    assert own.mul[1, 2, 3] == alg.mul[1, 2, 3] and own.diff[1, 0] == 0.0
+    assert own.mul_table == alg.mul_table and own.diff_table == alg.diff_table
+
+
 def test_degree_is_frozen_after_construction():
     degree = np.array([0, 1, 1, 2])
     alg = exterior_algebra(2)

@@ -103,15 +103,27 @@ def test_threads_env_override(tmp_path, monkeypatch):
     assert report["config"]["jobs"] == 2
 
 
-def test_tolerance_zero_forces_failures(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"groups": ["brackets"], "seed": 2, "fast": True, "tol_scale": 0.0}))
+def test_failing_report_exits_1(tmp_path, monkeypatch, capsys):
+    import chernlab.suite as suite
+    from chernlab.report import ValidationReport
+
+    def failing(cfg):
+        rep = ValidationReport("forced")
+        rep.add("always-fails", 1.0, 0.5, "1 <= 0.5")
+        return [rep]
+
+    monkeypatch.setitem(suite.GROUP_RUNNERS, "brackets", failing)
     out = tmp_path / "r.json"
-    code = run_cli(["suite", "-c", str(cfg), "-o", str(out)])
+    code = run_cli(["suite", "--group", "brackets", "--seed", "2", "--fast", "-o", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     assert report["passed"] is False
-    # residuals are still reported with the scaled tolerances
-    checks = [c for item in report["results"]["brackets"] for c in item["checks"]]
-    assert checks and all(c["tol"] == 0.0 for c in checks)
-    assert any(c["residual"] > 0 for c in checks)
+    assert "FAIL forced :: always-fails" in capsys.readouterr().out
+
+
+def test_tol_scale_is_an_unknown_config_key(tmp_path, capsys):
+    # a tolerance scale would loosen every pinned tolerance; no such knob exists
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"groups": ["brackets"], "seed": 2, "fast": True, "tol_scale": 2.0}))
+    assert run_cli(["suite", "-c", str(cfg)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from chernlab.fredholm import (
     psi_eval,
     psi_quadrature,
     quantize,
+    quantize_partitions,
     transgression_check,
 )
 from scipy.linalg import expm
@@ -146,15 +147,9 @@ def test_quantize_engines_agree(weak_q1):
     rng = np.random.default_rng(5)
     for N in range(0, 5):
         w = random_basis_word(weak_q1.alg, BAR_RED, N, rng)
-        a = quantize(weak_q1, 0.7, w, engine="banded")
-        b = quantize(weak_q1, 0.7, w, engine="partitions")
+        a = quantize(weak_q1, 0.7, w)
+        b = quantize_partitions(weak_q1, 0.7, w)
         assert np.max(np.abs(a - b)) <= 1e-12
-    # partition pruning (blocks <= 2) agrees with the unpruned enumeration
-    for N in (3, 4, 5):
-        w = random_basis_word(weak_q1.alg, BAR_RED, N, rng)
-        a = quantize(weak_q1, 1.0, w, engine="partitions")
-        b = quantize(weak_q1, 1.0, w, engine="partitions", unpruned=True)
-        assert np.max(np.abs(a - b)) == 0.0
 
 
 def test_quantize_arity_zero_and_one(weak_q1):
@@ -354,7 +349,7 @@ def test_basis_word_quantize_matches_vector_slots_and_partitions(name):
             tol = 1e-13 * max(1.0, float(np.max(np.abs(phi))))
             dense = quantize(M, T, word_to_vecs(M.alg, w))
             assert np.max(np.abs(phi - dense)) <= tol, (T, w)
-            parts = quantize(M, T, w, engine="partitions")
+            parts = quantize_partitions(M, T, w)
             assert np.max(np.abs(phi - parts)) <= tol, (T, w)
 
 
@@ -375,6 +370,38 @@ def test_basis_word_chain_runs_on_half_size_blocks(name, monkeypatch):
         quantize(M, 1.0, w)
     h = M.hdim // 2 if M.q >= 1 else M.hdim
     assert sizes == [{(h, h)}] * 4
+
+
+def _homogeneous(alg, rng, parity):
+    """A random coefficient vector supported on basis elements of one degree parity."""
+    mask = np.array([d % 2 == parity for d in alg.degree_tuple])
+    return mask * (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+
+
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~_T"])
+def test_f2_is_the_closed_form_in_both_frames(name):
+    # F_2(u, v) = c(s(u) v) - c(s(u)) c(v), s(u) = (-1)^{|u|} u
+    from chernlab.fredholm import _curvature_tables
+
+    M = _HALF_FRAME_MODULES[name]()
+    alg = M.alg
+    cur = _curvature_tables(M)
+    rng = np.random.default_rng(41)
+    for pu, pv in itertools.product((0, 1), repeat=2):
+        u, v = _homogeneous(alg, rng, pu), _homogeneous(alg, rng, pv)
+        su = (-1.0) ** pu * u
+        prod = np.einsum("i,j,ijk->k", su, v, alg.mul)
+        closed = M.c(prod) - M.c(su) @ M.c(v)
+        got = cur.F2(u, v)
+        assert np.max(np.abs(got - closed)) <= 1e-13 * max(1.0, float(np.max(np.abs(closed))))
+    if M.q == 0:
+        return
+    frame = cur._basis_frame()
+    Up = frame.U[:, : M.hdim // 2]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        full = cur.F2(np.eye(alg.dim)[i], np.eye(alg.dim)[j])
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(full))))
+        assert np.max(np.abs(frame.f2(i, j) - Up.conj().T @ full @ Up)) <= tol
 
 
 def _non_equivariant(M, which, eps=1e-6):
@@ -449,3 +476,29 @@ def test_nan_coclosed_residual_fails_the_chern_group(monkeypatch):
     assert first.subject.startswith("chern:")
     assert not next(c for c in first.checks if c.check_id == "coclosed-base").passed
     assert not first.passed
+
+
+def test_nan_phi_ratio_fails_the_trace_norm_bound(monkeypatch):
+    import chernlab.suite as suite
+
+    inner = suite.phi_estimate_ratio
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(1)
+        return np.nan if len(calls) == 1 else inner(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "phi_estimate_ratio", poisoned)
+    rep = suite.fundamental_estimate_report(suite.SuiteConfig(seed=0, fast=True, n=3))
+    assert not rep.passed
+    assert np.isnan(rep.residual("trace-norm-bound"))
+
+
+def test_phi_estimate_ratio_uses_the_basis_word_cache():
+    from chernlab.fredholm import phi_estimate_ratio
+
+    M = double_odd(discrete_circle(4, seed=0))
+    for w in [(1, 5), (5, 9), (9,)]:
+        ratio = phi_estimate_ratio(M, w, 0.5)
+        assert (0.5, w) in M._phi_cache
+        assert abs(ratio - phi_estimate_ratio(M, word_to_vecs(M.alg, w), 0.5)) <= 1e-13

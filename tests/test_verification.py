@@ -1,5 +1,6 @@
-"""The vectorized word-layer checks behind criterion 01: a check passes
-only on finite residuals."""
+"""The verification routines (the vectorized word-layer checks behind
+criterion 01, the bracket kernel) and their reports: a check passes only
+on finite residuals."""
 
 import numpy as np
 
@@ -25,3 +26,27 @@ def test_nan_product_entry_fails_the_axiom_checks(monkeypatch):
     bad = {c.check_id for c in rep.failing()}
     assert "bb" in bad
     assert all(np.isnan(rep.residual(cid)) for cid in bad)
+
+
+def test_max_residual_keeps_a_nan():
+    from chernlab.report import ValidationReport
+
+    rep = ValidationReport("two checks")
+    rep.add("finite", 0.5, 1.0)
+    rep.add("poisoned", np.nan, 1.0)
+    assert np.isnan(rep.max_residual())
+
+
+def test_nan_oracle_fails_the_bracket_kernel_report(monkeypatch):
+    inner = verification.bracket_oracle
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(1)
+        out = inner(*args, **kwargs)
+        return np.full_like(out, np.nan) if len(calls) == 1 else out
+
+    monkeypatch.setattr(verification, "bracket_oracle", poisoned)
+    rep = verification.bracket_kernel_report(n_instances=3, seed=0)
+    assert np.isnan(rep.residual("block-exponential-vs-oracle"))
+    assert "block-exponential-vs-oracle" in {c.check_id for c in rep.failing()}
