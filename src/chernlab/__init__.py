@@ -2,6 +2,14 @@
 Clifford heat brackets, heat-kernel Chern characters and the
 spectral-flow pairing, with a numerical verification suite."""
 
+import os
+
+# One BLAS thread unless the caller sets others: the kernels work on small
+# matrices, where more threads cost more than they give (README, "CLI").
+# This must run before any submodule imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .algebra import (
     AlgebraError,
     AlgebraElement,

@@ -34,6 +34,7 @@ from .algebra import AlgebraElement, DgAlgebra
 CYCLIC = "cyclic"
 BAR = "bar"
 BAR_RED = "bar_red"
+_CHEN_MAX_WORDS = 250_000  # words one Chen subspace may index (its SVD is dense)
 
 
 class ChainError(ValueError):
@@ -232,16 +233,16 @@ def _n_values(alg, word):
     return out  # out[k] = n_k mod 2
 
 
-def _left_mul_entries(alg, coeffs, j, tol=0.0):
+def _left_mul_entries(alg, coeffs, j):
     """Expansion of (sum_a coeffs_a e_a) * e_j as [(k, coeff)]."""
     vec = np.einsum("a,ak->k", coeffs, alg.mul[:, j, :])
-    nz = np.nonzero(np.abs(vec) > tol)[0]
+    nz = np.nonzero(np.abs(vec) > 0)[0]
     return [(int(k), complex(vec[k])) for k in nz]
 
 
-def _right_mul_entries(alg, j, coeffs, tol=0.0):
+def _right_mul_entries(alg, j, coeffs):
     vec = np.einsum("a,ak->k", coeffs, alg.mul[j, :, :])
-    nz = np.nonzero(np.abs(vec) > tol)[0]
+    nz = np.nonzero(np.abs(vec) > 0)[0]
     return [(int(k), complex(vec[k])) for k in nz]
 
 
@@ -569,7 +570,7 @@ class Subspace:
         return float(np.linalg.norm(r))
 
 
-def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None, rank_tol=1e-10) -> Subspace:
+def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None) -> Subspace:
     """Orthonormalize a finite family of chains (dropping zero ones)."""
     chains = [c for c in chains if c.terms]
     if not chains:
@@ -585,11 +586,11 @@ def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None, ra
         for w, cf in c.terms.items():
             mat[word_index[w], j] = cf
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * (s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
     return Subspace(alg, kind, word_index, u[:, :rank], leakage, meta or {})
 
 
-def _all_basis_words(alg, N_max, deg_window=None):
+def _all_basis_words(alg, N_max):
     """All reduced cyclic basis words with at most N_max slots beyond 0."""
     u = alg.unit_index
     reduced = [i for i in range(alg.dim) if i != u]
@@ -599,14 +600,6 @@ def _all_basis_words(alg, N_max, deg_window=None):
     for _ in range(N_max):
         layer = [w + (i,) for w in layer for i in reduced]
         words.extend(layer)
-    if deg_window is not None:
-        lo, hi = deg_window
-        deg = alg.degree
-
-        def total(w):
-            return sum(int(deg[i]) for i in w) - (len(w) - 1)
-
-        words = [w for w in words if lo <= total(w) <= hi]
     return words
 
 
@@ -624,7 +617,7 @@ def chen_generator_images(alg, word_chain, N_max):
     return images
 
 
-def chen_subspace(alg, N_max, deg_window=None, close_each=False, max_index=250_000):
+def chen_subspace(alg, N_max, close_each=False):
     """Span of the Chen generator images and their D_tot images, windowed.
 
     Output words with more than N_max slots are dropped; the number of
@@ -633,7 +626,7 @@ def chen_subspace(alg, N_max, deg_window=None, close_each=False, max_index=250_0
     """
     sigma = _require_sigma(alg)
     del sigma
-    words = _all_basis_words(alg, N_max, deg_window)
+    words = _all_basis_words(alg, N_max)
     chains = []
     leakage = 0
 
@@ -660,10 +653,10 @@ def chen_subspace(alg, N_max, deg_window=None, close_each=False, max_index=250_0
                 chains.append(window(b_cyclic(img_w)))
                 chains.append(window(B_connes(img_w)))
     n_index = len({w for c in chains for w in c.terms})
-    if n_index > max_index:
+    if n_index > _CHEN_MAX_WORDS:
         raise ChainError(f"truncation window too large ({n_index} words indexed)")
     sub = subspace_from_chains(chains, alg=alg, kind=CYCLIC, leakage=leakage,
-                               meta={"N_max": N_max, "deg_window": deg_window, "close_each": close_each})
+                               meta={"N_max": N_max, "close_each": close_each})
     if sub.rank == 0:
         sub.meta["warning"] = "empty subspace: truncation too small to contain any image"
     return sub
@@ -690,22 +683,15 @@ def _floor_half_factorial(N):
     return out
 
 
-def entire_bound(c: Chain, nu=None, seminorm_id="max-coeff") -> SeminormBound:
-    """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term.
-
-    nu maps a basis index to its seminorm value (default 1 for every
-    basis element, the designated max-coefficient norm).
-    """
+def entire_bound(c: Chain) -> SeminormBound:
+    """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term,
+    in the designated max-coefficient norm (1 on every basis element)."""
     total = 0.0
     off = 1 if c.kind == CYCLIC else 0
     for word, coeff in c.terms.items():
         N = len(word) - off
-        prod = abs(coeff)
-        if nu is not None:
-            for i in word:
-                prod *= nu(i)
-        total += prod / _floor_half_factorial(N)
-    return SeminormBound(float(total), seminorm_id)
+        total += abs(coeff) / _floor_half_factorial(N)
+    return SeminormBound(float(total), "max-coeff")
 
 
 # -- test helpers ----------------------------------------------------------------

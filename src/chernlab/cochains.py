@@ -157,14 +157,13 @@ class OperatorBarCochain:
         return self * other - (other * self).scale(sign)
 
 
-def delta(l: OperatorBarCochain, reduced=False) -> OperatorBarCochain:
-    """Codifferential -(d + b')^dual; raises the parity by one."""
-    kind = BAR_RED if reduced else BAR
+def delta(l: OperatorBarCochain) -> OperatorBarCochain:
+    """Codifferential -(d + b')^dual on bar chains; raises the parity by one."""
 
     def component(slots):
         alg = l.alg
         # slots are coefficient vectors; expand to basis words, apply d + b'
-        chain = Chain.from_elements(alg, kind, slots)
+        chain = Chain.from_elements(alg, BAR, slots)
         image = d_bar(chain) + b_prime(chain)
         sign = -((-1.0) ** l.parity)
         return sign * l.eval_chain(image)
@@ -174,13 +173,13 @@ def delta(l: OperatorBarCochain, reduced=False) -> OperatorBarCochain:
                               max_arity=max_arity, label=f"delta({l.label})")
 
 
-def dual_eval(l, X, c, x_parity=None, l_parity=None):
+def dual_eval(l, X, c, x_parity=None):
     """(X^dual l)(c) = (-1)^{|X||l|} l(X c) for a chain operator X.
 
     l: anything with declared parity and an eval on chains (an
     OperatorBarCochain or a cyclic cochain); X: callable on chains.
     """
-    lp = l.parity if l_parity is None else l_parity
+    lp = l.parity
     if lp is None or x_parity is None:
         raise CochainError("dual_eval needs declared parities for both arguments")
     sign = (-1.0) ** ((lp * x_parity) % 2)

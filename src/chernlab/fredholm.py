@@ -41,6 +41,9 @@ from .hilbert import (
 from .report import ValidationReport, running_max
 
 
+MODULE_TOL = 1e-12  # module_validate and the half-frame guard of quantize
+
+
 class ModuleError(ValueError):
     pass
 
@@ -132,32 +135,33 @@ class OddFredholmModule(_FrozenOperators):
         return np.einsum("i,ijk->jk", np.asarray(theta, dtype=complex), self.c_mats)
 
 
-def _strong_residuals(alg, c_stack, Q, rep, tol):
+def _strong_residuals(alg, c_stack, Q, rep):
     """Multiplicativity and [Q, c(f)] = c(df) over the degree-0 basis."""
     mults, qcomm = 0.0, 0.0
     for fi in alg.degree0_indices():
         cf = c_stack[fi]
         cdf = np.einsum("i,ijk->jk", alg.diff[:, fi], c_stack)
         comm = Q @ cf - cf @ Q
-        qcomm = max(qcomm, float(np.max(np.abs(comm - cdf))))
+        qcomm = running_max(qcomm, np.max(np.abs(comm - cdf)))
         for j in range(alg.dim):
             cprod = np.einsum("i,ijk->jk", alg.mul[fi, j], c_stack)
-            mults = max(mults, float(np.max(np.abs(cprod - cf @ c_stack[j]))))
+            mults = running_max(mults, np.max(np.abs(cprod - cf @ c_stack[j])))
             cprod = np.einsum("i,ijk->jk", alg.mul[j, fi], c_stack)
-            mults = max(mults, float(np.max(np.abs(cprod - c_stack[j] @ cf))))
-    rep.add("commutator-rule", qcomm, tol, "[Q, c(f)] = c(df) for degree-0 f")
-    rep.add("multiplicativity", mults, tol, "c(f a) = c(f) c(a), c(a f) = c(a) c(f)")
+            mults = running_max(mults, np.max(np.abs(cprod - c_stack[j] @ cf)))
+    rep.add("commutator-rule", qcomm, MODULE_TOL, "[Q, c(f)] = c(df) for degree-0 f")
+    rep.add("multiplicativity", mults, MODULE_TOL, "c(f a) = c(f) c(a), c(a f) = c(a) c(f)")
 
 
-def module_validate(M, tol=1e-12) -> ValidationReport:
+def module_validate(M) -> ValidationReport:
     """Residuals of all structural module axioms; weak skips multiplicativity."""
+    tol = MODULE_TOL
     if isinstance(M, OddFredholmModule):
         rep = ValidationReport(f"odd-module:{M.name}")
         unit_res = float(np.max(np.abs(M.c(M.alg.unit_index) - np.eye(M.hdim))))
         rep.add("unit-representation", unit_res, tol, "c(1) = 1")
         rep.add("Q-hermitian", float(np.max(np.abs(M.Q - M.Q.conj().T))), tol, "Q = Q*")
         if not M.weak:
-            _strong_residuals(M.alg, M.c_mats, M.Q, rep, tol)
+            _strong_residuals(M.alg, M.c_mats, M.Q, rep)
         return rep
 
     rep = ValidationReport(f"module:{M.name}")
@@ -170,20 +174,19 @@ def module_validate(M, tol=1e-12) -> ValidationReport:
     for i in range(M.alg.dim):
         sign = (-1.0) ** (int(M.alg.degree[i]) % 2)
         ci = M.c_mats[i]
-        grading = max(grading, float(np.max(np.abs(ci - sign * (G[:, None] * ci * G[None, :])))))
+        grading = running_max(grading, np.max(np.abs(ci - sign * (G[:, None] * ci * G[None, :]))))
         for e in M.cm.e:
-            equivariance = max(equivariance, float(np.max(np.abs(e @ ci - sign * ci @ e))))
+            equivariance = running_max(equivariance, np.max(np.abs(e @ ci - sign * ci @ e)))
     rep.add("grading-preserving", grading, tol, "c maps degree parity to operator parity")
     rep.add("clifford-equivariance", equivariance, tol, "c(a) supercommutes with the C_q action")
     rep.add("Q-hermitian", float(np.max(np.abs(M.Q - M.Q.conj().T))), tol, "Q = Q*")
     rep.add("Q-odd", float(np.max(np.abs(M.Q + G[:, None] * M.Q * G[None, :]))), tol, "Q anticommutes with the grading")
-    q_equiv = max(
-        (float(np.max(np.abs(e @ M.Q + M.Q @ e))) for e in M.cm.e),
-        default=0.0,
-    )
+    q_equiv = 0.0
+    for e in M.cm.e:
+        q_equiv = running_max(q_equiv, np.max(np.abs(e @ M.Q + M.Q @ e)))
     rep.add("Q-clifford-equivariance", q_equiv, tol, "Q supercommutes with the C_q action")
     if not M.weak:
-        _strong_residuals(M.alg, M.c_mats, M.Q, rep, tol)
+        _strong_residuals(M.alg, M.c_mats, M.Q, rep)
     rep.notes["delta_max_eig"] = float(np.linalg.eigvalsh(M.delta_operator()).max())
     return rep
 
@@ -315,7 +318,7 @@ class _HalfFrame:
 
     The frame is trusted only after a guard: c_i (parity |i|) and Q (odd)
     must be block-diagonal in (U_+, U_-) with the signed lower block, to
-    1e-12 max(1, max|c|, max|Q|), the tolerance of module_validate.
+    MODULE_TOL max(1, max|c|, max|Q|), the tolerance of module_validate.
     """
 
     def __init__(self, cur: Curvature):
@@ -359,7 +362,7 @@ class _HalfFrame:
         return left @ self.Uh
 
 
-def _half_frame_basis(M, sign_vec, tol=1e-12):
+def _half_frame_basis(M, sign_vec):
     """U = [U_+, e_1 U_+] for a q >= 1 module, after the guard of _HalfFrame;
     sign_vec holds (-1)^{|i|} per basis index."""
     h = M.hdim
@@ -382,10 +385,10 @@ def _half_frame_basis(M, sign_vec, tol=1e-12):
         float(np.max(np.abs(lower - signs[:, None, None] * upper))),
     )
     scale = max(1.0, float(np.max(np.abs(ops))))
-    if not residual <= tol * scale:
+    if not residual <= MODULE_TOL * scale:
         raise ModuleError(
             f"module is not C_q-equivariant in the half-frame of Gamma e_1: residual {residual:.2e}"
-            f" > {tol:.0e} * {scale:.3g} (see module_validate)")
+            f" > {MODULE_TOL:.0e} * {scale:.3g} (see module_validate)")
     return U
 
 
@@ -493,16 +496,16 @@ def chern_eval(M: CqFredholmModule, item, T=1.0):
     return complex(cstr(M.cm, c0 @ phi))
 
 
-def coclosed_residual(M: CqFredholmModule, chain, T=1.0):
-    """((d + b - B)^dual Ch)(chain) = (-1)^q Ch((d + b - B) chain)."""
+def coclosed_residual(M: CqFredholmModule, chain):
+    """((d + b - B)^dual Ch)(chain) = (-1)^q Ch((d + b - B) chain), at T = 1."""
     if not isinstance(chain, Chain):
         chain = Chain.basis_word(M.alg, CYCLIC, chain)
-    return (-1.0) ** M.q * chern_eval(M, d_total(chain), T)
+    return (-1.0) ** M.q * chern_eval(M, d_total(chain))
 
 
-def chern_scale(M: CqFredholmModule, T=1.0) -> float:
-    """Normalization used for relative residuals: ||e^{-T Q^2}||_1."""
-    return trace_norm(expm(-T * M.Q2))
+def chern_scale(M: CqFredholmModule) -> float:
+    """Normalization used for relative residuals: ||e^{-Q^2}||_1."""
+    return trace_norm(expm(-M.Q2))
 
 
 def chern_pullback_residual(M_T: CqFredholmModule, chain) -> float:
@@ -518,18 +521,18 @@ def chern_pullback_residual(M_T: CqFredholmModule, chain) -> float:
     return abs(lhs + rhs)
 
 
-def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, max_len=3, ext_alg=None, T=1.0) -> ValidationReport:
+def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, ext_alg=None) -> ValidationReport:
     """Ch of the extended module on Chen generator images of random words."""
     if M.weak:
         raise ModuleError("Chen vanishing requires a strong module (multiplicativity)")
     M_T = acyclic_extend_module(M, ext_alg)
     alg_T = M_T.alg
     rng = np.random.default_rng(seed)
-    scale = chern_scale(M_T, T)
+    scale = chern_scale(M_T)
     deg0 = [i for i in M.alg.degree0_indices()]
     values = {"S+1": 0.0, "R": 0.0, "S_i^f": 0.0, "T_i^f": 0.0}
     for _ in range(n_words):
-        N = int(rng.integers(0, max_len + 1))
+        N = int(rng.integers(0, 4))
         w = random_basis_word(alg_T, CYCLIC, N, rng)
         c = Chain.basis_word(alg_T, CYCLIC, w)
         fvec = np.zeros(alg_T.dim, dtype=complex)
@@ -544,7 +547,7 @@ def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, max_len=3, ext_alg=Non
             "T_i^f": chen_Ti(f, i_gap, c),
         }
         for key, img in images.items():
-            values[key] = running_max(values[key], abs(chern_eval(M_T, img, T)))
+            values[key] = running_max(values[key], abs(chern_eval(M_T, img)))
     rep = ValidationReport(f"chen-vanish:{M.name}")
     for key, val in values.items():
         rep.add(f"vanishes-on-{key}", val / scale, 1e-9, f"Ch of the extension kills {key} images")
@@ -656,7 +659,7 @@ def psi_quadrature(M_s: CqFredholmModule, Qdot, cdot_mats, T, word, nodes=48):
     return -T * out
 
 
-def psi_cochain(hom: Homotopy, s, T, ext=False) -> OperatorBarCochain:
+def psi_cochain(hom: Homotopy, s, T) -> OperatorBarCochain:
     M_s = hom.module(s)
     Qdot = hom.Qdot_of(s)
     cdot = hom.cdot_of(s)
@@ -665,8 +668,9 @@ def psi_cochain(hom: Homotopy, s, T, ext=False) -> OperatorBarCochain:
                               label=f"psi[s={s}]")
 
 
-def bianchi_residual(hom: Homotopy, s, T, word, fd_step=1e-4):
+def bianchi_residual(hom: Homotopy, s, T, word):
     """|d/ds Phi_T^s - delta Psi_T^s - [omega_s, Psi_T^s]| on one bar word."""
+    fd_step = 1e-4
     word_chain = Chain.from_elements(hom.alg, BAR_RED, _as_slot_vecs(hom.alg, word))
     lhs = (quantize(hom.module(s + fd_step), T, word) - quantize(hom.module(s - fd_step), T, word)) / (2 * fd_step)
     psi = psi_cochain(hom, s, T)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, expm_frechet
 
-from .report import ValidationReport
+from .report import ValidationReport, running_max
 
 N_BRACKET_MAX = 12
 
@@ -125,7 +125,7 @@ class CliffordModule:
         """e_1 ... e_q (read-only)."""
         return self._volume
 
-    def supercommutes(self, A, tol=1e-12) -> float:
+    def supercommutes(self, A) -> float:
         """Max residual of the supercommutators [e_i, A] (graded)."""
         par = self.H.operator_parity(A, tol=1e-9)
         if par is None:
@@ -154,20 +154,21 @@ class CliffordModule:
         return A
 
 
-def clifford_validate(cm: CliffordModule, tol=1e-12) -> ValidationReport:
+def clifford_validate(cm: CliffordModule) -> ValidationReport:
     """Relations e_i e_j + e_j e_i = -2 delta_ij, skew-adjointness, oddness."""
+    tol = 1e-12
     rep = ValidationReport(f"clifford:q={cm.q},dim={cm.dim}")
     d = cm.dim
-    rel = 0.0
+    G = cm.H.parity.astype(float)
+    rel = skew = odd = 0.0
     for i, ei in enumerate(cm.e):
         for j, ej in enumerate(cm.e):
             target = -2.0 * np.eye(d) if i == j else np.zeros((d, d))
-            rel = max(rel, float(np.max(np.abs(ei @ ej + ej @ ei - target), initial=0.0)))
+            rel = running_max(rel, np.max(np.abs(ei @ ej + ej @ ei - target), initial=0.0))
+        skew = running_max(skew, np.max(np.abs(ei.conj().T + ei)))
+        odd = running_max(odd, np.max(np.abs(ei + G[:, None] * ei * G[None, :])))
     rep.add("clifford-relations", rel, tol, "e_i e_j + e_j e_i = -2 delta_ij")
-    skew = max((float(np.max(np.abs(m.conj().T + m))) for m in cm.e), default=0.0)
     rep.add("skew-adjoint", skew, tol, "e_i* = -e_i")
-    G = cm.H.parity.astype(float)
-    odd = max((float(np.max(np.abs(m + G[:, None] * m * G[None, :]))) for m in cm.e), default=0.0)
     rep.add("generators-odd", odd, tol, "e_i anticommutes with the grading")
     gsq = float(np.max(np.abs(cm.H.gamma_grading @ cm.H.gamma_grading - np.eye(d))))
     rep.add("grading-involution", gsq, tol, "grading squares to one")
@@ -253,13 +254,13 @@ def marked_chain_exp_topright(diag, bands, marked):
     return marked_chain_exp_row(diag, bands, marked)[1][-1]
 
 
-def heat_bracket(H, A_list, check=True, n_max=N_BRACKET_MAX):
+def heat_bracket(H, A_list, check=True):
     """Simplex heat bracket via the augmented block exponential."""
     H = np.asarray(H, dtype=complex)
     A_list = [np.asarray(A, dtype=complex) for A in A_list]
     N = len(A_list)
-    if N > n_max:
-        raise HilbertError(f"bracket arity {N} exceeds the bound {n_max}")
+    if N > N_BRACKET_MAX:
+        raise HilbertError(f"bracket arity {N} exceeds the bound {N_BRACKET_MAX}")
     if check:
         if np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
             raise HilbertError("H must be Hermitian")
@@ -271,13 +272,13 @@ def heat_bracket(H, A_list, check=True, n_max=N_BRACKET_MAX):
     return chain_exp_topright(diag, bands)
 
 
-def bracket_oracle(H, A_list, nodes=64, deep_nodes=16):
+def bracket_oracle(H, A_list, nodes=64):
     """Gauss-Legendre recursion for the bracket, independent of expm.
 
     Uses {A_1, ..., A_N}_{cH} = int_0^1 (1-u)^{N-1} e^{-u c H} A_1
     {A_2, ..., A_N}_{(1-u) c H} du and a single eigendecomposition of H.
     The outermost integral uses the requested node count; deeper levels
-    use deep_nodes (the integrands are entire, so accuracy stays far
+    use 16 nodes (the integrands are entire, so accuracy stays far
     below the cross-check tolerance while the batch stays bounded).
     """
     H = np.asarray(H, dtype=complex)
@@ -285,7 +286,7 @@ def bracket_oracle(H, A_list, nodes=64, deep_nodes=16):
     w_eig, V = np.linalg.eigh(H)
     # work in the eigenbasis: heat factors are diagonal scalings there
     ops_e = [V.conj().T @ np.asarray(A, dtype=complex) @ V for A in A_list]
-    rules = [gauss_legendre_01(nodes)] + [gauss_legendre_01(deep_nodes)] * max(0, len(A_list) - 1)
+    rules = [gauss_legendre_01(nodes)] + [gauss_legendre_01(16)] * max(0, len(A_list) - 1)
 
     def rec(scales, ops, level):
         # returns {ops}_{c H} in the eigenbasis for every scale c,
@@ -350,12 +351,12 @@ def simplex_bracket_quadrature(H, A_list, nodes=16, weight=None):
     return out
 
 
-def bracket_insert_unit(H, A_list, j, check=True):
+def bracket_insert_unit(H, A_list, j):
     """{A_1, ..., A_j, 1, A_(j+1), ..., A_N}_H."""
     ops = list(A_list)
     d = H.shape[0]
     ops.insert(j, np.eye(d, dtype=complex))
-    return heat_bracket(H, ops, check=check)
+    return heat_bracket(H, ops)
 
 
 def bracket_split_quadrature(H, A_list, B, k, nodes=64):
@@ -375,7 +376,7 @@ def bracket_split_quadrature(H, A_list, B, k, nodes=64):
     return out
 
 
-def cstr_cyclic_sum(cm: CliffordModule, H, A_list, tol_equiv=1e-10):
+def cstr_cyclic_sum(cm: CliffordModule, H, A_list):
     """Residual of the rotation identity for the Clifford supertrace.
 
     A_list = [A_0, ..., A_N]; all inputs must supercommute with the
@@ -390,7 +391,7 @@ def cstr_cyclic_sum(cm: CliffordModule, H, A_list, tol_equiv=1e-10):
         if p is None:
             raise HilbertError("inputs must have pure parity")
         scale = max(1.0, float(np.max(np.abs(A))))
-        if cm.supercommutes(A) > tol_equiv * scale:
+        if cm.supercommutes(A) > 1e-10 * scale:
             raise HilbertError("inputs must supercommute with the Clifford action")
         parities.append(p)
     if cm.H.operator_parity(H, tol=1e-9) != 0:

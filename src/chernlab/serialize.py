@@ -132,13 +132,13 @@ def subspace_from_json(data, alg) -> "object":
     return sub
 
 
-def homotopy_to_json(hom, family="affine_Q", **params) -> dict:
-    """Named parametric description of a homotopy (no closures)."""
+def homotopy_to_json(hom, **params) -> dict:
+    """Named parametric description of an affine_Q homotopy (no closures)."""
     from .fredholm import CqFredholmModule
 
     base = CqFredholmModule(hom.alg, hom.cm, hom.c_of(0.0), hom.Q_of(0.0),
                             weak=hom.weak, name=hom.name + "[s=0]")
-    out = {"family": family, "base": module_to_json(base), "name": hom.name}
+    out = {"family": "affine_Q", "base": module_to_json(base), "name": hom.name}
     out["params"] = {k: (matrix_to_json(v) if isinstance(v, np.ndarray) else v)
                      for k, v in params.items()}
     return out

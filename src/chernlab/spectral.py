@@ -63,6 +63,7 @@ from .serialize import round17
 # TERM_SIGN * Tr(gt c(omega) Phi(A^(N-1))).  The blocks-counting in the
 # partition expansion forces -1 (the insertion block carries its own -T).
 TERM_SIGN = -1.0
+_CH_G_MAX_TERMS = 4_000_000  # terms of one materialized character chain
 
 
 class SpectralError(ValueError):
@@ -165,16 +166,13 @@ class OddChernChain:
         return out
 
 
-def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
-         max_terms: int = 4_000_000) -> OddChernChain:
+def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     """Materialize the odd character chain of g up to degree N_max.
 
     The s-integrand has polynomial degree <= 2N per component, so
     Gauss-Legendre with N + 1 nodes per degree is exact.
     """
-    alg = g.alg
-    if alg_T is None:
-        alg_T = acyclic_extension(alg)
+    alg_T = acyclic_extension(g.alg)
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
     lifted = mat_lift(alg_T, g.m) if g.m > 1 else alg_T
@@ -192,9 +190,9 @@ def ch_g(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
                 acc._add_tensor(slots, w)
         comp = generalized_trace(acc, lifted, alg_T)
         total_terms += len(comp.terms)
-        if total_terms > max_terms:
+        if total_terms > _CH_G_MAX_TERMS:
             raise SpectralError(
-                f"character chain materialization exceeds {max_terms} terms at degree {N}; "
+                f"character chain materialization exceeds {_CH_G_MAX_TERMS} terms at degree {N}; "
                 "reduce N_max or the algebra size")
         chains[N] = comp.prune(0.0)
     out = OddChernChain(g, alg_T, omega_T, N_max, chains)
@@ -253,8 +251,7 @@ def _chen_witness(ch: OddChernChain, N: int, lifted) -> Chain:
     return generalized_trace(witness, lifted, ch.alg_T)
 
 
-def ch_g_closed(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
-                tol: float = 1e-9) -> ValidationReport:
+def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationReport:
     """Closedness of the odd character chain modulo Chen normalization.
 
     Verifies, per degree N <= N_max - 1:
@@ -265,7 +262,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, alg_T: DgAlgebra | None = None,
     and that the telescope entire bounds decay at the half-factorial
     rate.  The report records which generators absorbed each component.
     """
-    ch = ch_g(g, N_max, alg_T=alg_T)
+    ch = ch_g(g, N_max)
     alg_T = ch.alg_T
     lifted = mat_lift(alg_T, g.m) if g.m > 1 else alg_T
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
@@ -368,14 +365,13 @@ class TwistedFamily:
         return lifted_coeffs(self.lifted, a_s), lifted_coeffs(self.lifted, b)
 
 
-def twisted_family(M: OddFredholmModule, g: MatrixElement, alg_T=None) -> TwistedFamily:
+def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
     """Build the twisted family and verify its defining matrix identities."""
     if M.weak:
         raise SpectralError("the twisted family requires a strong module")
     if g.alg is not M.alg:
         raise SpectralError("g and the module live over different algebras")
-    if alg_T is None:
-        alg_T = acyclic_extension(M.alg)
+    alg_T = acyclic_extension(M.alg)
     m = g.m
     M_T = acyclic_extend_module(M, alg_T)
     lifted = mat_lift(alg_T, m)
@@ -505,9 +501,9 @@ def diagnostic_affine_sf(Q0, Q1, s_nodes=64):
             "crossings": eigenvalue_crossing_count(Q0, Q1)}
 
 
-def eigenvalue_crossing_count(Q0, Q1, grid=400):
+def eigenvalue_crossing_count(Q0, Q1):
     """Signed zero crossings of the sorted eigenvalue paths (diagnostic)."""
-    s_grid = np.linspace(0.0, 1.0, grid + 1)
+    s_grid = np.linspace(0.0, 1.0, 401)
     prev = np.linalg.eigvalsh(Q0)
     count = 0
     for s in s_grid[1:]:
@@ -643,8 +639,8 @@ class PairingReport:
         }
 
 
-def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int, s_nodes=None,
-            term_tol=1e-7, total_tol=1e-6, tail_tol=1e-6, kappa=None) -> PairingReport:
+def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
+            term_tol=1e-7, total_tol=1e-6, tail_tol=1e-6) -> PairingReport:
     """Degree-by-degree pairing of the doubled character with the odd
     character chain of g, with the spectral-flow comparison.
 
@@ -659,8 +655,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int, s_nodes=None,
     t0 = time.time()
     tf = twisted_family(M, g)
     checks = tf.report
-    if s_nodes is None:
-        s_nodes = max(32, 2 * N_max + 2)
+    s_nodes = max(32, 2 * N_max + 2)
     x, w = gauss_legendre_01(s_nodes)
     worst_f, worst_x = 0.0, 0.0
     for s in (0.25, 0.75):
@@ -673,8 +668,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int, s_nodes=None,
     # calibrated per-slot seminorm for the tail certificate
     a_norm = max(float(np.max(np.abs(tf.ab_vectors(s)[0]))) for s in (0.25, 0.5, 0.75, 1.0))
     b_norm = float(np.max(np.abs(tf.ab_vectors(0.5)[1])))
-    if kappa is None:
-        kappa = _calibrate_pairing_kappa(tf)
+    kappa = _calibrate_pairing_kappa(tf)
     trace_factor = float(np.trace(expm(-tf.Mdt.Q2 / 2)).real) * np.exp(0.5)
 
     def term_bound(N):
@@ -738,7 +732,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int, s_nodes=None,
     return rep
 
 
-def _calibrate_pairing_kappa(tf: TwistedFamily, safety=1.5):
+def _calibrate_pairing_kappa(tf: TwistedFamily):
     """Per-slot scaling making the trace-norm bound valid on small words."""
     from .fredholm import phi_estimate_ratio
 
@@ -751,4 +745,4 @@ def _calibrate_pairing_kappa(tf: TwistedFamily, safety=1.5):
                 raise SpectralError(f"trace-norm ratio {r} on a calibration word of length {len(word)}")
             if r > 0:
                 worst = max(worst, r ** (1.0 / len(word)))
-    return worst * safety
+    return worst * 1.5

@@ -64,9 +64,6 @@ class SuiteConfig:
     seed: int = 0
     groups: tuple = GROUPS
     n: int = 6                    # discrete circle size for module-level groups
-    pairing_eps: float = 0.10     # loop amplitude for the pairing fixture
-    pairing_N_max: int = 10
-    chg_N_max: int = 8
     jobs: int = 1
     fast: bool = False            # trims sample counts (used by unit tests)
 
@@ -327,10 +324,10 @@ def group_pairing(cfg: SuiteConfig):
     reports = []
     alg = discrete_circle_algebra(2)
     g_small = circle_loop_element(alg, eps=0.5, seed=cfg.seed + 11)
-    reports.append(ch_g_closed(g_small, 4 if cfg.fast else cfg.chg_N_max))
+    reports.append(ch_g_closed(g_small, 4 if cfg.fast else 8))
     M = discrete_circle(cfg.n, seed=cfg.seed)
-    g = circle_loop_element(M.alg, eps=cfg.pairing_eps, seed=cfg.seed + 12)
-    pr = pairing(M, g, N_max=8 if cfg.fast else cfg.pairing_N_max)
+    g = circle_loop_element(M.alg, eps=0.10, seed=cfg.seed + 12)
+    pr = pairing(M, g, N_max=8 if cfg.fast else 10)
     reports.append(pr.checks)
     rep = ValidationReport("partition-resummation")
     from .spectral import twisted_family
@@ -387,8 +384,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     report = {
         "config": {
             "seed": cfg.seed, "groups": list(cfg.groups), "n": cfg.n,
-            "pairing_eps": cfg.pairing_eps, "pairing_N_max": cfg.pairing_N_max,
-            "chg_N_max": cfg.chg_N_max, "jobs": jobs, "fast": cfg.fast,
+            "jobs": jobs, "fast": cfg.fast,
         },
         "results": results,
         "errors": errors,

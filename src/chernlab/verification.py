@@ -175,8 +175,7 @@ def _layer_words(alg, N, sample=None, rng=None):
     return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64), False
 
 
-def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0,
-                            tol=1e-12) -> ValidationReport:
+def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0) -> ValidationReport:
     """d^2, b^2, B^2 and the three anticommutators on basis word layers.
 
     Words carry at most max_slots slots in total.  With sample set, any
@@ -208,7 +207,7 @@ def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0,
     labels = {("d", "d"): "d d = 0", ("b", "b"): "b b = 0", ("B", "B"): "B B = 0",
               ("d", "b"): "d b + b d = 0", ("d", "B"): "d B + B d = 0", ("b", "B"): "b B + B b = 0"}
     for p, res in worst.items():
-        rep.add(f"{p[0]}{p[1]}", res, tol, labels[p])
+        rep.add(f"{p[0]}{p[1]}", res, 1e-12, labels[p])
     rep.notes["n_words"] = n_words
     rep.notes["mode"] = "sampled" if sampled else "exhaustive"
     return rep
@@ -217,8 +216,9 @@ def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0,
 # -- random operator-valued bar cochains (codifferential Leibniz rule) ------------------
 
 
-def random_bar_cochain(alg: DgAlgebra, H: GradedHilbert, parity, rng, max_arity=2):
-    """Random finite-arity cochain with pure parity values."""
+def random_bar_cochain(alg: DgAlgebra, H: GradedHilbert, parity, rng):
+    """Random cochain of arity at most 2 with pure parity values."""
+    max_arity = 2
     d = H.dim
     tensors = {}
     for ar in range(max_arity + 1):
@@ -253,11 +253,10 @@ def random_bar_cochain(alg: DgAlgebra, H: GradedHilbert, parity, rng, max_arity=
                               label=f"random(par={parity})")
 
 
-def delta_leibniz_report(alg: DgAlgebra, n_cochains=200, seed=0, tol=1e-10,
-                         hdim=4, max_word=4) -> ValidationReport:
+def delta_leibniz_report(alg: DgAlgebra, n_cochains=200, seed=0) -> ValidationReport:
     """delta(l1 l2) = (delta l1) l2 + (-1)^{|l1|} l1 (delta l2) on random data."""
     rng = np.random.default_rng(seed)
-    H = GradedHilbert(np.array([1] * (hdim // 2) + [-1] * (hdim - hdim // 2)))
+    H = GradedHilbert(np.array([1, 1, -1, -1]))
     worst = 0.0
     scale = 1.0
     for _ in range(n_cochains):
@@ -266,55 +265,54 @@ def delta_leibniz_report(alg: DgAlgebra, n_cochains=200, seed=0, tol=1e-10,
         l2 = random_bar_cochain(alg, H, p2, rng)
         lhs = delta(l1 * l2)
         rhs = delta(l1) * l2 + (l1 * delta(l2)).scale((-1.0) ** p1)
-        N = int(rng.integers(1, max_word + 1))
+        N = int(rng.integers(1, 5))
         w = random_basis_word(alg, BAR, N, rng)
         a = lhs.eval_word(w)
         b = rhs.eval_word(w)
         scale = max(scale, float(np.max(np.abs(a))))
         worst = running_max(worst, float(np.max(np.abs(a - b))))
     rep = ValidationReport(f"delta-leibniz:{alg.name}")
-    rep.add("graded-leibniz-for-delta", worst / scale, tol,
+    rep.add("graded-leibniz-for-delta", worst / scale, 1e-10,
             "delta(l1 l2) = (delta l1) l2 + (-1)^{|l1|} l1 (delta l2)",
             note=f"{n_cochains} random cochains")
     rep.notes["scale"] = scale
     return rep
 
 
-def codifferential_squares_report(alg: DgAlgebra, n_words=50, seed=0, tol=1e-12) -> ValidationReport:
-    """((d + b - B)^dual)^2 l = 0, checked chain-side on random words."""
+def codifferential_squares_report(alg: DgAlgebra, seed=0) -> ValidationReport:
+    """((d + b - B)^dual)^2 l = 0, checked chain-side on 50 random words."""
     from .chains import d_total
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_words):
+    for _ in range(50):
         N = int(rng.integers(0, 4))
         w = random_basis_word(alg, CYCLIC, N, rng)
         c = Chain.basis_word(alg, CYCLIC, w)
         worst = running_max(worst, d_total(d_total(c)).norm())
     rep = ValidationReport(f"codifferential-squared:{alg.name}")
-    rep.add("dual-differential-squares-to-zero", worst, tol, "(d+b-B)^2 = 0 chain-side")
+    rep.add("dual-differential-squares-to-zero", worst, 1e-12, "(d+b-B)^2 = 0 chain-side")
     return rep
 
 
 # -- bracket kernel quantification ----------------------------------------------------
 
 
-def bracket_kernel_report(n_instances=100, seed=0, tol=1e-8, oracle_nodes=32,
-                          dim_max=8, n_max=4) -> ValidationReport:
+def bracket_kernel_report(n_instances=100, seed=0) -> ValidationReport:
     """heat_bracket vs the quadrature oracle, the insert-unit aggregate
     identity and the split identity, on random instances."""
     rng = np.random.default_rng(seed)
     worst_oracle, worst_unit, worst_split = 0.0, 0.0, 0.0
     for _ in range(n_instances):
-        d = int(rng.integers(2, dim_max + 1))
-        N = int(rng.integers(1, n_max + 1))
+        d = int(rng.integers(2, 9))
+        N = int(rng.integers(1, 5))
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         H = A @ A.conj().T
         H *= 2.0 / max(1.0, float(np.max(np.abs(H))))
         ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(N)]
         plain = heat_bracket(H, ops)
         ref = max(float(np.linalg.norm(plain)), 1e-30)
-        oracle = bracket_oracle(H, ops, nodes=oracle_nodes)
+        oracle = bracket_oracle(H, ops, nodes=32)
         worst_oracle = running_max(worst_oracle, float(np.linalg.norm(plain - oracle)) / ref)
         total = sum(bracket_insert_unit(H, ops, j) for j in range(N + 1))
         worst_unit = running_max(worst_unit, float(np.linalg.norm(total - plain)) / ref)
@@ -325,6 +323,7 @@ def bracket_kernel_report(n_instances=100, seed=0, tol=1e-8, oracle_nodes=32,
         worst_split = running_max(worst_split,
                                   float(np.linalg.norm(merged - split)) / max(float(np.linalg.norm(merged)), 1e-30))
     rep = ValidationReport("bracket-kernel")
+    tol = 1e-8
     rep.add("block-exponential-vs-oracle", worst_oracle, tol, "relative Frobenius error")
     rep.add("insert-unit-aggregate", worst_unit, tol, "sum over gaps of unit insertions = plain bracket")
     rep.add("split-identity", worst_split, tol, "u-weighted product form of one insertion")
@@ -332,7 +331,7 @@ def bracket_kernel_report(n_instances=100, seed=0, tol=1e-8, oracle_nodes=32,
     return rep
 
 
-def supertrace_report(n_tuples=200, seed=0, tol=1e-9) -> ValidationReport:
+def supertrace_report(n_tuples=200, seed=0) -> ValidationReport:
     """CStr kills supercommutators; the rotation identity holds, q in {0,1,2}."""
     rng = np.random.default_rng(seed)
     worst_comm, worst_cyc = 0.0, 0.0
@@ -359,8 +358,8 @@ def supertrace_report(n_tuples=200, seed=0, tol=1e-9) -> ValidationReport:
         res, _, rhs = cstr_cyclic_sum(cm, H, ops)
         worst_cyc = running_max(worst_cyc, res / max(1.0, abs(rhs)))
     rep = ValidationReport("clifford-supertrace")
-    rep.add("kills-supercommutators", worst_comm, tol, "CStr([A, B]) = 0 on equivariant pairs")
-    rep.add("rotation-identity", worst_cyc, tol,
+    rep.add("kills-supercommutators", worst_comm, 1e-9, "CStr([A, B]) = 0 on equivariant pairs")
+    rep.add("rotation-identity", worst_cyc, 1e-9,
             "signed rotations of the bracket sum to the out-front form")
     rep.notes["n_tuples"] = n_tuples
     return rep

@@ -44,6 +44,23 @@ def test_injected_unit_differential_fails():
     assert rep.residual("unit-differential") == pytest.approx(0.5)
 
 
+def test_algebra_above_the_exhaustive_size_is_sampled():
+    # 54 basis elements, above 48: associativity and Leibniz run on seeded samples
+    rep = dga_validate(acyclic_extension(discrete_circle_algebra(9)))
+    assert rep.passed, rep.summary()
+    notes = {c.check_id: c.note for c in rep.checks}
+    assert notes["associativity"] == notes["graded-leibniz"] == "sampled"
+
+
+def test_nan_differential_fails_the_sampled_leibniz_check():
+    alg = acyclic_extension(discrete_circle_algebra(9))
+    diff = np.array(alg.diff)
+    diff[0, 1] = np.nan
+    rep = dga_validate(DgAlgebra(alg.dim, alg.degree, alg.unit_index, alg.mul, diff, name="nan"))
+    assert np.isnan(rep.residual("graded-leibniz"))
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("base", ["C", "Ext1", "Ext2", "Circle3", "Mat2C"])
 def test_acyclic_extension_validates(base):
     algs = {

@@ -1,8 +1,11 @@
 """The chernlab command line surface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from chernlab.cli import main
 
@@ -121,9 +124,41 @@ def test_failing_report_exits_1(tmp_path, monkeypatch, capsys):
     assert "FAIL forced :: always-fails" in capsys.readouterr().out
 
 
-def test_tol_scale_is_an_unknown_config_key(tmp_path, capsys):
-    # a tolerance scale would loosen every pinned tolerance; no such knob exists
+@pytest.mark.parametrize("key", ["tol_scale", "pairing_eps", "pairing_N_max", "chg_N_max"])
+def test_tol_scale_is_an_unknown_config_key(tmp_path, capsys, key):
+    # a tolerance scale would loosen every pinned tolerance, and the pairing
+    # fixture and degrees are pinned in the suite; no such knobs exist
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"groups": ["brackets"], "seed": 2, "fast": True, "tol_scale": 2.0}))
+    cfg.write_text(json.dumps({"groups": ["brackets"], "seed": 2, "fast": True, key: 2}))
     assert run_cli(["suite", "-c", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_validate_nan_module_fails(tmp_path):
+    fx = tmp_path / "module.json"
+    run_cli(["fixture", "discrete_circle", "--seed", "0", "--params", '{"n": 3}', "-o", str(fx)])
+    data = json.loads(fx.read_text())
+    data["c"][1]["data"][0] = [float("nan"), 0.0]
+    fx.write_text(json.dumps(data))
+    assert run_cli(["validate", str(fx)]) == 1
+
+
+def test_validate_algebra_above_the_exhaustive_size(tmp_path):
+    from chernlab.algebra import acyclic_extension
+    from chernlab.fixtures import discrete_circle_algebra
+    from chernlab.serialize import dump_json
+
+    path = tmp_path / "alg.json"
+    dump_json(acyclic_extension(discrete_circle_algebra(9)).to_json_dict(), path)
+    assert run_cli(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_to_one_blas_thread(given, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", "import chernlab, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == expected

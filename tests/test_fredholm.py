@@ -18,6 +18,7 @@ from chernlab.fredholm import (
     CqFredholmModule,
     Homotopy,
     ModuleError,
+    OddFredholmModule,
     acyclic_extend_module,
     bianchi_residual,
     chen_vanish,
@@ -432,6 +433,22 @@ def test_half_frame_guard_refuses_a_non_equivariant_module(which):
         quantize(M, 1.0, (1,))
     # vector-slot words keep the dense path and do not consult the frame
     quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+
+
+def _nan_in_c1(base):
+    c_mats = np.array(base.c_mats)
+    c_mats[1][0, 0] = np.nan
+    if isinstance(base, OddFredholmModule):
+        return OddFredholmModule(base.alg, c_mats, base.Q, weak=base.weak)
+    return CqFredholmModule(base.alg, base.cm, c_mats, base.Q, weak=base.weak)
+
+
+@pytest.mark.parametrize("make", [lambda: random_weak_cq(hdim=6, q=1, seed=22, k=2),
+                                  lambda: discrete_circle(3, seed=0)], ids=["weak-q1", "odd-circle"])
+def test_nan_operator_entry_fails_module_validation(make):
+    rep = module_validate(_nan_in_c1(make()))
+    assert not rep.passed
+    assert all(np.isnan(c.residual) for c in rep.failing())
 
 
 def test_module_operators_are_read_only_copies():

@@ -75,6 +75,15 @@ def test_clifford_forced_failure():
     assert not clifford_validate(bad).passed
 
 
+def test_nan_generator_fails_clifford_validation():
+    cm = standard_clifford_module(2, 2)
+    e = [np.array(m) for m in cm.e]
+    e[1][0, 1] = np.nan
+    rep = clifford_validate(CliffordModule(cm.H, 2, e))
+    assert not rep.passed
+    assert np.isnan(rep.residual("skew-adjoint"))
+
+
 def test_supertrace_of_identity():
     H = GradedHilbert(np.array([1, 1, 1, -1]))
     assert supertrace(H, np.eye(4)) == pytest.approx(2.0)

@@ -7,7 +7,8 @@ from chernlab import spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
 from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
-from chernlab.hilbert import gauss_legendre_01, heat_bracket
+from chernlab.fredholm import _curvature_tables
+from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket
 from chernlab.spectral import (
     SpectralError,
     TERM_SIGN,
@@ -181,6 +182,23 @@ def test_pairing_identity_orientation(tf6):
     s0 = sf_series_term(tf6, 0, 0.5)
     assert abs(p1 - TERM_SIGN * s0) <= 1e-12
     assert abs(p1 + TERM_SIGN * s0) > 1e-4  # terms are genuinely nonzero
+
+
+@pytest.mark.parametrize("s", [0.3, 0.9])
+def test_term_sign_from_the_degree_one_terms(tf6, s):
+    # F_1(B) = c~(omega): c vanishes on the sigma components and
+    # d(sigma omega) = -sigma d omega - omega.  So Phi_1(B) = -{c~(omega)}_{Q~^2},
+    # the degree-1 B-insertion sum is -CStr(c~(omega) e^{-Q~^2}), and the order-0
+    # spectral-flow term is +CStr(c~(omega) e^{-Q~^2}): TERM_SIGN = -1
+    Mdt = tf6.Mdt
+    _, b_vec = tf6.ab_vectors(s)
+    assert np.array_equal(_curvature_tables(Mdt).F1(b_vec), tf6.c_omega_doubled)
+    heat_term = cstr(Mdt.cm, tf6.c_omega_doubled @ expm(-Mdt.Q2))
+    p_row, sf_row = spectral._pairing_rows(tf6, s, 1)
+    assert abs(p_row[0] + heat_term) <= 1e-12
+    assert abs(sf_row[0] - heat_term) <= 1e-12
+    assert abs(heat_term) > 1e-4
+    assert TERM_SIGN == -1.0
 
 
 def test_pairing_report_small(circle6):

@@ -2,10 +2,15 @@
 criterion 01, the bracket kernel) and their reports: a check passes only
 on finite residuals."""
 
+import inspect
+
 import numpy as np
 
 from chernlab import verification
+from chernlab.algebra import dga_validate
 from chernlab.fixtures import exterior_algebra
+from chernlab.fredholm import module_validate
+from chernlab.hilbert import clifford_validate
 
 
 def test_nan_product_entry_fails_the_axiom_checks(monkeypatch):
@@ -50,3 +55,12 @@ def test_nan_oracle_fails_the_bracket_kernel_report(monkeypatch):
     rep = verification.bracket_kernel_report(n_instances=3, seed=0)
     assert np.isnan(rep.residual("block-exponential-vs-oracle"))
     assert "block-exponential-vs-oracle" in {c.check_id for c in rep.failing()}
+
+
+def test_checks_take_no_tolerance():
+    # the pinned tolerances are the contract: no caller can loosen one
+    checks = (verification.complex_axiom_residuals, verification.delta_leibniz_report,
+              verification.codifferential_squares_report, verification.bracket_kernel_report,
+              verification.supertrace_report, dga_validate, module_validate, clifford_validate)
+    for fn in checks:
+        assert not [p for p in inspect.signature(fn).parameters if "tol" in p], fn.__name__
