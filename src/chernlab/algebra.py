@@ -35,8 +35,8 @@ class DgAlgebra:
 
     def __init__(self, dim, degree, unit_index, mul, diff, name="algebra"):
         self.dim = int(dim)
-        # private read-only copies: degree_tuple, mul_table, diff_table and
-        # the caches downstream assume the structure never changes
+        # private read-only copies: degree_tuple, parity_tuple, mul_table,
+        # diff_table and the caches downstream assume the structure never changes
         self.degree = np.array(degree, dtype=int)
         self.mul = np.array(mul, dtype=complex)
         self.diff = np.array(diff, dtype=complex)
@@ -56,6 +56,7 @@ class DgAlgebra:
             raise AlgebraError("unit_index out of range")
         # plain-int degrees and sparse lookup tables for the chain machinery
         self.degree_tuple = tuple(int(d) for d in self.degree)
+        self.parity_tuple = tuple(d % 2 for d in self.degree_tuple)
         self.mul_table = {}
         for i in range(self.dim):
             for j in range(self.dim):

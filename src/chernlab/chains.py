@@ -19,7 +19,9 @@ m_{-1} = 1) and n_k = |theta_1| + ... + |theta_k| - k,
   b' (bar)     = - sum_{k<N} (-1)^{n_k} (..., theta_k theta_{k+1}, ...)
 
 plus the rotation operator N with signs (-1)^{n_k (n_N - n_k)} and the
-Chen normalization operators S, R, S_i^(f), T_i^(f).
+Chen normalization operators S, R, S_i^(f), T_i^(f).  Each sign is written
+once, below, from the prefix parities of a word; the dict kernels and the
+word-layer kernels of the axiom checks both read it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import AlgebraElement, DgAlgebra
+from .report import running_max
 
 CYCLIC = "cyclic"
 BAR = "bar"
@@ -124,7 +127,7 @@ class Chain:
         indices = []
         for p, el in enumerate(slots):
             vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
-            keep = np.abs(vec) > tol
+            keep = ~(np.abs(vec) <= tol)  # a NaN entry stays
             if p in reduced:
                 keep[u] = False
             nz = np.nonzero(keep)[0]
@@ -208,29 +211,59 @@ class Chain:
         return f"Chain({self.kind}, {len(self.terms)} terms over {self.alg.name!r})"
 
 
-# -- degree bookkeeping -------------------------------------------------------
+# -- sign conventions: each written once, as a row per parity pattern --------
 
 
-def _m_values(alg, word):
-    """m_k = |theta_0| + ... + |theta_k| - k, with m_{-1} = 1, mod 2."""
-    deg = alg.degree_tuple
-    out = [1]
-    total = 0
-    for k, i in enumerate(word):
-        total += deg[i]
+def _prefix_parities(parities):
+    """P[k] = (|theta_0| + ... + |theta_{k-1}| - k) mod 2, k = 0..len."""
+    out, total = [0], 0
+    for k, p in enumerate(parities, 1):
+        total += p
         out.append((total - k) % 2)
-    return out  # out[k+1] = m_k mod 2
+    return out
 
 
-def _n_values(alg, word):
-    """n_k = |theta_1| + ... + |theta_k| - k mod 2, n_0 = 0 (bar word)."""
-    deg = alg.degree_tuple
-    out = [0]
-    total = 0
-    for k, i in enumerate(word):
-        total += deg[i]
-        out.append((total - (k + 1)) % 2)
-    return out  # out[k] = n_k mod 2
+def _koszul(parities, kind):
+    """x[k] = m_{k-1} = (1 + P[k]) mod 2 (cyclic, x[0] = m_{-1} = 1) or n_k = P[k] (bar)."""
+    P = _prefix_parities(parities)
+    return [(1 + v) % 2 for v in P] if kind == CYCLIC else P
+
+
+def _d_signs(parities, kind):
+    """Sign of d on slot k: -(-1)^{x[k]}."""
+    return [_NEG_SIGN[v] for v in _koszul(parities, kind)[:-1]]
+
+
+def _b_signs(parities, kind):
+    """Sign of b (b') on the product of slots k and k+1: -(-1)^{x[k+1]}."""
+    return [_NEG_SIGN[v] for v in _koszul(parities, kind)[1:-1]]
+
+
+def _wrap_sign(parities):
+    """Sign of the b term (theta_N theta_0, ...): (-1)^{(|theta_N|-1) m_{N-1}}."""
+    return _SIGN[((parities[-1] - 1) * _koszul(parities, CYCLIC)[-2]) % 2]
+
+
+def _rotation_signs(parities):
+    """Sign of the rotation word[k:] + word[:k], k = 0..L: (-1)^{P[k] (P[L] - P[k])},
+    which is B's (-1)^{(m_{k-1}+1)(m_N - m_{k-1})} and N's (-1)^{n_k (n_N - n_k)}."""
+    P = _prefix_parities(parities)
+    return [_SIGN[(v * (P[-1] - v)) % 2] for v in P]
+
+
+class _SignRows(dict):
+    """One operator's sign rows by parity pattern, computed on first use."""
+
+    def __init__(self, alg, fn, *args):
+        self.par, self.fn, self.args = alg.parity_tuple, fn, args
+
+    def of(self, word):
+        par = self.par
+        return self[tuple([par[i] for i in word])]
+
+    def __missing__(self, parities):
+        row = self[parities] = self.fn(parities, *self.args)
+        return row
 
 
 def _left_mul_entries(alg, coeffs, j):
@@ -256,15 +289,16 @@ def d_cyclic(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index
     diff = alg.diff_table
+    signs_of = _SignRows(alg, _d_signs, CYCLIC)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
-        m = _m_values(alg, word)
+        signs = signs_of.of(word)
         for k, idx in enumerate(word):
             entries = diff.get(idx)
             if not entries:
                 continue
-            sign = _NEG_SIGN[m[k]]  # m[k] = m_{k-1}
+            sign = signs[k]
             head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
                 if l != u or k == 0:  # slot k is the only new slot
@@ -277,28 +311,31 @@ def b_cyclic(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
     alg = c.alg
-    deg = alg.degree_tuple
     u = alg.unit_index
     mul = alg.mul_table
+    par = alg.parity_tuple
+    signs_of = _SignRows(alg, _b_signs, CYCLIC)
+    wrap_of = _SignRows(alg, _wrap_sign)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
         N = len(word) - 1
         if N == 0:
             continue
-        m = _m_values(alg, word)
+        pattern = tuple([par[i] for i in word])
+        signs = signs_of[pattern]
         for k in range(N):
             entries = mul.get((word[k], word[k + 1]))
             if not entries:
                 continue
-            sign = _NEG_SIGN[m[k + 1]]  # m[k+1] = m_k
+            sign = signs[k]
             head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
                 if l != u or k == 0:  # slot k is the only new slot
                     acc(head + (l,) + tail, coeff * sign * cf)
         entries = mul.get((word[N], word[0]))
         if entries:
-            sign = _SIGN[((deg[word[N]] - 1) * m[N]) % 2]  # m[N] = m_{N-1}
+            sign = wrap_of[pattern]
             mid = word[1:N]
             for l, cf in entries:
                 acc((l,) + mid, coeff * sign * cf)
@@ -312,18 +349,15 @@ def B_connes(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index
     head = (u,)
+    signs_of = _SignRows(alg, _rotation_signs)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
         if word[0] == u:
             continue  # every rotation moves this unit into a reduced slot
-        N = len(word) - 1
-        m = _m_values(alg, word)
-        mN = m[N + 1]
-        for k in range(N + 1):
-            mkm1 = m[k]
-            sign = _SIGN[((mkm1 + 1) * (mN - mkm1)) % 2]
-            acc(head + word[k:] + word[:k], coeff * sign)
+        signs = signs_of.of(word)
+        for k in range(len(word)):
+            acc(head + word[k:] + word[:k], coeff * signs[k])
     return out
 
 
@@ -341,15 +375,16 @@ def d_bar(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index if c.kind == BAR_RED else None
     diff = alg.diff_table
+    signs_of = _SignRows(alg, _d_signs, BAR)
     out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
-        n = _n_values(alg, word)
+        signs = signs_of.of(word)
         for k, idx in enumerate(word):
             entries = diff.get(idx)
             if not entries:
                 continue
-            sign = _NEG_SIGN[n[k]]  # n[k] = n_{k-1} for slot k+1
+            sign = signs[k]
             head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
                 if l != u:
@@ -363,16 +398,16 @@ def b_prime(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index if c.kind == BAR_RED else None
     mul = alg.mul_table
+    signs_of = _SignRows(alg, _b_signs, BAR)
     out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
-        N = len(word)
-        n = _n_values(alg, word)
-        for k in range(N - 1):
+        signs = signs_of.of(word)
+        for k in range(len(word) - 1):
             entries = mul.get((word[k], word[k + 1]))
             if not entries:
                 continue
-            sign = _NEG_SIGN[n[k + 1]]  # n_k for the pair (k+1, k+2)
+            sign = signs[k]
             head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
                 if l != u:
@@ -385,15 +420,13 @@ def cyclicize_N(c: Chain) -> Chain:
     if c.kind != BAR_RED:
         raise ChainError("cyclicize_N expects a reduced bar chain")
     alg = c.alg
+    signs_of = _SignRows(alg, _rotation_signs)
     out = Chain(alg, BAR_RED)
     acc = out._acc
     for word, coeff in c.terms.items():
-        N = len(word)
-        n = _n_values(alg, word)
-        nN = n[N]
-        for k in range(1, N + 1):
-            sign = _SIGN[(n[k] * (nN - n[k])) % 2]
-            acc(word[k:] + word[:k], coeff * sign)
+        signs = signs_of.of(word)
+        for k in range(1, len(word) + 1):
+            acc(word[k:] + word[:k], coeff * signs[k])
     return out
 
 
@@ -498,8 +531,7 @@ def chen_Si(f: AlgebraElement, i: int, c: Chain) -> Chain:
         N = len(word) - 1
         if i > N:
             continue
-        m = _m_values(alg, word)
-        sign = (-1.0) ** m[i + 1]  # m_i
+        sign = _SIGN[_koszul([alg.parity_tuple[j] for j in word], CYCLIC)[i + 1]]  # m_i
         for a, fa in nz:
             out.add_term(word[: i + 1] + (a,) + word[i + 1 :], coeff * sign * fa)
     return out
@@ -590,17 +622,143 @@ def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None) ->
     return Subspace(alg, kind, word_index, u[:, :rank], leakage, meta or {})
 
 
+# -- word-layer kernels -------------------------------------------------------------
+# d, b and B on an int64 word matrix and a coefficient vector at once, with the
+# dict kernels' sign rows and reduced-slot tests.
+
+
+class _LayerKernels:
+    """d, b and B on layers of reduced cyclic words over one algebra."""
+
+    def __init__(self, alg: DgAlgebra):
+        self.alg = alg
+        self.prod_tgt, self.prod_cf = _padded(alg.mul_table, (alg.dim, alg.dim))
+        self.diff_tgt, self.diff_cf = _padded(alg.diff_table, (alg.dim,))
+        self.par = np.asarray(alg.parity_tuple, dtype=np.int64)
+        self.unit = alg.unit_index
+        self._rows = {}  # (sign function, args) -> _SignRows
+
+    def signs(self, words, fn, *args):
+        """fn's sign row per word, computed once per distinct parity pattern (at most 2^L)."""
+        L = words.shape[1]
+        codes, inv = np.unique(self.par[words] @ (1 << np.arange(L)), return_inverse=True)
+        rows = self._rows.setdefault((fn, args), _SignRows(self.alg, fn, *args))
+        return np.array([rows[tuple(c >> j & 1 for j in range(L))] for c in codes.tolist()], dtype=float)[inv]
+
+    def d(self, words, coeffs):
+        out = []
+        sign = self.signs(words, _d_signs, CYCLIC)
+        for k in range(words.shape[1]):
+            col = words[:, k]
+            for e in range(self.diff_tgt.shape[1]):
+                cf = self.diff_cf[col, e]
+                nz = cf != 0
+                if not np.any(nz):
+                    continue
+                new = words[nz].copy()
+                new[:, k] = self.diff_tgt[col[nz], e]
+                keep = (new[:, k] != self.unit) | (k == 0)  # slot k is the only new slot
+                _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz, k][keep])
+        return out
+
+    def b(self, words, coeffs):
+        out = []
+        N = words.shape[1] - 1
+        if N == 0:
+            return out
+        sign = self.signs(words, _b_signs, CYCLIC)
+        for k in range(N):
+            a, b = words[:, k], words[:, k + 1]
+            for e in range(self.prod_tgt.shape[2]):
+                cf = self.prod_cf[a, b, e]
+                nz = cf != 0
+                if not np.any(nz):
+                    continue
+                new = np.concatenate([words[nz, :k], self.prod_tgt[a[nz], b[nz], e][:, None], words[nz, k + 2 :]],
+                                     axis=1)
+                keep = (new[:, k] != self.unit) | (k == 0)  # slot k is the only new slot
+                _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz, k][keep])
+        a, b = words[:, N], words[:, 0]
+        wrap = self.signs(words, _wrap_sign)
+        for e in range(self.prod_tgt.shape[2]):
+            cf = self.prod_cf[a, b, e]
+            nz = cf != 0
+            if not np.any(nz):
+                continue
+            new = np.concatenate([self.prod_tgt[a[nz], b[nz], e][:, None], words[nz, 1:N]], axis=1)
+            _emit(out, new, coeffs[nz] * cf[nz] * wrap[nz])
+        return out
+
+    def B(self, words, coeffs):
+        out = []
+        keep = words[:, 0] != self.unit  # every rotation moves this unit into a reduced slot
+        words, coeffs = words[keep], coeffs[keep]
+        if not len(words):
+            return out
+        sign = self.signs(words, _rotation_signs)
+        head = np.full((len(words), 1), self.unit, dtype=np.int64)
+        for k in range(words.shape[1]):
+            new = np.concatenate([head, words[:, k:], words[:, :k]], axis=1)
+            _emit(out, new, coeffs * sign[:, k])
+        return out
+
+    def merged_max(self, chunks):
+        """Max |coefficient| after merging identical words across chunks."""
+        by_len = {}
+        for words, coeffs in chunks:
+            by_len.setdefault(words.shape[1], []).append((words, coeffs))
+        worst = 0.0
+        dim = self.alg.dim
+        for L, parts in by_len.items():
+            if dim ** L > 2**63 - 1:
+                raise ChainError(f"{L}-slot words over a {dim}-dimensional algebra overflow the int64 word key")
+            words = np.concatenate([w for w, _ in parts], axis=0)
+            coeffs = np.concatenate([c for _, c in parts], axis=0)
+            keys = np.zeros(len(words), dtype=np.int64)
+            for j in range(L):
+                keys = keys * dim + words[:, j]
+            uniq, inv = np.unique(keys, return_inverse=True)
+            acc = np.zeros(len(uniq), dtype=complex)
+            np.add.at(acc, inv, coeffs)
+            if len(acc):
+                worst = running_max(worst, np.max(np.abs(acc)))
+        return worst
+
+
+def _padded(table, shape):
+    """A sparse (index, value) table as zero-padded target and coefficient arrays."""
+    width = max((len(v) for v in table.values()), default=1)
+    tgt, cf = np.zeros(shape + (width,), dtype=np.int64), np.zeros(shape + (width,), dtype=complex)
+    for key, entries in table.items():
+        for e, (k, v) in enumerate(entries):
+            tgt[key][e], cf[key][e] = k, v
+    return tgt, cf
+
+
+def _emit(chunks, words, coeffs):
+    keep = coeffs != 0  # drops exact zeros only; a NaN stays and fails the check
+    if np.any(keep):
+        chunks.append((words[keep], coeffs[keep]))
+
+
+def _layer_words(alg, N, sample=None, rng=None):
+    """All reduced cyclic basis words with N slots beyond slot 0, or a
+    seeded sample of that layer."""
+    dim = alg.dim
+    reduced = np.array([i for i in range(dim) if i != alg.unit_index], dtype=np.int64)
+    count = dim * len(reduced) ** N if N else dim
+    if sample is not None and count > sample:
+        cols = [rng.integers(0, dim, size=sample)]
+        for _ in range(N):
+            cols.append(reduced[rng.integers(0, len(reduced), size=sample)])
+        return np.stack(cols, axis=1).astype(np.int64), True
+    grids = np.meshgrid(np.arange(dim), *([reduced] * N), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64), False
+
+
 def _all_basis_words(alg, N_max):
     """All reduced cyclic basis words with at most N_max slots beyond 0."""
-    u = alg.unit_index
-    reduced = [i for i in range(alg.dim) if i != u]
-    words = []
-    layer = [(i,) for i in range(alg.dim)]
-    words.extend(layer)
-    for _ in range(N_max):
-        layer = [w + (i,) for w in layer for i in reduced]
-        words.extend(layer)
-    return words
+    return [w for N in range(N_max + 1) for w in map(tuple, _layer_words(alg, N)[0].tolist())]
 
 
 def chen_generator_images(alg, word_chain, N_max):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import DgAlgebra
-from .chains import BAR, BAR_RED, Chain, b_prime, d_bar
+from .chains import BAR, BAR_RED, Chain, _prefix_parities, b_prime, d_bar
 
 
 class CochainError(ValueError):
@@ -32,16 +32,6 @@ def word_to_vecs(alg: DgAlgebra, word):
     """Basis word (tuple of indices) to one-hot coefficient vectors."""
     eye = np.eye(alg.dim, dtype=complex)
     return tuple(eye[i] for i in word)
-
-
-def bar_n_values(alg: DgAlgebra, slots):
-    """n_k = |theta_1| + ... + |theta_k| - k mod 2 for element slots."""
-    out = [0]
-    total = 0
-    for k, vec in enumerate(slots):
-        total += slot_degree(alg, vec)
-        out.append((total - (k + 1)) % 2)
-    return out
 
 
 class OperatorBarCochain:
@@ -108,7 +98,7 @@ class OperatorBarCochain:
 
         def component(slots):
             N = len(slots)
-            n = bar_n_values(l1.alg, slots)
+            n = _prefix_parities([slot_degree(l1.alg, v) for v in slots])  # n_k
             out = np.zeros((l1.hdim, l1.hdim), dtype=complex)
             for k in range(N + 1):
                 if l1.max_arity is not None and k > l1.max_arity:

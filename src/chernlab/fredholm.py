@@ -24,8 +24,8 @@ from scipy.linalg import expm
 
 from .algebra import DgAlgebra
 from .chains import BAR_RED, CYCLIC, Chain, _floor_half_factorial, alpha_map, b_prime, d_bar, d_total
-from .chains import chen_R, chen_S, chen_Si, chen_Ti, random_basis_word
-from .cochains import OperatorBarCochain, bar_n_values, word_to_vecs
+from .chains import _prefix_parities, chen_R, chen_S, chen_Si, chen_Ti, random_basis_word
+from .cochains import OperatorBarCochain, slot_degree, word_to_vecs
 from .hilbert import (
     CliffordModule,
     HilbertError,
@@ -324,7 +324,7 @@ class _HalfFrame:
     def __init__(self, cur: Curvature):
         M = cur.M
         self.mul = M.alg.mul
-        self.parity = tuple(d % 2 for d in M.alg.degree_tuple)
+        self.parity = M.alg.parity_tuple
         self.sign_vec = cur.sign_vec
         if M.q == 0:
             self.U = None
@@ -378,13 +378,11 @@ def _half_frame_basis(M, sign_vec):
     signs = np.append(sign_vec, -1.0)
     R = U.conj().T @ ops @ U
     upper, lower = R[:, :h2, :h2], R[:, h2:, h2:]
-    residual = max(
-        float(np.max(np.abs(U.conj().T @ U - np.eye(h)))),
-        float(np.max(np.abs(R[:, :h2, h2:]))),
-        float(np.max(np.abs(R[:, h2:, :h2]))),
-        float(np.max(np.abs(lower - signs[:, None, None] * upper))),
-    )
-    scale = max(1.0, float(np.max(np.abs(ops))))
+    residual = 0.0
+    for block in (U.conj().T @ U - np.eye(h), R[:, :h2, h2:], R[:, h2:, :h2],
+                  lower - signs[:, None, None] * upper):
+        residual = running_max(residual, np.max(np.abs(block)))
+    scale = running_max(1.0, np.max(np.abs(ops)))
     if not residual <= MODULE_TOL * scale:
         raise ModuleError(
             f"module is not C_q-equivariant in the half-frame of Gamma e_1: residual {residual:.2e}"
@@ -625,7 +623,7 @@ def psi_eval(M_s: CqFredholmModule, Qdot, cdot_mats, T, word):
     N = len(slots)
     if N + 1 > N_BRACKET_MAX:
         raise HilbertError("word too long for the bracket bound")
-    n = bar_n_values(M_s.alg, slots)
+    n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
     diag, bands = _curvature_tables(M_s).bands(T, slots)
     cdot = lambda v: np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), cdot_mats)  # noqa: E731
     marked = {
@@ -639,7 +637,7 @@ def psi_quadrature(M_s: CqFredholmModule, Qdot, cdot_mats, T, word, nodes=48):
     """Independent evaluation of Psi_T by u-quadrature of the definition."""
     slots = _as_slot_vecs(M_s.alg, word)
     N = len(slots)
-    n = bar_n_values(M_s.alg, slots)
+    n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
     u_nodes, u_w = gauss_legendre_01(nodes)
     cdot = lambda v: np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), cdot_mats)  # noqa: E731
     out = np.zeros((M_s.hdim, M_s.hdim), dtype=complex)

@@ -55,7 +55,7 @@ def chain_from_json(data, alg: DgAlgebra) -> Chain:
     for term in data["terms"]:
         coeff = term["coeff"][0] + 1j * term["coeff"][1]
         slots = [np.array([re + 1j * im for re, im in slot]) for slot in term["slots"]]
-        out = out + Chain.from_elements(alg, kind, slots, coeff=coeff)
+        out._add_tensor(slots, coeff)
     return out
 
 

@@ -1,14 +1,16 @@
 """Suite-grade verification routines behind the acceptance criteria.
 
 The differential-axiom checks run over every admissible basis word up
-to a slot budget (vectorized over whole word layers); the remaining
-routines quantify the operator identities on seeded random data.
+to a slot budget, through the word-layer kernels of chains.py (which
+also holds every sign convention); the remaining routines quantify the
+operator identities on seeded random data.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import chains
 from .algebra import DgAlgebra
 from .chains import BAR, CYCLIC, Chain, random_basis_word
 from .cochains import OperatorBarCochain, delta
@@ -25,155 +27,6 @@ from .hilbert import (
 )
 from .report import ValidationReport, running_max
 
-# -- vectorized word-layer operators ------------------------------------------------
-
-
-class _VecAlg:
-    """Padded product/differential tables for vectorized word operations."""
-
-    def __init__(self, alg: DgAlgebra):
-        self.alg = alg
-        dim = alg.dim
-        kp = max((len(v) for v in alg.mul_table.values()), default=1)
-        self.prod_tgt = np.zeros((dim, dim, kp), dtype=np.int64)
-        self.prod_cf = np.zeros((dim, dim, kp), dtype=complex)
-        for (i, j), entries in alg.mul_table.items():
-            for e, (k, v) in enumerate(entries):
-                self.prod_tgt[i, j, e] = k
-                self.prod_cf[i, j, e] = v
-        kd = max((len(v) for v in alg.diff_table.values()), default=1)
-        self.diff_tgt = np.zeros((dim, kd), dtype=np.int64)
-        self.diff_cf = np.zeros((dim, kd), dtype=complex)
-        for j, entries in alg.diff_table.items():
-            for e, (k, v) in enumerate(entries):
-                self.diff_tgt[j, e] = k
-                self.diff_cf[j, e] = v
-        self.deg = np.asarray(alg.degree, dtype=np.int64)
-        self.unit = alg.unit_index
-
-
-def _reduce_mask(va, words):
-    """Rows whose slots >= 1 avoid the unit (the reduced complex)."""
-    if words.shape[1] <= 1:
-        return np.ones(len(words), dtype=bool)
-    return ~np.any(words[:, 1:] == va.unit, axis=1)
-
-
-def _mvals(va, words):
-    """m_k mod 2 per word, with the m_{-1} = 1 convention prepended."""
-    deg = va.deg[words]
-    csum = np.cumsum(deg, axis=1)
-    k_idx = np.arange(words.shape[1])[None, :]
-    m = (csum - k_idx) % 2
-    lead = np.ones((len(words), 1), dtype=np.int64)
-    return np.concatenate([lead, m], axis=1)  # column k+1 holds m_k
-
-
-def _emit(chunks, words, coeffs):
-    keep = coeffs != 0  # drops exact zeros only; a NaN stays and fails the check
-    if np.any(keep):
-        chunks.append((words[keep], coeffs[keep]))
-
-
-def _apply_d(va, words, coeffs):
-    out = []
-    L = words.shape[1]
-    m = _mvals(va, words)
-    for k in range(L):
-        sign = -((-1.0) ** m[:, k])
-        col = words[:, k]
-        for e in range(va.diff_tgt.shape[1]):
-            cf = va.diff_cf[col, e]
-            nz = cf != 0
-            if not np.any(nz):
-                continue
-            new = words[nz].copy()
-            new[:, k] = va.diff_tgt[col[nz], e]
-            keep = _reduce_mask(va, new)
-            _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz][keep])
-    return out
-
-
-def _apply_b(va, words, coeffs):
-    out = []
-    L = words.shape[1]
-    N = L - 1
-    if N == 0:
-        return out
-    m = _mvals(va, words)
-    for k in range(N):
-        sign = -((-1.0) ** m[:, k + 1])
-        a, b = words[:, k], words[:, k + 1]
-        for e in range(va.prod_tgt.shape[2]):
-            cf = va.prod_cf[a, b, e]
-            nz = cf != 0
-            if not np.any(nz):
-                continue
-            new = np.concatenate([words[nz, :k], va.prod_tgt[a[nz], b[nz], e][:, None], words[nz, k + 2 :]], axis=1)
-            keep = _reduce_mask(va, new)
-            _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz][keep])
-    a, b = words[:, N], words[:, 0]
-    wrap_sign = (-1.0) ** (((va.deg[a] - 1) * m[:, N]) % 2)
-    for e in range(va.prod_tgt.shape[2]):
-        cf = va.prod_cf[a, b, e]
-        nz = cf != 0
-        if not np.any(nz):
-            continue
-        new = np.concatenate([va.prod_tgt[a[nz], b[nz], e][:, None], words[nz, 1:N]], axis=1)
-        keep = _reduce_mask(va, new)
-        _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * wrap_sign[nz][keep])
-    return out
-
-
-def _apply_B(va, words, coeffs):
-    out = []
-    L = words.shape[1]
-    m = _mvals(va, words)
-    mN = m[:, L]
-    unit_col = np.full((len(words), 1), va.unit, dtype=np.int64)
-    for k in range(L):
-        sign = (-1.0) ** (((m[:, k] + 1) * (mN - m[:, k])) % 2)
-        new = np.concatenate([unit_col, words[:, k:], words[:, :k]], axis=1)
-        keep = _reduce_mask(va, new)
-        _emit(out, new[keep], coeffs[keep] * sign[keep])
-    return out
-
-
-def _accumulate_max(va, chunks):
-    """Max |coefficient| after merging identical words across chunks."""
-    by_len = {}
-    for words, coeffs in chunks:
-        by_len.setdefault(words.shape[1], []).append((words, coeffs))
-    worst = 0.0
-    dim = va.alg.dim
-    for L, parts in by_len.items():
-        words = np.concatenate([w for w, _ in parts], axis=0)
-        coeffs = np.concatenate([c for _, c in parts], axis=0)
-        keys = np.zeros(len(words), dtype=np.int64)
-        for j in range(L):
-            keys = keys * dim + words[:, j]
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=complex)
-        np.add.at(acc, inv, coeffs)
-        if len(acc):
-            worst = running_max(worst, np.max(np.abs(acc)))
-    return worst
-
-
-def _layer_words(alg, N, sample=None, rng=None):
-    """All reduced cyclic basis words with N slots beyond slot 0, or a
-    seeded sample of that layer."""
-    dim = alg.dim
-    reduced = np.array([i for i in range(dim) if i != alg.unit_index], dtype=np.int64)
-    count = dim * len(reduced) ** N if N else dim
-    if sample is not None and count > sample:
-        cols = [rng.integers(0, dim, size=sample)]
-        for _ in range(N):
-            cols.append(reduced[rng.integers(0, len(reduced), size=sample)])
-        return np.stack(cols, axis=1).astype(np.int64), True
-    grids = np.meshgrid(np.arange(dim), *([reduced] * N), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64), False
-
 
 def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0) -> ValidationReport:
     """d^2, b^2, B^2 and the three anticommutators on basis word layers.
@@ -182,27 +35,27 @@ def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0) ->
     layer larger than the sample size is drawn at random (seeded) and
     the report notes it.
     """
-    va = _VecAlg(alg)
-    ops = {"d": _apply_d, "b": _apply_b, "B": _apply_B}
+    layers = chains._LayerKernels(alg)
+    ops = {"d": layers.d, "b": layers.b, "B": layers.B}
     pairs = [("d", "d"), ("b", "b"), ("B", "B"), ("d", "b"), ("d", "B"), ("b", "B")]
     worst = {p: 0.0 for p in pairs}
     rng = np.random.default_rng(seed)
     sampled = False
     n_words = 0
     for N in range(0, max_slots):
-        words, was_sampled = _layer_words(alg, N, sample=sample, rng=rng)
+        words, was_sampled = chains._layer_words(alg, N, sample=sample, rng=rng)
         sampled = sampled or was_sampled
         n_words += len(words)
         coeffs = np.ones(len(words), dtype=complex)
-        first = {name: op(va, words, coeffs) for name, op in ops.items()}
+        first = {name: op(words, coeffs) for name, op in ops.items()}
         for name_a, name_b in pairs:
             chunks = []
             for w, c in first[name_b]:
-                chunks.extend(ops[name_a](va, w, c))
+                chunks.extend(ops[name_a](w, c))
             if name_a != name_b:
                 for w, c in first[name_a]:
-                    chunks.extend(ops[name_b](va, w, c))
-            worst[(name_a, name_b)] = running_max(worst[(name_a, name_b)], _accumulate_max(va, chunks))
+                    chunks.extend(ops[name_b](w, c))
+            worst[(name_a, name_b)] = running_max(worst[(name_a, name_b)], layers.merged_max(chunks))
     rep = ValidationReport(f"complex-axioms:{alg.name}")
     labels = {("d", "d"): "d d = 0", ("b", "b"): "b b = 0", ("B", "B"): "B B = 0",
               ("d", "b"): "d b + b d = 0", ("d", "B"): "d B + B d = 0", ("b", "B"): "b B + B b = 0"}
@@ -281,15 +134,13 @@ def delta_leibniz_report(alg: DgAlgebra, n_cochains=200, seed=0) -> ValidationRe
 
 def codifferential_squares_report(alg: DgAlgebra, seed=0) -> ValidationReport:
     """((d + b - B)^dual)^2 l = 0, checked chain-side on 50 random words."""
-    from .chains import d_total
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
         N = int(rng.integers(0, 4))
         w = random_basis_word(alg, CYCLIC, N, rng)
         c = Chain.basis_word(alg, CYCLIC, w)
-        worst = running_max(worst, d_total(d_total(c)).norm())
+        worst = running_max(worst, chains.d_total(chains.d_total(c)).norm())
     rep = ValidationReport(f"codifferential-squared:{alg.name}")
     rep.add("dual-differential-squares-to-zero", worst, 1e-12, "(d+b-B)^2 = 0 chain-side")
     return rep

@@ -4,8 +4,7 @@ alpha intertwining identity and the Chen normalization operators."""
 import numpy as np
 import pytest
 
-from chernlab import verification
-from chernlab.algebra import acyclic_extension
+from chernlab.algebra import acyclic_extension, mat_lift
 from chernlab.chains import (
     BAR,
     BAR_RED,
@@ -14,6 +13,13 @@ from chernlab.chains import (
     Chain,
     ChainError,
     _all_basis_words,
+    _b_signs,
+    _d_signs,
+    _koszul,
+    _LayerKernels,
+    _layer_words,
+    _rotation_signs,
+    _wrap_sign,
     alpha_map,
     b_cyclic,
     b_prime,
@@ -332,7 +338,7 @@ def test_chen_subspace_dtot_invariance_and_close_each():
             assert sub.residual(windowed) <= 1e-9 * max(1.0, windowed.norm())
 
 
-# -- the dict kernels against the vectorized layer kernels --------------------------
+# -- both kernel paths against a per-word reference and pinned sign rows ----------------
 
 SIGN_ALGS = {
     "Ext2": ALGS["Ext2"],
@@ -341,37 +347,109 @@ SIGN_ALGS = {
 }
 
 
-def _merged(chunks):
-    out = {}
-    for words, coeffs in chunks:
-        for w, cf in zip(map(tuple, words.tolist()), coeffs.tolist()):
-            out[w] = out.get(w, 0.0) + cf
-    return out
+def _reference(alg):
+    """d, b and B on one cyclic basis word, term by term from the formulas
+    of the chains module docstring, on the dense structure constants."""
+    deg, u, dim = [int(x) for x in alg.degree], alg.unit_index, alg.dim
+    diff = {j: [(int(l), alg.diff[l, j]) for l in np.nonzero(alg.diff[:, j])[0]] for j in range(dim)}
+    mul = {(i, j): [(int(l), alg.mul[i, j, l]) for l in np.nonzero(alg.mul[i, j])[0]]
+           for i in range(dim) for j in range(dim)}
+
+    def apply(op, word):
+        N = len(word) - 1
+        m = {-1: 1}  # m_k = |theta_0| + ... + |theta_k| - k
+        for k in range(N + 1):
+            m[k] = sum(deg[i] for i in word[: k + 1]) - k
+        out = []
+        if op == "d":
+            for k in range(N + 1):
+                out += [(word[:k] + (l,) + word[k + 1 :], -(-1) ** (m[k - 1] % 2) * cf) for l, cf in diff[word[k]]]
+        elif op == "b":
+            for k in range(N):
+                out += [(word[:k] + (l,) + word[k + 2 :], -(-1) ** (m[k] % 2) * cf)
+                        for l, cf in mul[word[k], word[k + 1]]]
+            if N:  # b vanishes on one-slot words
+                sign = (-1) ** ((deg[word[N]] - 1) * m[N - 1] % 2)
+                out += [((l,) + word[1:N], sign * cf) for l, cf in mul[word[N], word[0]]]
+        else:
+            out = [((u,) + word[k:] + word[:k], (-1) ** ((m[k - 1] + 1) * (m[N] - m[k - 1]) % 2))
+                   for k in range(N + 1)]
+        return [(w, cf) for w, cf in out if u not in w[1:]]
+
+    return apply
 
 
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
-def test_dict_differentials_match_array_kernels(alg_name):
-    # the two implementations of the sign conventions, pinned to each other
-    # on every reduced word of at most 4 slots with random coefficients
+def test_both_kernel_paths_match_the_per_word_reference(alg_name):
+    # the reduced words of at most 4 slots (a seeded sample of 4,000 where a
+    # layer is larger), each with its own seeded random coefficient, so that
+    # no cancellation across source words hides a sign
     alg = SIGN_ALGS[alg_name]
-    va = verification._VecAlg(alg)
+    reference = _reference(alg)
+    layers = _LayerKernels(alg)
     rng = np.random.default_rng(23)
-    pairs = [(d_cyclic, verification._apply_d), (b_cyclic, verification._apply_b),
-             (B_connes, verification._apply_B)]
+    ops = {"d": (d_cyclic, layers.d), "b": (b_cyclic, layers.b), "B": (B_connes, layers.B)}
     for N in range(4):
-        words, sampled = verification._layer_words(alg, N)
-        assert not sampled
+        words, _ = _layer_words(alg, N, sample=4000, rng=rng)
         coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
-        c = Chain(alg, CYCLIC, zip(map(tuple, words.tolist()), coeffs.tolist()))
-        for op, apply in pairs:
-            got = op(c).terms
-            ref = _merged(apply(va, words, coeffs))
-            # the two merge in different orders, so compare relative to the
-            # largest coefficient (up to about 22 here)
+        terms = list(zip(map(tuple, words.tolist()), coeffs.tolist()))
+        for name, (op, layer_op) in ops.items():
+            ref = {}
+            for word, coeff in terms:
+                for w, cf in reference(name, word):
+                    ref[w] = ref.get(w, 0.0) + coeff * cf
+            on_layers = {}
+            for ws, cs in layer_op(words, coeffs):
+                for w, cf in zip(map(tuple, ws.tolist()), cs.tolist()):
+                    on_layers[w] = on_layers.get(w, 0.0) + cf
+            # the sums run in different orders: compare relative to the largest coefficient
             scale = max([1.0] + [abs(cf) for cf in ref.values()])
-            worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
-                        default=0.0)
-            assert worst <= 1e-14 * scale, f"{op.__name__} on {alg_name}, N={N}: {worst}"
+            for path, got in (("dict", op(Chain(alg, CYCLIC, terms)).terms), ("layer", on_layers)):
+                worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
+                            default=0.0)
+                assert worst <= 1e-14 * scale, f"{path} {name} on {alg_name}, N={N}: {worst}"
+
+
+# Sign rows by parity pattern, worked out by hand from the module docstring:
+# cyclic (d per slot, b per pair, wrap, rotation k = 0..L) and bar (d, b', rotation).
+CYCLIC_ROWS = {
+    (0, 0): ([1, -1], [-1], 1, [1, -1, 1]),
+    (1, 0): ([1, 1], [1], -1, [1, 1, 1]),
+    (0, 0, 0): ([1, -1, 1], [-1, 1], -1, [1, 1, 1, 1]),
+    (0, 1, 0): ([1, -1, -1], [-1, -1], 1, [1, -1, -1, 1]),
+}
+BAR_ROWS = {
+    (0, 0): ([-1, 1], [1], [1, -1, 1]),
+    (1, 0): ([-1, -1], [-1], [1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("parities", list(CYCLIC_ROWS))
+def test_cyclic_sign_rows_by_hand(parities):
+    d, b, wrap, rotation = CYCLIC_ROWS[parities]
+    assert _koszul(parities, CYCLIC)[0] == 1  # m_{-1} = 1
+    assert _d_signs(parities, CYCLIC) == d
+    assert _b_signs(parities, CYCLIC) == b
+    assert _wrap_sign(parities) == wrap
+    assert _rotation_signs(parities) == rotation
+
+
+@pytest.mark.parametrize("parities", list(BAR_ROWS))
+def test_bar_sign_rows_by_hand(parities):
+    d, b, rotation = BAR_ROWS[parities]
+    assert _koszul(parities, BAR)[0] == 0  # n_0 = 0
+    assert _d_signs(parities, BAR) == d
+    assert _b_signs(parities, BAR) == b
+    assert _rotation_signs(parities) == rotation
+
+
+def test_layer_merge_refuses_an_overflowing_word_key():
+    # dim 16: the int64 keys of these two 17-slot words wrap to the same value,
+    # so a merge on them would cancel +1 against -1
+    alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
+    words = np.array([(1,) + (2,) * 16, (3,) + (2,) * 16], dtype=np.int64)
+    with pytest.raises(ChainError, match="17-slot words over a 16-dimensional algebra"):
+        _LayerKernels(alg).merged_max([(words, np.array([1.0, -1.0], dtype=complex))])
 
 
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))

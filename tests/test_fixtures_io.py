@@ -82,6 +82,19 @@ def test_chain_round_trip():
     assert (c - c2).norm() == 0.0
 
 
+def test_chain_from_json_keeps_a_nan_slot_entry():
+    from chernlab.fixtures import exterior_algebra
+
+    alg = exterior_algebra(2)
+    slot0, slot1 = np.eye(alg.dim)[0], np.eye(alg.dim)[1]
+    slot1[2] = np.nan
+    data = {"kind": CYCLIC, "terms": [{"coeff": [1.0, 0.0],
+                                       "slots": [[[x, 0.0] for x in v] for v in (slot0, slot1)]}]}
+    c = chain_from_json(data, alg)
+    assert c.terms[(0, 1)] == 1.0
+    assert np.isnan(c.terms[(0, 2)])
+
+
 def test_subspace_round_trip():
     from chernlab.algebra import acyclic_extension
     from chernlab.chains import Chain, chen_R, chen_residual, chen_subspace

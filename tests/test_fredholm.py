@@ -435,6 +435,15 @@ def test_half_frame_guard_refuses_a_non_equivariant_module(which):
     quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
 
 
+def test_half_frame_guard_refuses_a_nan_entry():
+    base = random_weak_cq(hdim=6, q=1, seed=22, k=2)
+    c_mats = np.array(base.c_mats)
+    c_mats[2][0, 0] = np.nan
+    M = CqFredholmModule(base.alg, base.cm, c_mats, base.Q, weak=True)
+    with pytest.raises(ModuleError, match="equivariant"):
+        quantize(M, 1.0, (2,))
+
+
 def _nan_in_c1(base):
     c_mats = np.array(base.c_mats)
     c_mats[1][0, 0] = np.nan

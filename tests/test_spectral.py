@@ -312,6 +312,16 @@ def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
     assert [c.check_id for c in rep.failing()] == ["telescope-decay-rate"]
 
 
+def test_nan_loop_entry_fails_the_telescoped_components():
+    # the NaN reaches every chain component, and no tensor expansion may drop it
+    g = circle_loop_element(discrete_circle_algebra(2), eps=0.5, seed=3)
+    g.entries[0, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        rep = ch_g_closed(g, 4)
+    for N in range(1, 4):
+        assert np.isnan(rep.residual(f"telescoped-component-N={N}"))
+
+
 @pytest.mark.parametrize("s", [0.1, 0.6])
 def test_pairing_rows_match_per_degree_terms(tf6, s):
     # one marked exponential at N = 10 against one per degree

@@ -1,12 +1,12 @@
-"""The verification routines (the vectorized word-layer checks behind
-criterion 01, the bracket kernel) and their reports: a check passes only
-on finite residuals."""
+"""The verification routines (the word-layer checks behind criterion 01,
+the bracket kernel) and their reports: a check passes only on finite
+residuals."""
 
 import inspect
 
 import numpy as np
 
-from chernlab import verification
+from chernlab import chains, verification
 from chernlab.algebra import dga_validate
 from chernlab.fixtures import exterior_algebra
 from chernlab.fredholm import module_validate
@@ -17,14 +17,14 @@ def test_nan_product_entry_fails_the_axiom_checks(monkeypatch):
     alg = exterior_algebra(2)
     assert verification.complex_axiom_residuals(alg, max_slots=4).passed
     (i, j), _ = next((pair, e) for pair, e in alg.mul_table.items() if alg.unit_index not in pair)
-    clean = verification._VecAlg
+    clean = chains._LayerKernels
 
     class Poisoned(clean):
         def __init__(self, a):
             super().__init__(a)
             self.prod_cf[i, j, 0] = np.nan
 
-    monkeypatch.setattr(verification, "_VecAlg", Poisoned)
+    monkeypatch.setattr(chains, "_LayerKernels", Poisoned)
     with np.errstate(invalid="ignore"):
         rep = verification.complex_axiom_residuals(alg, max_slots=4)
     assert not rep.passed
