@@ -21,11 +21,13 @@ m_{-1} = 1) and n_k = |theta_1| + ... + |theta_k| - k,
 plus the rotation operator N with signs (-1)^{n_k (n_N - n_k)} and the
 Chen normalization operators S, R, S_i^(f), T_i^(f).  Each sign is written
 once, below, from the prefix parities of a word; the dict kernels and the
-word-layer kernels of the axiom checks both read it.
+word-layer kernels both read it.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -50,44 +52,87 @@ _NEG_SIGN = (-1.0, 1.0)
 
 
 class Chain:
-    """Finite linear combination of basis words over one algebra."""
+    """Finite linear combination of basis words over one algebra.
 
-    __slots__ = ("alg", "kind", "terms")
+    The terms live in one of two stores.  The dict store maps word tuples
+    to coefficients in insertion order and takes in-place edits; small
+    chains live there.  The columnar store holds, per word length, one
+    int64 word matrix and one complex coefficient vector, each in
+    first-occurrence order; the character chain and everything the
+    word-layer kernels return live there.  ``terms`` reads either store as
+    a word -> coefficient mapping; an in-place edit moves a columnar chain
+    to the dict store.
+    """
+
+    __slots__ = ("alg", "kind", "_terms", "_layers")
 
     def __init__(self, alg: DgAlgebra, kind: str, terms=None):
         if kind not in (CYCLIC, BAR, BAR_RED):
             raise ChainError(f"unknown chain kind {kind!r}")
         self.alg = alg
         self.kind = kind
-        self.terms: dict[tuple, complex] = {}
+        self._terms: dict[tuple, complex] = {}
+        self._layers = None  # {length: _Layer} in the columnar store
         if terms:
-            for word, coeff in terms.items() if isinstance(terms, dict) else terms:
+            for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
                 self.add_term(word, coeff)
 
-    # -- construction ------------------------------------------------------
+    # -- the two stores ----------------------------------------------------
 
-    def _reduced_positions(self, word):
-        if self.kind == CYCLIC:
-            return range(1, len(word))
-        if self.kind == BAR_RED:
-            return range(len(word))
-        return ()
+    @property
+    def terms(self):
+        """Word -> coefficient; a read-only view on a columnar chain."""
+        return self._terms if self._layers is None else _LayerTerms(self._layers)
+
+    @terms.setter
+    def terms(self, value):
+        self._terms, self._layers = value, None
+
+    @classmethod
+    def _from_layers(cls, alg, kind, layers):
+        """A columnar chain on {length: _Layer}; each layer holds distinct
+        admissible words and no exact zero."""
+        out = cls(alg, kind)
+        out._terms = None
+        out._layers = {L: layers[L] for L in sorted(layers) if len(layers[L].coeffs)}
+        return out
+
+    def _columns(self):
+        """The terms as {length: _Layer}, shortest words first."""
+        if self._layers is not None:
+            return self._layers
+        by_len = {}
+        for word, coeff in self._terms.items():
+            by_len.setdefault(len(word), []).append((word, coeff))
+        dim = self.alg.dim
+        return {L: _Layer(dim, L, np.array([cf for _, cf in pairs], dtype=complex),
+                          words=np.array([w for w, _ in pairs], dtype=np.int64).reshape(len(pairs), L))
+                for L, pairs in sorted(by_len.items())}
+
+    def _to_dict(self):
+        """Move a columnar chain to the dict store, for in-place edits."""
+        if self._layers is not None:
+            self.terms = dict(_LayerTerms(self._layers).items())
+
+    # -- construction ------------------------------------------------------
 
     def add_term(self, word, coeff):
         """Insert one word; components on the unit in reduced slots die."""
         word = tuple(int(i) for i in word)
         u = self.alg.unit_index
-        for p in self._reduced_positions(word):
+        for p in _reduced_positions(self.kind, len(word)):
             if word[p] == u:
                 return
         if coeff == 0:
             return
+        self._to_dict()
         self._acc(word, coeff)
 
     def _acc(self, word, coeff):
         """add_term for a word already known to be an int tuple with no
-        unit in a reduced slot; an exact zero sum removes the word."""
-        terms = self.terms
+        unit in a reduced slot, on the dict store; an exact zero sum removes
+        the word."""
+        terms = self._terms
         new = terms.get(word, 0.0) + coeff
         if new == 0:
             terms.pop(word, None)
@@ -108,40 +153,18 @@ class Chain:
         return c
 
     def _add_tensor(self, slots, coeff, tol=0.0):
-        """Add coeff * (slot_0 (x) slot_1 (x) ...) in place.
-
-        Components with |v_i| <= tol are skipped, and so are unit
-        components of reduced slots, whose words add_term would drop.  The
-        rest expands as a C-order Kronecker product, so the words come in
-        nested-loop order and each coefficient is the left-to-right product
-        coeff * v_0[i_0] * v_1[i_1] * ...  The real and imaginary parts are
-        multiplied as separate float arrays: numpy's complex array multiply
-        may fuse a multiply-add, the scalar complex product does not, and
-        this way each coefficient equals the scalar product bit for bit.
-        """
-        u = self.alg.unit_index
-        reduced = self._reduced_positions(slots)
-        coeff = complex(coeff)
-        re, im = np.array([coeff.real]), np.array([coeff.imag])
-        outer = np.multiply.outer
-        indices = []
-        for p, el in enumerate(slots):
-            vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
-            keep = ~(np.abs(vec) <= tol)  # a NaN entry stays
-            if p in reduced:
-                keep[u] = False
-            nz = np.nonzero(keep)[0]
-            indices.append(nz.tolist())
-            vr, vi = vec.real[nz], vec.imag[nz]
-            re, im = (outer(re, vr) - outer(im, vi)).ravel(), (outer(re, vi) + outer(im, vr)).ravel()
-        vals = np.empty(len(re), dtype=complex)
-        vals.real, vals.imag = re, im
+        """Add coeff * (slot_0 (x) slot_1 (x) ...) in place, word by word in
+        the nested-loop order of _kron."""
+        self._to_dict()
+        factors = _slot_factors(self.alg, self.kind, slots, tol)
         acc = self._acc
-        for word, cf in zip(product(*indices), vals.tolist()):
+        for word, cf in zip(product(*[nz.tolist() for nz, _ in factors]), _kron(factors, coeff).tolist()):
             if cf:  # add_term drops exact zeros
                 acc(word, cf)
 
     def copy(self):
+        if self._layers is not None:
+            return Chain._from_layers(self.alg, self.kind, self._layers)
         out = Chain(self.alg, self.kind)
         out.terms = dict(self.terms)
         return out
@@ -150,6 +173,8 @@ class Chain:
 
     def __add__(self, other):
         self._check_compatible(other)
+        if self._layers is not None or other._layers is not None:
+            return _merged(self, other, 1.0)
         out = self.copy()
         acc = out._acc
         for w, cf in other.terms.items():
@@ -158,6 +183,8 @@ class Chain:
 
     def __sub__(self, other):
         self._check_compatible(other)
+        if self._layers is not None or other._layers is not None:
+            return _merged(self, other, -1.0)
         out = self.copy()
         acc = out._acc
         for w, cf in other.terms.items():
@@ -167,8 +194,12 @@ class Chain:
     def scale(self, scalar):
         out = Chain(self.alg, self.kind)
         scalar = complex(scalar)
-        if scalar != 0:
-            out.terms = {w: cf * scalar for w, cf in self.terms.items()}
+        if scalar == 0:
+            return out
+        if self._layers is not None:
+            return Chain._from_layers(self.alg, self.kind, {L: layer.with_coeffs(_cmul(layer.coeffs, scalar))
+                                                            for L, layer in self._layers.items()})
+        out.terms = {w: cf * scalar for w, cf in self.terms.items()}
         return out
 
     def _check_compatible(self, other):
@@ -176,12 +207,18 @@ class Chain:
             raise ChainError("chains live over different algebras or kinds")
 
     def norm(self) -> float:
-        """Euclidean norm in word coordinates."""
+        """Euclidean norm in word coordinates, summed in term order."""
+        if self._layers is not None:
+            return float(np.sqrt(_ordered_sum([np.float_power(_abs(layer.coeffs), 2)
+                                               for layer in self._layers.values()])))
         if not self.terms:
             return 0.0
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
 
     def prune(self, tol=0.0):
+        if self._layers is not None:
+            return Chain._from_layers(self.alg, self.kind, {L: layer.take(_abs(layer.coeffs) > tol)
+                                                            for L, layer in self._layers.items()})
         out = Chain(self.alg, self.kind)
         out.terms = {w: c for w, c in self.terms.items() if abs(c) > tol}
         return out
@@ -189,6 +226,9 @@ class Chain:
     def component(self, N) -> "Chain":
         """Sub-chain of words with N slots beyond slot 0 (or N bar slots)."""
         length = N + 1 if self.kind == CYCLIC else N
+        if self._layers is not None:
+            layer = self._layers.get(length)
+            return Chain._from_layers(self.alg, self.kind, {} if layer is None else {length: layer})
         out = Chain(self.alg, self.kind)
         out.terms = {w: c for w, c in self.terms.items() if len(w) == length}
         return out
@@ -202,13 +242,277 @@ class Chain:
 
     def parity(self):
         """0 or 1 when homogeneous, raises otherwise."""
-        parities = {self.word_parity(w) for w in self.terms}
+        if self._layers is not None:
+            par = np.array(self.alg.parity_tuple, dtype=np.int8)
+            parities = set()
+            for L, layer in self._layers.items():
+                n_slots = L - 1 if self.kind == CYCLIC else L
+                word_par = np.bitwise_xor.reduce(par[layer.words], axis=1) ^ (n_slots % 2)
+                parities.update(np.unique(word_par).tolist())
+        else:
+            parities = {self.word_parity(w) for w in self.terms}
         if len(parities) > 1:
             raise ChainError("chain is not Z2-homogeneous")
         return parities.pop() if parities else 0
 
     def __repr__(self):
         return f"Chain({self.kind}, {len(self.terms)} terms over {self.alg.name!r})"
+
+
+def _reduced_positions(kind, length):
+    """Slots of a word whose unit component is projected out."""
+    if kind == CYCLIC:
+        return range(1, length)
+    if kind == BAR_RED:
+        return range(length)
+    return ()
+
+
+class _LayerTerms(Mapping):
+    """Read-only word -> coefficient view of a columnar store, shortest
+    words first; len is O(1) and iteration converts a block of rows at a time."""
+
+    __slots__ = ("_layers", "_index")
+    _BLOCK = 4096
+
+    def __init__(self, layers):
+        self._layers = layers
+        self._index = None
+
+    def __len__(self):
+        return sum(len(layer.coeffs) for layer in self._layers.values())
+
+    def __iter__(self):
+        for layer in self._layers.values():
+            words = layer.words
+            for lo in range(0, len(words), self._BLOCK):
+                yield from map(tuple, words[lo : lo + self._BLOCK].tolist())
+
+    def items(self):
+        return [pair for layer in self._layers.values()
+                for pair in zip(map(tuple, layer.words.tolist()), layer.coeffs.tolist())]
+
+    def values(self):
+        return [cf for layer in self._layers.values() for cf in layer.coeffs.tolist()]
+
+    def __getitem__(self, word):
+        if self._index is None:
+            self._index = dict(self.items())
+        return self._index[word]
+
+
+class _Layer:
+    """One word length of a columnar chain: the coefficients, and the words
+    as an int64 matrix and as base-dim int64 keys.  Either word form is
+    derived from the other on first use, and none of the arrays is edited."""
+
+    __slots__ = ("dim", "L", "coeffs", "_words", "_keys")
+
+    def __init__(self, dim, L, coeffs, words=None, keys=None):
+        self.dim, self.L, self.coeffs, self._words, self._keys = dim, L, coeffs, words, keys
+
+    @property
+    def words(self):
+        if self._words is None:
+            self._words = _key_words(self._keys, self.dim, self.L)
+        return self._words
+
+    @property
+    def keys(self):
+        if self._keys is None:
+            self._keys = _word_keys(self._words, self.dim)
+        return self._keys
+
+    def with_coeffs(self, coeffs):
+        return _Layer(self.dim, self.L, coeffs, self._words, self._keys)
+
+    def take(self, index):
+        words, keys = self._words, self._keys
+        return _Layer(self.dim, self.L, self.coeffs[index], None if words is None else words[index],
+                      None if keys is None else keys[index])
+
+
+# -- the columnar store: word keys, tensor blocks and first-occurrence merges --------
+
+
+def _slot_factors(alg, kind, slots, tol):
+    """Per slot, the kept basis indices and their coefficients.  Components
+    with |v_i| <= tol are skipped (a NaN stays), and so are unit components
+    of reduced slots, whose words add_term would drop."""
+    u = alg.unit_index
+    reduced = _reduced_positions(kind, len(slots))
+    out = []
+    for p, el in enumerate(slots):
+        vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
+        keep = ~(np.abs(vec) <= tol)
+        if p in reduced:
+            keep[u] = False
+        nz = np.nonzero(keep)[0]
+        out.append((nz, vec[nz]))
+    return out
+
+
+def _kron(factors, coeff):
+    """coeff * v_0[i_0] * v_1[i_1] * ... over the kept indices, as a C-order
+    Kronecker product: the words come in nested-loop order and each
+    coefficient is the left-to-right product.  The real and imaginary parts
+    are multiplied as separate float arrays: numpy's complex array multiply
+    may fuse a multiply-add, the scalar complex product does not, and this
+    way each coefficient equals the scalar product bit for bit."""
+    coeff = complex(coeff)
+    re, im = np.array([coeff.real]), np.array([coeff.imag])
+    outer = np.multiply.outer
+    for _, v in factors:
+        re, im = (outer(re, v.real) - outer(im, v.imag)).ravel(), (outer(re, v.imag) + outer(im, v.real)).ravel()
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _kron_layer(factors, dim, coeff):
+    """_kron as int64 word keys and coefficients, exact zero products dropped;
+    the words of one block are distinct."""
+    _check_key(dim, len(factors))
+    keys = np.zeros(1, dtype=np.int64)
+    for nz, _ in factors:
+        keys = np.add.outer(keys * dim, nz).ravel()
+    coeffs = _kron(factors, coeff)
+    keep = coeffs != 0
+    return keys[keep], coeffs[keep]
+
+
+def _cmul(a, b):
+    """a * b with each real product and sum rounded on its own, as Python's
+    scalar complex product is (see _kron)."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs(coeffs):
+    """|c| as Python's abs(complex) computes it (np.abs may differ in the last bit)."""
+    return np.hypot(coeffs.real, coeffs.imag)
+
+
+def _ordered_sum(parts):
+    """Sum of the concatenated parts, one term after the other as Python's
+    sum does (np.sum is pairwise)."""
+    flat = np.concatenate(parts) if parts else np.zeros(0)
+    return float(np.cumsum(flat)[-1]) if len(flat) else 0.0
+
+
+def _check_key(dim, L):
+    if dim ** L > 2**63 - 1:
+        raise ChainError(f"{L}-slot words over a {dim}-dimensional algebra overflow the int64 word key")
+
+
+def _word_keys(words, dim):
+    """Base-dim int64 key per row of a word matrix."""
+    _check_key(dim, words.shape[1])
+    keys = np.zeros(len(words), dtype=np.int64)
+    for j in range(words.shape[1]):
+        keys = keys * dim + words[:, j]
+    return keys
+
+
+def _key_words(keys, dim, L):
+    words = np.empty((len(keys), L), dtype=np.int64)
+    for j in range(L - 1, -1, -1):
+        keys, words[:, j] = np.divmod(keys, dim)
+    return words
+
+
+def _merge(keys, coeffs):
+    """Distinct keys in first-occurrence order, each with the sum of its
+    coefficients taken in input order (as the dict store adds them); exact
+    zero sums drop out, a NaN stays.  Also returns each input row's index
+    among the distinct keys, or None when a zero sum dropped out."""
+    if not len(keys):
+        return keys, coeffs, np.zeros(0, dtype=np.intp)
+    perm = np.argsort(keys)  # need not be stable: bincount adds in input order
+    sorted_keys = keys[perm]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = np.minimum.reduceat(perm, starts)  # first occurrence of each distinct key
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    group = np.zeros(len(keys), dtype=np.intp)
+    group[starts[1:]] = 1
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[perm] = rank[np.cumsum(group)]
+    out = _sum_at(pos, coeffs, len(order))
+    keep = out != 0
+    if keep.all():
+        return sorted_keys[starts][order], out, pos
+    return sorted_keys[starts][order][keep], out[keep], None
+
+
+def _sum_at(pos, coeffs, n):
+    """out[j] = 0 + the coeffs at rows with pos == j, added in row order."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(pos, coeffs.real, n)
+    out.imag = np.bincount(pos, coeffs.imag, n)
+    return out
+
+
+class _LayerSum:
+    """Running per-length sums of word layers.  A word keeps its first
+    position, and its coefficient adds its contributions in the order they
+    arrive.  Contributions wait until they outnumber the words held (and
+    _MERGE_ROWS), then merge behind them; reading the sums merges the rest.
+    A batch with the same keys as the last one (each s-node of the
+    character chain repeats its words) adds at the rows found last time."""
+
+    def __init__(self, alg):
+        self.dim = alg.dim
+        self.sums = {}  # length -> (keys, coeffs), merged
+        self.pending = {}  # length -> [(keys, coeffs)], in arrival order
+        self.repeat = {}  # length -> (keys, rows) of the last batch, while its rows hold
+
+    def add(self, L, keys, coeffs):
+        parts = self.pending.setdefault(L, [])
+        parts.append((keys, coeffs))
+        held = len(self.sums[L][0]) if L in self.sums else 0
+        if sum(len(k) for k, _ in parts) >= max(held, _MERGE_ROWS):
+            self._flush(L)
+
+    def _flush(self, L):
+        batch = self.pending.pop(L)
+        keys, coeffs = np.concatenate([k for k, _ in batch]), np.concatenate([c for _, c in batch])
+        held_keys, held_coeffs = self.sums.get(L, (keys[:0], coeffs[:0]))
+        n = len(held_keys)
+        last = self.repeat.get(L)
+        if last is not None and np.array_equal(last[0], keys):
+            out = _sum_at(np.concatenate((np.arange(n), last[1])), np.concatenate((held_coeffs, coeffs)), n)
+            if np.all(out != 0):
+                self.sums[L] = (held_keys, out)
+                return
+        merged_keys, merged_coeffs, pos = _merge(np.concatenate((held_keys, keys)),
+                                                 np.concatenate((held_coeffs, coeffs)))
+        self.sums[L] = (merged_keys, merged_coeffs)
+        self.repeat[L] = None if pos is None else (keys, pos[n:])
+
+    def merged(self):
+        for L in list(self.pending):
+            self._flush(L)
+        return self.sums
+
+    def size(self):
+        return sum(len(keys) for keys, _ in self.merged().values())
+
+    def chain(self, alg, kind):
+        return Chain._from_layers(alg, kind, {L: _Layer(self.dim, L, coeffs, keys=keys)
+                                              for L, (keys, coeffs) in self.merged().items()})
+
+
+def _merged(a, b, sign):
+    """a + sign * b on the columnar store: a's words first, then b's new ones."""
+    out = _LayerSum(a.alg)
+    out.sums = {L: (layer.keys, layer.coeffs) for L, layer in a._columns().items()}
+    for L, layer in b._columns().items():
+        out.add(L, layer.keys, layer.coeffs if sign > 0 else -layer.coeffs)
+    return out.chain(a.alg, a.kind)
 
 
 # -- sign conventions: each written once, as a row per parity pattern --------
@@ -254,16 +558,24 @@ def _rotation_signs(parities):
 class _SignRows(dict):
     """One operator's sign rows by parity pattern, computed on first use."""
 
-    def __init__(self, alg, fn, *args):
-        self.par, self.fn, self.args = alg.parity_tuple, fn, args
-
-    def of(self, word):
-        par = self.par
-        return self[tuple([par[i] for i in word])]
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
 
     def __missing__(self, parities):
         row = self[parities] = self.fn(parities, *self.args)
         return row
+
+
+# (sign function, args) -> its rows; a row depends on the parity pattern
+# alone, so the dict and the word-layer kernels share them across calls
+_SIGN_ROWS = {}
+
+
+def _sign_rows(fn, *args):
+    rows = _SIGN_ROWS.get((fn, args))
+    if rows is None:
+        rows = _SIGN_ROWS[(fn, args)] = _SignRows(fn, args)
+    return rows
 
 
 def _left_mul_entries(alg, coeffs, j):
@@ -280,20 +592,34 @@ def _right_mul_entries(alg, j, coeffs):
 
 
 # -- cyclic differentials ----------------------------------------------------
+# A columnar chain, or a dict chain above _LAYER_MIN_TERMS terms, goes through
+# the word-layer kernels (below) and comes back columnar; a smaller dict chain
+# stays on the dict kernels, whose fixed cost per call is about 50x lower.
+
+_LAYER_MIN_TERMS = 300  # measured crossover: where the two paths break even on one-length chains
+_LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
+_MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
+
+
+def _on_layers(c):
+    return c._layers is not None or len(c._terms) > _LAYER_MIN_TERMS
 
 
 def d_cyclic(c: Chain) -> Chain:
     """Differential induced by d, on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("d_cyclic expects a cyclic chain")
+    if _on_layers(c):
+        return _apply_layers(c, "d")
     alg = c.alg
     u = alg.unit_index
     diff = alg.diff_table
-    signs_of = _SignRows(alg, _d_signs, CYCLIC)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_d_signs, CYCLIC)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
-        signs = signs_of.of(word)
+        signs = signs_of[tuple([par[i] for i in word])]
         for k, idx in enumerate(word):
             entries = diff.get(idx)
             if not entries:
@@ -310,12 +636,14 @@ def b_cyclic(c: Chain) -> Chain:
     """Hochschild-type differential on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
+    if _on_layers(c):
+        return _apply_layers(c, "b")
     alg = c.alg
     u = alg.unit_index
     mul = alg.mul_table
     par = alg.parity_tuple
-    signs_of = _SignRows(alg, _b_signs, CYCLIC)
-    wrap_of = _SignRows(alg, _wrap_sign)
+    signs_of = _sign_rows(_b_signs, CYCLIC)
+    wrap_of = _sign_rows(_wrap_sign)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
@@ -346,16 +674,19 @@ def B_connes(c: Chain) -> Chain:
     """Connes operator: insert the unit in slot 0 and cyclically rotate."""
     if c.kind != CYCLIC:
         raise ChainError("B_connes expects a cyclic chain")
+    if _on_layers(c):
+        return _apply_layers(c, "B")
     alg = c.alg
     u = alg.unit_index
     head = (u,)
-    signs_of = _SignRows(alg, _rotation_signs)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_rotation_signs)
     out = Chain(alg, CYCLIC)
     acc = out._acc
     for word, coeff in c.terms.items():
         if word[0] == u:
             continue  # every rotation moves this unit into a reduced slot
-        signs = signs_of.of(word)
+        signs = signs_of[tuple([par[i] for i in word])]
         for k in range(len(word)):
             acc(head + word[k:] + word[:k], coeff * signs[k])
     return out
@@ -375,11 +706,12 @@ def d_bar(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index if c.kind == BAR_RED else None
     diff = alg.diff_table
-    signs_of = _SignRows(alg, _d_signs, BAR)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_d_signs, BAR)
     out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
-        signs = signs_of.of(word)
+        signs = signs_of[tuple([par[i] for i in word])]
         for k, idx in enumerate(word):
             entries = diff.get(idx)
             if not entries:
@@ -398,11 +730,12 @@ def b_prime(c: Chain) -> Chain:
     alg = c.alg
     u = alg.unit_index if c.kind == BAR_RED else None
     mul = alg.mul_table
-    signs_of = _SignRows(alg, _b_signs, BAR)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_b_signs, BAR)
     out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
-        signs = signs_of.of(word)
+        signs = signs_of[tuple([par[i] for i in word])]
         for k in range(len(word) - 1):
             entries = mul.get((word[k], word[k + 1]))
             if not entries:
@@ -420,11 +753,12 @@ def cyclicize_N(c: Chain) -> Chain:
     if c.kind != BAR_RED:
         raise ChainError("cyclicize_N expects a reduced bar chain")
     alg = c.alg
-    signs_of = _SignRows(alg, _rotation_signs)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_rotation_signs)
     out = Chain(alg, BAR_RED)
     acc = out._acc
     for word, coeff in c.terms.items():
-        signs = signs_of.of(word)
+        signs = signs_of[tuple([par[i] for i in word])]
         for k in range(1, len(word) + 1):
             acc(word[k:] + word[:k], coeff * signs[k])
     return out
@@ -545,22 +879,34 @@ def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
     _check_chen_f(alg, f)
     df = alg.diff_coeffs(f.coeffs)
     df_nz = [(int(a), complex(df[a])) for a in np.nonzero(np.abs(df) > 0)[0]]
+    left, right = {}, {}  # f * e_j and e_j * f, per basis index j met
+
+    def f_times(j):
+        if j not in left:
+            left[j] = _left_mul_entries(alg, f.coeffs, j)
+        return left[j]
+
+    def times_f(j):
+        if j not in right:
+            right[j] = _right_mul_entries(alg, j, f.coeffs)
+        return right[j]
+
     out = Chain(alg, CYCLIC)
     for word, coeff in c.terms.items():
         N = len(word) - 1
         if i > N:
             continue
         if i <= N - 1:
-            for l, cf in _left_mul_entries(alg, f.coeffs, word[i + 1]):
+            for l, cf in f_times(word[i + 1]):
                 out.add_term(word[: i + 1] + (l,) + word[i + 2 :], coeff * cf)
-            for l, cf in _right_mul_entries(alg, word[i], f.coeffs):
+            for l, cf in times_f(word[i]):
                 out.add_term(word[:i] + (l,) + word[i + 1 :], -coeff * cf)
             for a, fa in df_nz:
                 out.add_term(word[: i + 1] + (a,) + word[i + 1 :], -coeff * fa)
         else:  # i == N: wrap through slot 0
-            for l, cf in _left_mul_entries(alg, f.coeffs, word[0]):
+            for l, cf in f_times(word[0]):
                 out.add_term((l,) + word[1:], coeff * cf)
-            for l, cf in _right_mul_entries(alg, word[N], f.coeffs):
+            for l, cf in times_f(word[N]):
                 out.add_term(word[:N] + (l,), -coeff * cf)
             for a, fa in df_nz:
                 out.add_term(word + (a,), -coeff * fa)
@@ -624,7 +970,9 @@ def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None) ->
 
 # -- word-layer kernels -------------------------------------------------------------
 # d, b and B on an int64 word matrix and a coefficient vector at once, with the
-# dict kernels' sign rows and reduced-slot tests.
+# dict kernels' sign rows, reduced-slot tests and coefficient products.  Each
+# kernel returns chunks (words, coeffs, rows), rows being the source row of
+# every output word; chunks come in the dict kernels' (slot, entry) order.
 
 
 class _LayerKernels:
@@ -636,13 +984,12 @@ class _LayerKernels:
         self.diff_tgt, self.diff_cf = _padded(alg.diff_table, (alg.dim,))
         self.par = np.asarray(alg.parity_tuple, dtype=np.int64)
         self.unit = alg.unit_index
-        self._rows = {}  # (sign function, args) -> _SignRows
 
     def signs(self, words, fn, *args):
         """fn's sign row per word, computed once per distinct parity pattern (at most 2^L)."""
         L = words.shape[1]
         codes, inv = np.unique(self.par[words] @ (1 << np.arange(L)), return_inverse=True)
-        rows = self._rows.setdefault((fn, args), _SignRows(self.alg, fn, *args))
+        rows = _sign_rows(fn, *args)
         return np.array([rows[tuple(c >> j & 1 for j in range(L))] for c in codes.tolist()], dtype=float)[inv]
 
     def d(self, words, coeffs):
@@ -652,13 +999,15 @@ class _LayerKernels:
             col = words[:, k]
             for e in range(self.diff_tgt.shape[1]):
                 cf = self.diff_cf[col, e]
-                nz = cf != 0
-                if not np.any(nz):
+                rows = np.flatnonzero(cf)
+                tgt = self.diff_tgt[col[rows], e]
+                if k:  # slot k is the only new slot
+                    rows, tgt = rows[tgt != self.unit], tgt[tgt != self.unit]
+                if not len(rows):
                     continue
-                new = words[nz].copy()
-                new[:, k] = self.diff_tgt[col[nz], e]
-                keep = (new[:, k] != self.unit) | (k == 0)  # slot k is the only new slot
-                _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz, k][keep])
+                new = words[rows]
+                new[:, k] = tgt
+                _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
         return out
 
     def b(self, words, coeffs):
@@ -671,58 +1020,95 @@ class _LayerKernels:
             a, b = words[:, k], words[:, k + 1]
             for e in range(self.prod_tgt.shape[2]):
                 cf = self.prod_cf[a, b, e]
-                nz = cf != 0
-                if not np.any(nz):
+                rows = np.flatnonzero(cf)
+                tgt = self.prod_tgt[a[rows], b[rows], e]
+                if k:  # slot k is the only new slot
+                    rows, tgt = rows[tgt != self.unit], tgt[tgt != self.unit]
+                if not len(rows):
                     continue
-                new = np.concatenate([words[nz, :k], self.prod_tgt[a[nz], b[nz], e][:, None], words[nz, k + 2 :]],
-                                     axis=1)
-                keep = (new[:, k] != self.unit) | (k == 0)  # slot k is the only new slot
-                _emit(out, new[keep], coeffs[nz][keep] * cf[nz][keep] * sign[nz, k][keep])
+                new = np.concatenate([words[rows, :k], tgt[:, None], words[rows, k + 2 :]], axis=1)
+                _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
         a, b = words[:, N], words[:, 0]
         wrap = self.signs(words, _wrap_sign)
         for e in range(self.prod_tgt.shape[2]):
             cf = self.prod_cf[a, b, e]
-            nz = cf != 0
-            if not np.any(nz):
+            rows = np.flatnonzero(cf)
+            if not len(rows):
                 continue
-            new = np.concatenate([self.prod_tgt[a[nz], b[nz], e][:, None], words[nz, 1:N]], axis=1)
-            _emit(out, new, coeffs[nz] * cf[nz] * wrap[nz])
+            new = np.concatenate([self.prod_tgt[a[rows], b[rows], e][:, None], words[rows, 1:N]], axis=1)
+            _emit(out, new, _cmul(coeffs[rows] * wrap[rows], cf[rows]), rows)
         return out
 
     def B(self, words, coeffs):
         out = []
-        keep = words[:, 0] != self.unit  # every rotation moves this unit into a reduced slot
-        words, coeffs = words[keep], coeffs[keep]
-        if not len(words):
+        rows = np.flatnonzero(words[:, 0] != self.unit)  # every rotation moves a unit into a reduced slot
+        if not len(rows):
             return out
+        words, coeffs = words[rows], coeffs[rows]
         sign = self.signs(words, _rotation_signs)
         head = np.full((len(words), 1), self.unit, dtype=np.int64)
         for k in range(words.shape[1]):
             new = np.concatenate([head, words[:, k:], words[:, :k]], axis=1)
-            _emit(out, new, coeffs * sign[:, k])
+            _emit(out, new, coeffs * sign[:, k], rows)
         return out
 
     def merged_max(self, chunks):
         """Max |coefficient| after merging identical words across chunks."""
         by_len = {}
-        for words, coeffs in chunks:
+        for words, coeffs, _ in chunks:
             by_len.setdefault(words.shape[1], []).append((words, coeffs))
         worst = 0.0
-        dim = self.alg.dim
-        for L, parts in by_len.items():
-            if dim ** L > 2**63 - 1:
-                raise ChainError(f"{L}-slot words over a {dim}-dimensional algebra overflow the int64 word key")
-            words = np.concatenate([w for w, _ in parts], axis=0)
-            coeffs = np.concatenate([c for _, c in parts], axis=0)
-            keys = np.zeros(len(words), dtype=np.int64)
-            for j in range(L):
-                keys = keys * dim + words[:, j]
+        for parts in by_len.values():
+            keys = np.concatenate([_word_keys(w, self.alg.dim) for w, _ in parts])
+            coeffs = np.concatenate([c for _, c in parts])
             uniq, inv = np.unique(keys, return_inverse=True)
             acc = np.zeros(len(uniq), dtype=complex)
             np.add.at(acc, inv, coeffs)
             if len(acc):
                 worst = running_max(worst, np.max(np.abs(acc)))
         return worst
+
+
+_KERNELS = weakref.WeakKeyDictionary()  # algebra -> its _LayerKernels
+
+
+def _layer_kernels(alg):
+    kernels = _KERNELS.get(alg)
+    if kernels is None:
+        kernels = _KERNELS[alg] = _LayerKernels(alg)
+    return kernels
+
+
+def _apply_layers(c, op):
+    """d, b or B (op names the kernel) on every layer of c, a batch of input
+    rows at a time.  Each output length merges its chunks by source row,
+    stably, so that every word adds its contributions in the dict kernel's
+    order (source word, then slot, then entry) and keeps its first position."""
+    apply = getattr(_layer_kernels(c.alg), op)
+    dim = c.alg.dim
+    out = _LayerSum(c.alg)
+    for layer in c._columns().values():
+        words, coeffs = layer.words, layer.coeffs
+        for lo in range(0, len(words), _LAYER_BATCH):
+            by_len = {}
+            for w, cf, rows in apply(words[lo : lo + _LAYER_BATCH], coeffs[lo : lo + _LAYER_BATCH]):
+                by_len.setdefault(w.shape[1], []).append((_word_keys(w, dim), cf, rows))
+            for L, parts in by_len.items():
+                order = _row_major(min(_LAYER_BATCH, len(words) - lo), [rows for _, _, rows in parts])
+                out.add(L, np.concatenate([keys for keys, _, _ in parts])[order],
+                        np.concatenate([cf for _, cf, _ in parts])[order])
+    return out.chain(c.alg, c.kind)
+
+
+def _row_major(n_rows, chunk_rows):
+    """The order that sorts concatenated chunks by source row, chunk by chunk
+    within a row: a stable sort by row, read off an (n_rows, chunks) table."""
+    table = np.full((n_rows, len(chunk_rows)), -1, dtype=np.intp)
+    offset = 0
+    for j, rows in enumerate(chunk_rows):
+        table[rows, j] = np.arange(offset, offset + len(rows))
+        offset += len(rows)
+    return table[table >= 0]
 
 
 def _padded(table, shape):
@@ -735,10 +1121,10 @@ def _padded(table, shape):
     return tgt, cf
 
 
-def _emit(chunks, words, coeffs):
+def _emit(chunks, words, coeffs, rows):
     keep = coeffs != 0  # drops exact zeros only; a NaN stays and fails the check
     if np.any(keep):
-        chunks.append((words[keep], coeffs[keep]))
+        chunks.append((words[keep], coeffs[keep], rows[keep]))
 
 
 def _layer_words(alg, N, sample=None, rng=None):
@@ -844,8 +1230,11 @@ def _floor_half_factorial(N):
 def entire_bound(c: Chain) -> SeminormBound:
     """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term,
     in the designated max-coefficient norm (1 on every basis element)."""
-    total = 0.0
     off = 1 if c.kind == CYCLIC else 0
+    if c._layers is not None:
+        parts = [_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._layers.items()]
+        return SeminormBound(_ordered_sum(parts), "max-coeff")
+    total = 0.0
     for word, coeff in c.terms.items():
         N = len(word) - off
         total += abs(coeff) / _floor_half_factorial(N)

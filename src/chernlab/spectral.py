@@ -19,6 +19,7 @@ endpoints are similar matrices.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,9 @@ from .chains import (
     B_connes,
     Chain,
     _floor_half_factorial,
+    _kron_layer,
+    _LayerSum,
+    _slot_factors,
     b_cyclic,
     chen_Ti,
     d_cyclic,
@@ -159,18 +163,20 @@ class OddChernChain:
         return Chain(self.alg_T, CYCLIC)
 
     def total(self) -> Chain:
-        """Sum of the components; their word lengths differ, so it is a union."""
-        out = Chain(self.alg_T, CYCLIC)
-        for c in self.chains.values():
-            out.terms.update(c.terms)
-        return out
+        """Sum of the components; their word lengths differ, so it is a union of layers."""
+        return Chain._from_layers(self.alg_T, CYCLIC,
+                                  {L: layer for c in self.chains.values() for L, layer in c._columns().items()})
 
 
 def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     """Materialize the odd character chain of g up to degree N_max.
 
     The s-integrand has polynomial degree <= 2N per component, so
-    Gauss-Legendre with N + 1 nodes per degree is exact.
+    Gauss-Legendre with N + 1 nodes per degree is exact.  Each degree is
+    built in the columnar store: every (s-node, position k) pair gives one
+    Kronecker block of word keys, and the blocks of an s-node merge behind
+    the words already held, so the words, their order and every coefficient
+    bit are those of adding the blocks term by term into a dict.
     """
     alg_T = acyclic_extension(g.alg)
     omega = maurer_cartan(g)
@@ -181,19 +187,21 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     total_terms = 0
     for N in range(1, N_max + 1):
         nodes, weights = gauss_legendre_01(N + 1)
-        acc = Chain(lifted, CYCLIC)
+        acc = _LayerSum(lifted)
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
             a_vec, b_vec = lifted_coeffs(lifted, a_s), lifted_coeffs(lifted, b)
-            for k in range(1, N + 1):
-                slots = [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k)
-                acc._add_tensor(slots, w)
-        comp = generalized_trace(acc, lifted, alg_T)
+            factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k), 0.0)
+                       for k in range(1, N + 1)]
+            # the words of one block are distinct, so the degree holds at
+            # least as many terms as its largest block: refuse before building
+            _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
+            blocks = [_kron_layer(f, lifted.dim, w) for f in factors]
+            acc.add(N + 1, np.concatenate([keys for keys, _ in blocks]), np.concatenate([cf for _, cf in blocks]))
+            _check_ch_g_terms(total_terms + acc.size(), N)
+        comp = generalized_trace(acc.chain(lifted, CYCLIC), lifted, alg_T)
         total_terms += len(comp.terms)
-        if total_terms > _CH_G_MAX_TERMS:
-            raise SpectralError(
-                f"character chain materialization exceeds {_CH_G_MAX_TERMS} terms at degree {N}; "
-                "reduce N_max or the algebra size")
+        _check_ch_g_terms(total_terms, N)
         chains[N] = comp.prune(0.0)
     out = OddChernChain(g, alg_T, omega_T, N_max, chains)
     # parity bookkeeping: every component must be odd
@@ -201,6 +209,12 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         if c.terms and c.parity() != 1:
             raise SpectralError(f"character component {N} is not odd")
     return out
+
+
+def _check_ch_g_terms(count, N):
+    if count > _CH_G_MAX_TERMS:
+        raise SpectralError(f"character chain materialization exceeds {_CH_G_MAX_TERMS} terms at degree {N}; "
+                            "reduce N_max or the algebra size")
 
 
 def _unit_vec(alg: DgAlgebra) -> np.ndarray:

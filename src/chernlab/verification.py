@@ -50,10 +50,10 @@ def complex_axiom_residuals(alg: DgAlgebra, max_slots=6, sample=None, seed=0) ->
         first = {name: op(words, coeffs) for name, op in ops.items()}
         for name_a, name_b in pairs:
             chunks = []
-            for w, c in first[name_b]:
+            for w, c, _ in first[name_b]:
                 chunks.extend(ops[name_a](w, c))
             if name_a != name_b:
-                for w, c in first[name_a]:
+                for w, c, _ in first[name_a]:
                     chunks.extend(ops[name_b](w, c))
             worst[(name_a, name_b)] = running_max(worst[(name_a, name_b)], layers.merged_max(chunks))
     rep = ValidationReport(f"complex-axioms:{alg.name}")

@@ -1,0 +1,21 @@
+"""The benchmark harness end to end: bench/run.py on the chain_closedness
+workload must exit 0 with every check passing, untraced and traced."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_chain_closedness_runs_clean(trace):
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "chain_closedness",
+           "--seconds", "0.01", "--trace", trace]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, proc.stderr[-2000:]

@@ -4,6 +4,7 @@ alpha intertwining identity and the Chen normalization operators."""
 import numpy as np
 import pytest
 
+from chernlab import chains
 from chernlab.algebra import acyclic_extension, mat_lift
 from chernlab.chains import (
     BAR,
@@ -399,7 +400,7 @@ def test_both_kernel_paths_match_the_per_word_reference(alg_name):
                 for w, cf in reference(name, word):
                     ref[w] = ref.get(w, 0.0) + coeff * cf
             on_layers = {}
-            for ws, cs in layer_op(words, coeffs):
+            for ws, cs, _ in layer_op(words, coeffs):
                 for w, cf in zip(map(tuple, ws.tolist()), cs.tolist()):
                     on_layers[w] = on_layers.get(w, 0.0) + cf
             # the sums run in different orders: compare relative to the largest coefficient
@@ -449,7 +450,7 @@ def test_layer_merge_refuses_an_overflowing_word_key():
     alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
     words = np.array([(1,) + (2,) * 16, (3,) + (2,) * 16], dtype=np.int64)
     with pytest.raises(ChainError, match="17-slot words over a 16-dimensional algebra"):
-        _LayerKernels(alg).merged_max([(words, np.array([1.0, -1.0], dtype=complex))])
+        _LayerKernels(alg).merged_max([(words, np.array([1.0, -1.0], dtype=complex), np.arange(2))])
 
 
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
@@ -490,3 +491,140 @@ def test_from_elements_matches_product_loop(kind):
         ref = _reference_expansion(alg, kind, slots, 0.7 - 0.2j, tol)
         assert list(got.terms) == list(ref.terms)  # same words, same order
         assert all(got.terms[w] == cf for w, cf in ref.terms.items())
+
+
+# -- the columnar store and the crossover between the two kernel paths ---------------
+
+
+def _random_terms(alg, n, rng, slots=(1, 2, 3)):
+    """n distinct reduced cyclic words of mixed length, with seeded random coefficients."""
+    terms = {}
+    while len(terms) < n:
+        word = random_basis_word(alg, CYCLIC, int(rng.choice(slots)), rng)
+        terms[word] = complex(rng.standard_normal(), rng.standard_normal())
+    return list(terms.items())
+
+
+def _bits(cf):
+    return cf.real.hex(), cf.imag.hex()
+
+
+def _by_length(terms):
+    out = {}
+    for w, cf in terms.items():
+        out.setdefault(len(w), []).append((w, cf))
+    return out
+
+
+@pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
+@pytest.mark.parametrize("offset", [0, 1])
+def test_kernel_paths_agree_across_the_crossover(alg_name, offset, monkeypatch):
+    # a chain of _LAYER_MIN_TERMS terms stays on the dict kernels, one more goes
+    # to the layer kernels; either way both paths give the same words of each
+    # length with the same coefficient bits, and both match the per-word
+    # reference.  The order within a length may differ where a running sum
+    # hits exactly zero and the word comes back: the dict store moves it to
+    # the end, the columnar store keeps its first position.
+    alg = SIGN_ALGS[alg_name]
+    reference = _reference(alg)
+    rng = np.random.default_rng(31 + offset)
+    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + offset, rng, slots=(2, 3, 4))
+    c = Chain(alg, CYCLIC, terms)
+    assert (c._layers is None) and chains._on_layers(c) == bool(offset)
+    for name, op in (("d", d_cyclic), ("b", b_cyclic), ("B", B_connes)):
+        got = op(c)
+        assert (got._layers is not None) == bool(offset)
+        monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", 10**9)
+        on_dict = op(c)
+        monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", -1)
+        on_layers = op(c)
+        monkeypatch.undo()
+        assert on_dict._layers is None and on_layers._layers is not None
+        dict_rows, layer_rows = _by_length(on_dict.terms), _by_length(on_layers.terms)
+        assert sorted(dict_rows) == list(layer_rows)
+        for L, rows in dict_rows.items():
+            on_layer = dict(layer_rows[L])
+            assert len(on_layer) == len(rows), f"{name}: words of length {L}"
+            assert all(_bits(cf) == _bits(on_layer[w]) for w, cf in rows), f"{name}: coefficient bits, length {L}"
+        ref = {}
+        for word, coeff in terms:
+            for w, cf in reference(name, word):
+                ref[w] = ref.get(w, 0.0) + coeff * cf
+        scale = max([1.0] + [abs(cf) for cf in ref.values()])
+        got_terms = dict(got.terms.items())
+        worst = max((abs(got_terms.get(w, 0.0) - ref.get(w, 0.0)) for w in got_terms.keys() | ref.keys()),
+                    default=0.0)
+        assert worst <= 1e-14 * scale, f"{name} on {alg_name}: {worst}"
+
+
+def test_layer_merge_keeps_a_nan():
+    # one NaN among cancelling contributions: the NaN word stays, the exact zero goes
+    keys = np.array([5, 7, 5, 7], dtype=np.int64)
+    merged_keys, coeffs, _ = chains._merge(keys, np.array([np.nan, 1.0, 1.0, -1.0], dtype=complex))
+    assert merged_keys.tolist() == [5] and np.isnan(coeffs[0])
+    # and through a layer kernel, above the crossover
+    alg = SIGN_ALGS["Circle3_T"]
+    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 1, np.random.default_rng(37), slots=(2,))
+    terms[0] = (terms[0][0], complex(np.nan, 0.0))
+    with np.errstate(invalid="ignore"):
+        out = b_cyclic(Chain(alg, CYCLIC, terms))
+        assert out._layers is not None
+        assert any(np.isnan(cf) for cf in out.terms.values())
+        assert np.isnan(out.norm())
+
+
+def test_columnar_path_refuses_an_overflowing_word_key():
+    # dim 16: 17-slot words overflow the int64 key, so a chain of them above
+    # the crossover must raise rather than merge wrapped keys
+    alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
+    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 1, np.random.default_rng(41), slots=(16,))
+    c = Chain(alg, CYCLIC, terms)
+    for op in (d_cyclic, b_cyclic, B_connes):
+        with pytest.raises(ChainError, match="over a 16-dimensional algebra overflow the int64 word key"):
+            op(c)
+
+
+def test_columnar_chain_reads_like_a_dict_chain():
+    # every read of a columnar chain agrees with the same terms in the dict store
+    alg = SIGN_ALGS["Ext2_T"]
+    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 100, np.random.default_rng(43))
+    c = d_cyclic(Chain(alg, CYCLIC, terms))
+    assert c._layers is not None
+    ref = Chain(alg, CYCLIC)
+    ref.terms = dict(c.terms.items())
+    assert len(c.terms) == len(ref.terms) and c.terms == ref.terms
+    assert c.norm() == ref.norm()  # both sum in term order
+    assert entire_bound(c).value == entire_bound(ref).value
+    for N in range(5):
+        assert c.component(N).terms == ref.component(N).terms
+    with pytest.raises(ChainError, match="not Z2-homogeneous"):
+        c.parity()
+    odd = [(w, cf) for w, cf in _random_terms(alg, 3 * chains._LAYER_MIN_TERMS, np.random.default_rng(44))
+           if c.word_parity(w) == 1]
+    even = d_cyclic(Chain(alg, CYCLIC, odd))
+    assert even._layers is not None and even.parity() == 0 == Chain(alg, CYCLIC, even.terms).parity()
+    assert c.prune(1.0).terms == ref.prune(1.0).terms
+    assert c.scale(0.5 - 2j).terms == ref.scale(0.5 - 2j).terms
+    other = Chain(alg, CYCLIC, terms[:10])
+    for got, want in ((c + other, ref + other), (c - other, ref - other), (other - c, other - ref)):
+        assert got._layers is not None
+        assert dict(got.terms.items()) == want.terms
+    c.add_term(terms[0][0], 1.0)  # an in-place edit moves it to the dict store
+    ref.add_term(terms[0][0], 1.0)
+    assert c._layers is None and c.terms == ref.terms
+
+
+def test_sign_rows_are_cached_across_calls(monkeypatch):
+    alg = SIGN_ALGS["Circle3_T"]
+    word = Chain.basis_word(alg, CYCLIC, random_basis_word(alg, CYCLIC, 3, np.random.default_rng(47)))
+    first = d_total(word)
+    built = []
+    inner = chains._SignRows.__missing__
+
+    def counting(self, parities):
+        built.append(parities)
+        return inner(self, parities)
+
+    monkeypatch.setattr(chains._SignRows, "__missing__", counting)
+    assert d_total(word).terms == first.terms
+    assert built == []  # the second call found every row it needed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chernlab import spectral
+from chernlab import chains, spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
 from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
@@ -284,6 +284,27 @@ def test_ch_g_term_counts_on_the_n2_circle():
     assert {N: len(ch.component(N).terms) for N in range(1, 7)} == CIRCLE2_TERMS
 
 
+def test_ch_g_refuses_past_the_term_limit(small_g, monkeypatch):
+    # degrees 1 and 2 hold 4 + 32 terms; degree 3 adds 192 in three blocks of 64
+    monkeypatch.setattr(spectral, "_CH_G_MAX_TERMS", 100)
+    with pytest.raises(SpectralError, match="exceeds 100 terms at degree 3"):
+        ch_g(small_g, 5)
+    # under 50 not even one degree-3 block fits (36 + 64 distinct words), so
+    # the build refuses before it makes any 4-slot block
+    built = []
+    inner = spectral._kron_layer
+
+    def counting(factors, dim, coeff):
+        built.append(len(factors))
+        return inner(factors, dim, coeff)
+
+    monkeypatch.setattr(spectral, "_kron_layer", counting)
+    monkeypatch.setattr(spectral, "_CH_G_MAX_TERMS", 50)
+    with pytest.raises(SpectralError, match="exceeds 50 terms at degree 3"):
+        ch_g(small_g, 5)
+    assert sorted(set(built)) == [2, 3]
+
+
 def test_ch_g_matches_a_sum_of_expanded_words(small_g):
     # the in-place build gives the same words, in the same order, with equal coefficients
     ch = ch_g(small_g, 4)
@@ -294,6 +315,24 @@ def test_ch_g_matches_a_sum_of_expanded_words(small_g):
         assert all(got[w] == cf for w, cf in ref[N].terms.items())
     total = ch.total()
     assert list(total.terms) == [w for N in range(1, 5) for w in ref[N].terms]
+
+
+def test_layer_d_and_b_of_ch_g_match_the_dict_kernels(small_g, monkeypatch):
+    # on the character chain no running sum hits zero, so the layer kernels
+    # give the dict kernels' words in the same order, with the same bits
+    total = ch_g(small_g, 5).total()
+    assert total._layers is not None
+    on_layers = chains.d_cyclic(total) + chains.b_cyclic(total)
+    monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", 10**9)
+    on_dict = Chain(total.alg, CYCLIC, total.terms)
+    on_dict = chains.d_cyclic(on_dict) + chains.b_cyclic(on_dict)
+    assert on_dict._layers is None and on_layers._layers is not None
+    for N in range(1, 6):
+        got, ref = on_layers.component(N).terms, on_dict.component(N).terms
+        assert list(got) == list(ref)
+        assert [(c.real.hex(), c.imag.hex()) for c in got.values()] == \
+            [(c.real.hex(), c.imag.hex()) for c in ref.values()]
+        assert on_layers.component(N).norm() == on_dict.component(N).norm()
 
 
 def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
