@@ -26,7 +26,6 @@ word-layer kernels both read it.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
@@ -207,13 +206,13 @@ class Chain:
             raise ChainError("chains live over different algebras or kinds")
 
     def norm(self) -> float:
-        """Euclidean norm in word coordinates, summed in term order."""
+        """Euclidean norm in word coordinates, summed one term after the other
+        in store order."""
         if self._layers is not None:
-            return float(np.sqrt(_ordered_sum([np.float_power(_abs(layer.coeffs), 2)
-                                               for layer in self._layers.values()])))
-        if not self.terms:
-            return 0.0
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+            coeffs = [layer.coeffs for layer in self._layers.values()]
+        else:
+            coeffs = [np.fromiter(self._terms.values(), complex, len(self._terms))]
+        return float(np.sqrt(_ordered_sum([np.float_power(_abs(cf), 2) for cf in coeffs])))
 
     def prune(self, tol=0.0):
         if self._layers is not None:
@@ -396,8 +395,8 @@ def _abs(coeffs):
 
 
 def _ordered_sum(parts):
-    """Sum of the concatenated parts, one term after the other as Python's
-    sum does (np.sum is pairwise)."""
+    """Sum of the concatenated parts, one term after the other (np.sum is
+    pairwise, and Python's sum compensates from 3.12 on)."""
     flat = np.concatenate(parts) if parts else np.zeros(0)
     return float(np.cumsum(flat)[-1]) if len(flat) else 0.0
 
@@ -592,24 +591,19 @@ def _right_mul_entries(alg, j, coeffs):
 
 
 # -- cyclic differentials ----------------------------------------------------
-# A columnar chain, or a dict chain above _LAYER_MIN_TERMS terms, goes through
-# the word-layer kernels (below) and comes back columnar; a smaller dict chain
-# stays on the dict kernels, whose fixed cost per call is about 50x lower.
+# A columnar chain goes through the word-layer kernels (below) and comes back
+# columnar; a dict chain stays on the dict kernels, whose fixed cost per call
+# is about 50x lower.
 
-_LAYER_MIN_TERMS = 300  # measured crossover: where the two paths break even on one-length chains
 _LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
 _MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
-
-
-def _on_layers(c):
-    return c._layers is not None or len(c._terms) > _LAYER_MIN_TERMS
 
 
 def d_cyclic(c: Chain) -> Chain:
     """Differential induced by d, on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("d_cyclic expects a cyclic chain")
-    if _on_layers(c):
+    if c._layers is not None:
         return _apply_layers(c, "d")
     alg = c.alg
     u = alg.unit_index
@@ -636,7 +630,7 @@ def b_cyclic(c: Chain) -> Chain:
     """Hochschild-type differential on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
-    if _on_layers(c):
+    if c._layers is not None:
         return _apply_layers(c, "b")
     alg = c.alg
     u = alg.unit_index
@@ -674,7 +668,7 @@ def B_connes(c: Chain) -> Chain:
     """Connes operator: insert the unit in slot 0 and cyclically rotate."""
     if c.kind != CYCLIC:
         raise ChainError("B_connes expects a cyclic chain")
-    if _on_layers(c):
+    if c._layers is not None:
         return _apply_layers(c, "B")
     alg = c.alg
     u = alg.unit_index
@@ -1069,22 +1063,12 @@ class _LayerKernels:
         return worst
 
 
-_KERNELS = weakref.WeakKeyDictionary()  # algebra -> its _LayerKernels
-
-
-def _layer_kernels(alg):
-    kernels = _KERNELS.get(alg)
-    if kernels is None:
-        kernels = _KERNELS[alg] = _LayerKernels(alg)
-    return kernels
-
-
 def _apply_layers(c, op):
     """d, b or B (op names the kernel) on every layer of c, a batch of input
     rows at a time.  Each output length merges its chunks by source row,
     stably, so that every word adds its contributions in the dict kernel's
     order (source word, then slot, then entry) and keeps its first position."""
-    apply = getattr(_layer_kernels(c.alg), op)
+    apply = getattr(_LayerKernels(c.alg), op)
     dim = c.alg.dim
     out = _LayerSum(c.alg)
     for layer in c._columns().values():

@@ -193,12 +193,16 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
             a_vec, b_vec = lifted_coeffs(lifted, a_s), lifted_coeffs(lifted, b)
             factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k), 0.0)
                        for k in range(1, N + 1)]
-            # the words of one block are distinct, so the degree holds at
-            # least as many terms as its largest block: refuse before building
-            _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
+            if lifted is alg_T:
+                # the words of one block are distinct, so the degree holds at
+                # least as many terms as its largest block: refuse before
+                # building.  For m > 1 many lifted words trace to one word, so
+                # only the traced count below is a bound.
+                _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
             blocks = [_kron_layer(f, lifted.dim, w) for f in factors]
             acc.add(N + 1, np.concatenate([keys for keys, _ in blocks]), np.concatenate([cf for _, cf in blocks]))
-            _check_ch_g_terms(total_terms + acc.size(), N)
+            if lifted is alg_T:
+                _check_ch_g_terms(total_terms + acc.size(), N)
         comp = generalized_trace(acc.chain(lifted, CYCLIC), lifted, alg_T)
         total_terms += len(comp.terms)
         _check_ch_g_terms(total_terms, N)

@@ -493,7 +493,7 @@ def test_from_elements_matches_product_loop(kind):
         assert all(got.terms[w] == cf for w, cf in ref.terms.items())
 
 
-# -- the columnar store and the crossover between the two kernel paths ---------------
+# -- the columnar store and the two kernel paths --------------------------------------
 
 
 def _random_terms(alg, n, rng, slots=(1, 2, 3)):
@@ -503,6 +503,11 @@ def _random_terms(alg, n, rng, slots=(1, 2, 3)):
         word = random_basis_word(alg, CYCLIC, int(rng.choice(slots)), rng)
         terms[word] = complex(rng.standard_normal(), rng.standard_normal())
     return list(terms.items())
+
+
+def _columnar(c):
+    """The terms of a dict chain, in the columnar store."""
+    return Chain._from_layers(c.alg, c.kind, c._columns())
 
 
 def _bits(cf):
@@ -517,28 +522,20 @@ def _by_length(terms):
 
 
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
-@pytest.mark.parametrize("offset", [0, 1])
-def test_kernel_paths_agree_across_the_crossover(alg_name, offset, monkeypatch):
-    # a chain of _LAYER_MIN_TERMS terms stays on the dict kernels, one more goes
-    # to the layer kernels; either way both paths give the same words of each
-    # length with the same coefficient bits, and both match the per-word
-    # reference.  The order within a length may differ where a running sum
-    # hits exactly zero and the word comes back: the dict store moves it to
-    # the end, the columnar store keeps its first position.
+@pytest.mark.parametrize("n_terms", [30, 300])
+def test_kernel_paths_agree(alg_name, n_terms):
+    # the same terms in the dict store run the dict kernels, in the columnar
+    # store the layer kernels; both give the same words of each length with
+    # the same coefficient bits, and both match the per-word reference.  The
+    # order within a length may differ where a running sum hits exactly zero
+    # and the word comes back: the dict store moves it to the end, the
+    # columnar store keeps its first position.
     alg = SIGN_ALGS[alg_name]
     reference = _reference(alg)
-    rng = np.random.default_rng(31 + offset)
-    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + offset, rng, slots=(2, 3, 4))
+    terms = _random_terms(alg, n_terms, np.random.default_rng(31 + n_terms), slots=(2, 3, 4))
     c = Chain(alg, CYCLIC, terms)
-    assert (c._layers is None) and chains._on_layers(c) == bool(offset)
     for name, op in (("d", d_cyclic), ("b", b_cyclic), ("B", B_connes)):
-        got = op(c)
-        assert (got._layers is not None) == bool(offset)
-        monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", 10**9)
-        on_dict = op(c)
-        monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", -1)
-        on_layers = op(c)
-        monkeypatch.undo()
+        on_dict, on_layers = op(c), op(_columnar(c))
         assert on_dict._layers is None and on_layers._layers is not None
         dict_rows, layer_rows = _by_length(on_dict.terms), _by_length(on_layers.terms)
         assert sorted(dict_rows) == list(layer_rows)
@@ -551,10 +548,21 @@ def test_kernel_paths_agree_across_the_crossover(alg_name, offset, monkeypatch):
             for w, cf in reference(name, word):
                 ref[w] = ref.get(w, 0.0) + coeff * cf
         scale = max([1.0] + [abs(cf) for cf in ref.values()])
-        got_terms = dict(got.terms.items())
-        worst = max((abs(got_terms.get(w, 0.0) - ref.get(w, 0.0)) for w in got_terms.keys() | ref.keys()),
-                    default=0.0)
-        assert worst <= 1e-14 * scale, f"{name} on {alg_name}: {worst}"
+        for got in (on_dict, on_layers):
+            got_terms = dict(got.terms.items())
+            worst = max((abs(got_terms.get(w, 0.0) - ref.get(w, 0.0)) for w in got_terms.keys() | ref.keys()),
+                        default=0.0)
+            assert worst <= 1e-14 * scale, f"{name} on {alg_name}: {worst}"
+
+
+def test_norm_adds_term_by_term_in_either_store():
+    # 1 + ten terms of 1e-16 is 1.0 when added one after the other; a
+    # compensated sum (Python's sum from 3.12 on) would give 1 + 1e-15
+    alg = SIGN_ALGS["Ext2_T"]
+    words = _all_basis_words(alg, 2)[:11]
+    c = Chain(alg, CYCLIC, [(words[0], 1.0)] + [(w, 1e-8) for w in words[1:]])
+    assert len(c.terms) == 11
+    assert c.norm() == 1.0 == _columnar(c).norm()
 
 
 def test_layer_merge_keeps_a_nan():
@@ -562,23 +570,57 @@ def test_layer_merge_keeps_a_nan():
     keys = np.array([5, 7, 5, 7], dtype=np.int64)
     merged_keys, coeffs, _ = chains._merge(keys, np.array([np.nan, 1.0, 1.0, -1.0], dtype=complex))
     assert merged_keys.tolist() == [5] and np.isnan(coeffs[0])
-    # and through a layer kernel, above the crossover
+    # and through a layer kernel
     alg = SIGN_ALGS["Circle3_T"]
-    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 1, np.random.default_rng(37), slots=(2,))
+    terms = _random_terms(alg, 50, np.random.default_rng(37), slots=(2,))
     terms[0] = (terms[0][0], complex(np.nan, 0.0))
     with np.errstate(invalid="ignore"):
-        out = b_cyclic(Chain(alg, CYCLIC, terms))
+        out = b_cyclic(_columnar(Chain(alg, CYCLIC, terms)))
         assert out._layers is not None
         assert any(np.isnan(cf) for cf in out.terms.values())
         assert np.isnan(out.norm())
 
 
+def test_layer_sum_adds_repeated_batches_as_the_dict_store(monkeypatch):
+    # every add merges at once (_MERGE_ROWS = 1); a batch with the last
+    # batch's keys adds at the rows found then, until a sum hits exactly zero
+    monkeypatch.setattr(chains, "_MERGE_ROWS", 1)
+    merges = []
+    inner = chains._merge
+
+    def counting(keys, coeffs):
+        merges.append(len(keys))
+        return inner(keys, coeffs)
+
+    monkeypatch.setattr(chains, "_merge", counting)
+    alg = SIGN_ALGS["Ext2_T"]
+    words = [w for w, _ in _random_terms(alg, 6, np.random.default_rng(53), slots=(2,))]
+    keys = chains._word_keys(np.array(words, dtype=np.int64), alg.dim)
+    rng = np.random.default_rng(59)
+    acc, ref = chains._LayerSum(alg), Chain(alg, CYCLIC)
+    for step in range(5):
+        batch = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        if step == 2:
+            batch[2] = -ref.terms[words[2]]  # word 2 sums to exactly zero and drops
+        if step == 4:
+            batch[0] = complex(np.nan, 0.0)
+        acc.add(3, keys, batch)
+        for w, cf in zip(words, batch.tolist()):
+            ref.add_term(w, cf)
+        got = acc.chain(alg, CYCLIC).terms
+        assert list(got) == list(ref.terms), f"step {step}"  # word 2 comes back last
+        assert [_bits(cf) for cf in got.values()] == [_bits(cf) for cf in ref.terms.values()], f"step {step}"
+    # steps 1 and 4 add at the rows found before; step 2 falls back on a
+    # zero sum, and step 3 merges since that fallback found no rows
+    assert merges == [6, 12, 11]
+
+
 def test_columnar_path_refuses_an_overflowing_word_key():
-    # dim 16: 17-slot words overflow the int64 key, so a chain of them above
-    # the crossover must raise rather than merge wrapped keys
+    # dim 16: 17-slot words overflow the int64 key, so a columnar chain of
+    # them must raise rather than merge wrapped keys
     alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
-    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 1, np.random.default_rng(41), slots=(16,))
-    c = Chain(alg, CYCLIC, terms)
+    terms = _random_terms(alg, 50, np.random.default_rng(41), slots=(16,))
+    c = _columnar(Chain(alg, CYCLIC, terms))
     for op in (d_cyclic, b_cyclic, B_connes):
         with pytest.raises(ChainError, match="over a 16-dimensional algebra overflow the int64 word key"):
             op(c)
@@ -587,8 +629,8 @@ def test_columnar_path_refuses_an_overflowing_word_key():
 def test_columnar_chain_reads_like_a_dict_chain():
     # every read of a columnar chain agrees with the same terms in the dict store
     alg = SIGN_ALGS["Ext2_T"]
-    terms = _random_terms(alg, chains._LAYER_MIN_TERMS + 100, np.random.default_rng(43))
-    c = d_cyclic(Chain(alg, CYCLIC, terms))
+    terms = _random_terms(alg, 400, np.random.default_rng(43))
+    c = d_cyclic(_columnar(Chain(alg, CYCLIC, terms)))
     assert c._layers is not None
     ref = Chain(alg, CYCLIC)
     ref.terms = dict(c.terms.items())
@@ -599,9 +641,8 @@ def test_columnar_chain_reads_like_a_dict_chain():
         assert c.component(N).terms == ref.component(N).terms
     with pytest.raises(ChainError, match="not Z2-homogeneous"):
         c.parity()
-    odd = [(w, cf) for w, cf in _random_terms(alg, 3 * chains._LAYER_MIN_TERMS, np.random.default_rng(44))
-           if c.word_parity(w) == 1]
-    even = d_cyclic(Chain(alg, CYCLIC, odd))
+    odd = [(w, cf) for w, cf in _random_terms(alg, 900, np.random.default_rng(44)) if c.word_parity(w) == 1]
+    even = d_cyclic(_columnar(Chain(alg, CYCLIC, odd)))
     assert even._layers is not None and even.parity() == 0 == Chain(alg, CYCLIC, even.terms).parity()
     assert c.prune(1.0).terms == ref.prune(1.0).terms
     assert c.scale(0.5 - 2j).terms == ref.scale(0.5 - 2j).terms

@@ -1,5 +1,8 @@
 """The odd character chain, twisted families and the spectral-flow pairing."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -96,7 +99,7 @@ def test_ch_g_closed_report(small_g):
     assert rep.residual("connes-part-reduces-to-zero") == 0.0
 
 
-def test_ch_g_closed_m2():
+def _m2_element():
     alg = discrete_circle_algebra(2)
     rng = np.random.default_rng(5)
     entries = np.zeros((2, 2, alg.dim), dtype=complex)
@@ -106,7 +109,28 @@ def test_ch_g_closed_m2():
             if p == q:
                 vals += 1.5
             entries[p, q] = alg.deg0_uneval(vals)
-    g = MatrixElement(entries, alg)
+    return MatrixElement(entries, alg)
+
+
+def test_ch_g_closed_frees_its_algebra(small_g, monkeypatch):
+    # nothing kept across calls (kernel tables, sign rows) may hold the
+    # acyclic extension that every ch_g call builds afresh
+    built = []
+    inner = spectral.ch_g
+
+    def recording(g, N_max):
+        out = inner(g, N_max)
+        built.append(weakref.ref(out.alg_T))
+        return out
+
+    monkeypatch.setattr(spectral, "ch_g", recording)
+    assert ch_g_closed(small_g, 3).passed
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+
+
+def test_ch_g_closed_m2():
+    g = _m2_element()
     rep = ch_g_closed(g, 3)
     assert rep.passed, rep.summary()
 
@@ -305,6 +329,18 @@ def test_ch_g_refuses_past_the_term_limit(small_g, monkeypatch):
     assert sorted(set(built)) == [2, 3]
 
 
+def test_ch_g_limits_the_traced_terms_for_m2(monkeypatch):
+    # for m = 2 degrees 1-3 hold 4 + 32 + 192 traced terms, built from
+    # 16 + 512 + 12288 lifted ones: only the traced count meets the limit
+    g = _m2_element()
+    monkeypatch.setattr(spectral, "_CH_G_MAX_TERMS", 300)
+    ch = ch_g(g, 3)
+    assert [len(ch.component(N).terms) for N in range(1, 4)] == [4, 32, 192]
+    monkeypatch.setattr(spectral, "_CH_G_MAX_TERMS", 100)
+    with pytest.raises(SpectralError, match="exceeds 100 terms at degree 3"):
+        ch_g(g, 3)
+
+
 def test_ch_g_matches_a_sum_of_expanded_words(small_g):
     # the in-place build gives the same words, in the same order, with equal coefficients
     ch = ch_g(small_g, 4)
@@ -317,13 +353,12 @@ def test_ch_g_matches_a_sum_of_expanded_words(small_g):
     assert list(total.terms) == [w for N in range(1, 5) for w in ref[N].terms]
 
 
-def test_layer_d_and_b_of_ch_g_match_the_dict_kernels(small_g, monkeypatch):
+def test_layer_d_and_b_of_ch_g_match_the_dict_kernels(small_g):
     # on the character chain no running sum hits zero, so the layer kernels
     # give the dict kernels' words in the same order, with the same bits
     total = ch_g(small_g, 5).total()
     assert total._layers is not None
     on_layers = chains.d_cyclic(total) + chains.b_cyclic(total)
-    monkeypatch.setattr(chains, "_LAYER_MIN_TERMS", 10**9)
     on_dict = Chain(total.alg, CYCLIC, total.terms)
     on_dict = chains.d_cyclic(on_dict) + chains.b_cyclic(on_dict)
     assert on_dict._layers is None and on_layers._layers is not None
