@@ -20,14 +20,26 @@ class AlgebraError(ValueError):
     pass
 
 
-def _sparse_rows(mat):
-    """List of (index, value) of the nonzero entries per column of a 2d array."""
-    cols = []
-    for j in range(mat.shape[1]):
-        col = mat[:, j]
-        idx = np.nonzero(np.abs(col) > 0)[0]
-        cols.append([(int(i), complex(col[i])) for i in idx])
-    return cols
+def _sparse_tables(arr):
+    """The entries of arr that are not exactly zero (a NaN stays), grouped by
+    all indices but the last, in C order: as {leading indices: [(last index,
+    value)]}, and as read-only zero-padded target and coefficient arrays of
+    shape arr.shape[:-1] + (width,)."""
+    *lead, last = np.nonzero(arr != 0)
+    vals = arr[(*lead, last)]
+    flat = np.ravel_multi_index(lead, arr.shape[:-1])
+    new = np.diff(flat, prepend=-1) != 0
+    slot = np.arange(len(flat)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    width = int(slot.max(initial=0)) + 1
+    tgt = np.zeros(arr.shape[:-1] + (width,), dtype=np.int64)
+    cf = np.zeros(arr.shape[:-1] + (width,), dtype=complex)
+    tgt.reshape(-1, width)[flat, slot] = last
+    cf.reshape(-1, width)[flat, slot] = vals
+    tgt.flags.writeable = cf.flags.writeable = False
+    table = {}
+    for key, k, v in zip(zip(*[a.tolist() for a in lead]), last.tolist(), vals.tolist()):
+        table.setdefault(key, []).append((k, v))
+    return table, tgt, cf
 
 
 class DgAlgebra:
@@ -35,8 +47,8 @@ class DgAlgebra:
 
     def __init__(self, dim, degree, unit_index, mul, diff, name="algebra"):
         self.dim = int(dim)
-        # private read-only copies: degree_tuple, parity_tuple, mul_table,
-        # diff_table and the caches downstream assume the structure never changes
+        # private read-only copies: degree_tuple, parity_tuple, the sparse
+        # tables below and the caches downstream assume the structure never changes
         self.degree = np.array(degree, dtype=int)
         self.mul = np.array(mul, dtype=complex)
         self.diff = np.array(diff, dtype=complex)
@@ -54,20 +66,15 @@ class DgAlgebra:
             raise AlgebraError("differential matrix has wrong shape")
         if not 0 <= self.unit_index < self.dim:
             raise AlgebraError("unit_index out of range")
-        # plain-int degrees and sparse lookup tables for the chain machinery
+        # plain-int degrees and the nonzero structure constants, a NaN included:
+        # mul_table {(i, j): [(k, mul[i, j, k])]} and diff_table {j: [(i, diff[i, j])]}
+        # for the dict kernels, and the same entries zero-padded for the word-layer
+        # kernels, mul_tgt/mul_cf[i, j, e] and diff_tgt/diff_cf[j, e]
         self.degree_tuple = tuple(int(d) for d in self.degree)
         self.parity_tuple = tuple(d % 2 for d in self.degree_tuple)
-        self.mul_table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entries = _sparse_rows(self.mul[i, j].reshape(-1, 1))[0]
-                if entries:
-                    self.mul_table[(i, j)] = entries
-        self.diff_table = {}
-        cols = _sparse_rows(self.diff)
-        for j in range(self.dim):
-            if cols[j]:
-                self.diff_table[j] = cols[j]
+        self.mul_table, self.mul_tgt, self.mul_cf = _sparse_tables(self.mul)
+        diff_table, self.diff_tgt, self.diff_cf = _sparse_tables(self.diff.T)
+        self.diff_table = {j: entries for (j,), entries in diff_table.items()}
         # set by acyclic_extension: index of the adjoined odd variable
         self.sigma_index = None
         # base_dim: dimension of the algebra this one extends (if any)

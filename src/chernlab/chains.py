@@ -33,7 +33,6 @@ from itertools import product
 import numpy as np
 
 from .algebra import AlgebraElement, DgAlgebra
-from .report import running_max
 
 CYCLIC = "cyclic"
 BAR = "bar"
@@ -205,14 +204,21 @@ class Chain:
         if self.alg is not other.alg or self.kind != other.kind:
             raise ChainError("chains live over different algebras or kinds")
 
+    def _coeff_columns(self):
+        """The coefficients as arrays in store order."""
+        if self._layers is not None:
+            return [layer.coeffs for layer in self._layers.values()]
+        return [np.fromiter(self._terms.values(), complex, len(self._terms))]
+
     def norm(self) -> float:
         """Euclidean norm in word coordinates, summed one term after the other
         in store order."""
-        if self._layers is not None:
-            coeffs = [layer.coeffs for layer in self._layers.values()]
-        else:
-            coeffs = [np.fromiter(self._terms.values(), complex, len(self._terms))]
-        return float(np.sqrt(_ordered_sum([np.float_power(_abs(cf), 2) for cf in coeffs])))
+        return float(np.sqrt(_ordered_sum([np.float_power(_abs(cf), 2) for cf in self._coeff_columns()])))
+
+    def max_coeff(self) -> float:
+        """Largest |coefficient|, 0.0 on the zero chain; a NaN coefficient gives NaN."""
+        cols = self._coeff_columns()
+        return float(np.max(_abs(np.concatenate(cols)), initial=0.0)) if cols else 0.0
 
     def prune(self, tol=0.0):
         if self._layers is not None:
@@ -580,20 +586,21 @@ def _sign_rows(fn, *args):
 def _left_mul_entries(alg, coeffs, j):
     """Expansion of (sum_a coeffs_a e_a) * e_j as [(k, coeff)]."""
     vec = np.einsum("a,ak->k", coeffs, alg.mul[:, j, :])
-    nz = np.nonzero(np.abs(vec) > 0)[0]
+    nz = np.nonzero(vec != 0)[0]  # a NaN stays
     return [(int(k), complex(vec[k])) for k in nz]
 
 
 def _right_mul_entries(alg, j, coeffs):
     vec = np.einsum("a,ak->k", coeffs, alg.mul[j, :, :])
-    nz = np.nonzero(np.abs(vec) > 0)[0]
+    nz = np.nonzero(vec != 0)[0]
     return [(int(k), complex(vec[k])) for k in nz]
 
 
 # -- cyclic differentials ----------------------------------------------------
 # A columnar chain goes through the word-layer kernels (below) and comes back
 # columnar; a dict chain stays on the dict kernels, whose fixed cost per call
-# is about 50x lower.
+# is about 40x lower (d_total of one 3-slot word: 0.6-0.85 ms on layers, 14-22 us
+# on dicts, on Circle2 and Circle6_T, one core of a shared 2-core VM).
 
 _LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
 _MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
@@ -604,7 +611,7 @@ def d_cyclic(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("d_cyclic expects a cyclic chain")
     if c._layers is not None:
-        return _apply_layers(c, "d")
+        return _apply_layers(c, _layer_d)
     alg = c.alg
     u = alg.unit_index
     diff = alg.diff_table
@@ -631,7 +638,7 @@ def b_cyclic(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
     if c._layers is not None:
-        return _apply_layers(c, "b")
+        return _apply_layers(c, _layer_b)
     alg = c.alg
     u = alg.unit_index
     mul = alg.mul_table
@@ -669,7 +676,7 @@ def B_connes(c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("B_connes expects a cyclic chain")
     if c._layers is not None:
-        return _apply_layers(c, "B")
+        return _apply_layers(c, _layer_B)
     alg = c.alg
     u = alg.unit_index
     head = (u,)
@@ -840,7 +847,7 @@ def chen_R(c: Chain) -> Chain:
 
 
 def _check_chen_f(alg, f: AlgebraElement):
-    nz = np.nonzero(np.abs(f.coeffs) > 0)[0]
+    nz = np.nonzero(f.coeffs != 0)[0]
     if any(alg.degree[i] != 0 for i in nz):
         raise ChainError("f must have degree 0")
     if alg.base_dim is not None and any(i >= alg.base_dim for i in nz):
@@ -853,7 +860,7 @@ def chen_Si(f: AlgebraElement, i: int, c: Chain) -> Chain:
     if c.kind != CYCLIC:
         raise ChainError("chen_Si expects a cyclic chain")
     _check_chen_f(alg, f)
-    nz = [(int(a), complex(f.coeffs[a])) for a in np.nonzero(np.abs(f.coeffs) > 0)[0]]
+    nz = [(int(a), complex(f.coeffs[a])) for a in np.nonzero(f.coeffs != 0)[0]]  # a NaN stays
     out = Chain(alg, CYCLIC)
     for word, coeff in c.terms.items():
         N = len(word) - 1
@@ -872,7 +879,7 @@ def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
         raise ChainError("chen_Ti expects a cyclic chain")
     _check_chen_f(alg, f)
     df = alg.diff_coeffs(f.coeffs)
-    df_nz = [(int(a), complex(df[a])) for a in np.nonzero(np.abs(df) > 0)[0]]
+    df_nz = [(int(a), complex(df[a])) for a in np.nonzero(df != 0)[0]]
     left, right = {}, {}  # f * e_j and e_j * f, per basis index j met
 
     def f_times(j):
@@ -964,124 +971,105 @@ def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None) ->
 
 # -- word-layer kernels -------------------------------------------------------------
 # d, b and B on an int64 word matrix and a coefficient vector at once, with the
-# dict kernels' sign rows, reduced-slot tests and coefficient products.  Each
-# kernel returns chunks (words, coeffs, rows), rows being the source row of
-# every output word; chunks come in the dict kernels' (slot, entry) order.
+# dict kernels' sign rows, reduced-slot tests and coefficient products, read
+# off the algebra's padded tables.  Each kernel returns chunks (words, coeffs,
+# rows), rows being the source row of every output word; chunks come in the
+# dict kernels' (slot, entry) order.
 
 
-class _LayerKernels:
-    """d, b and B on layers of reduced cyclic words over one algebra."""
+def _layer_signs(alg, words, fn, *args):
+    """fn's sign row per word, computed once per distinct parity pattern (at most 2^L)."""
+    L = words.shape[1]
+    par = np.asarray(alg.parity_tuple, dtype=np.int64)
+    codes, inv = np.unique(par[words] @ (1 << np.arange(L)), return_inverse=True)
+    rows = _sign_rows(fn, *args)
+    return np.array([rows[tuple(c >> j & 1 for j in range(L))] for c in codes.tolist()], dtype=float)[inv]
 
-    def __init__(self, alg: DgAlgebra):
-        self.alg = alg
-        self.prod_tgt, self.prod_cf = _padded(alg.mul_table, (alg.dim, alg.dim))
-        self.diff_tgt, self.diff_cf = _padded(alg.diff_table, (alg.dim,))
-        self.par = np.asarray(alg.parity_tuple, dtype=np.int64)
-        self.unit = alg.unit_index
 
-    def signs(self, words, fn, *args):
-        """fn's sign row per word, computed once per distinct parity pattern (at most 2^L)."""
-        L = words.shape[1]
-        codes, inv = np.unique(self.par[words] @ (1 << np.arange(L)), return_inverse=True)
-        rows = _sign_rows(fn, *args)
-        return np.array([rows[tuple(c >> j & 1 for j in range(L))] for c in codes.tolist()], dtype=float)[inv]
-
-    def d(self, words, coeffs):
-        out = []
-        sign = self.signs(words, _d_signs, CYCLIC)
-        for k in range(words.shape[1]):
-            col = words[:, k]
-            for e in range(self.diff_tgt.shape[1]):
-                cf = self.diff_cf[col, e]
-                rows = np.flatnonzero(cf)
-                tgt = self.diff_tgt[col[rows], e]
-                if k:  # slot k is the only new slot
-                    rows, tgt = rows[tgt != self.unit], tgt[tgt != self.unit]
-                if not len(rows):
-                    continue
-                new = words[rows]
-                new[:, k] = tgt
-                _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
-        return out
-
-    def b(self, words, coeffs):
-        out = []
-        N = words.shape[1] - 1
-        if N == 0:
-            return out
-        sign = self.signs(words, _b_signs, CYCLIC)
-        for k in range(N):
-            a, b = words[:, k], words[:, k + 1]
-            for e in range(self.prod_tgt.shape[2]):
-                cf = self.prod_cf[a, b, e]
-                rows = np.flatnonzero(cf)
-                tgt = self.prod_tgt[a[rows], b[rows], e]
-                if k:  # slot k is the only new slot
-                    rows, tgt = rows[tgt != self.unit], tgt[tgt != self.unit]
-                if not len(rows):
-                    continue
-                new = np.concatenate([words[rows, :k], tgt[:, None], words[rows, k + 2 :]], axis=1)
-                _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
-        a, b = words[:, N], words[:, 0]
-        wrap = self.signs(words, _wrap_sign)
-        for e in range(self.prod_tgt.shape[2]):
-            cf = self.prod_cf[a, b, e]
+def _layer_d(alg, words, coeffs):
+    out = []
+    u = alg.unit_index
+    sign = _layer_signs(alg, words, _d_signs, CYCLIC)
+    for k in range(words.shape[1]):
+        col = words[:, k]
+        for e in range(alg.diff_tgt.shape[1]):
+            cf = alg.diff_cf[col, e]
             rows = np.flatnonzero(cf)
+            tgt = alg.diff_tgt[col[rows], e]
+            if k:  # slot k is the only new slot
+                rows, tgt = rows[tgt != u], tgt[tgt != u]
             if not len(rows):
                 continue
-            new = np.concatenate([self.prod_tgt[a[rows], b[rows], e][:, None], words[rows, 1:N]], axis=1)
-            _emit(out, new, _cmul(coeffs[rows] * wrap[rows], cf[rows]), rows)
-        return out
+            new = words[rows]
+            new[:, k] = tgt
+            _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
+    return out
 
-    def B(self, words, coeffs):
-        out = []
-        rows = np.flatnonzero(words[:, 0] != self.unit)  # every rotation moves a unit into a reduced slot
+
+def _layer_b(alg, words, coeffs):
+    out = []
+    N = words.shape[1] - 1
+    if N == 0:
+        return out
+    u = alg.unit_index
+    sign = _layer_signs(alg, words, _b_signs, CYCLIC)
+    for k in range(N):
+        a, b = words[:, k], words[:, k + 1]
+        for e in range(alg.mul_tgt.shape[2]):
+            cf = alg.mul_cf[a, b, e]
+            rows = np.flatnonzero(cf)
+            tgt = alg.mul_tgt[a[rows], b[rows], e]
+            if k:  # slot k is the only new slot
+                rows, tgt = rows[tgt != u], tgt[tgt != u]
+            if not len(rows):
+                continue
+            new = np.concatenate([words[rows, :k], tgt[:, None], words[rows, k + 2 :]], axis=1)
+            _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
+    a, b = words[:, N], words[:, 0]
+    wrap = _layer_signs(alg, words, _wrap_sign)
+    for e in range(alg.mul_tgt.shape[2]):
+        cf = alg.mul_cf[a, b, e]
+        rows = np.flatnonzero(cf)
         if not len(rows):
-            return out
-        words, coeffs = words[rows], coeffs[rows]
-        sign = self.signs(words, _rotation_signs)
-        head = np.full((len(words), 1), self.unit, dtype=np.int64)
-        for k in range(words.shape[1]):
-            new = np.concatenate([head, words[:, k:], words[:, :k]], axis=1)
-            _emit(out, new, coeffs * sign[:, k], rows)
+            continue
+        new = np.concatenate([alg.mul_tgt[a[rows], b[rows], e][:, None], words[rows, 1:N]], axis=1)
+        _emit(out, new, _cmul(coeffs[rows] * wrap[rows], cf[rows]), rows)
+    return out
+
+
+def _layer_B(alg, words, coeffs):
+    out = []
+    u = alg.unit_index
+    rows = np.flatnonzero(words[:, 0] != u)  # every rotation moves a unit into a reduced slot
+    if not len(rows):
         return out
-
-    def merged_max(self, chunks):
-        """Max |coefficient| after merging identical words across chunks."""
-        by_len = {}
-        for words, coeffs, _ in chunks:
-            by_len.setdefault(words.shape[1], []).append((words, coeffs))
-        worst = 0.0
-        for parts in by_len.values():
-            keys = np.concatenate([_word_keys(w, self.alg.dim) for w, _ in parts])
-            coeffs = np.concatenate([c for _, c in parts])
-            uniq, inv = np.unique(keys, return_inverse=True)
-            acc = np.zeros(len(uniq), dtype=complex)
-            np.add.at(acc, inv, coeffs)
-            if len(acc):
-                worst = running_max(worst, np.max(np.abs(acc)))
-        return worst
+    words, coeffs = words[rows], coeffs[rows]
+    sign = _layer_signs(alg, words, _rotation_signs)
+    head = np.full((len(words), 1), u, dtype=np.int64)
+    for k in range(words.shape[1]):
+        new = np.concatenate([head, words[:, k:], words[:, :k]], axis=1)
+        _emit(out, new, coeffs * sign[:, k], rows)
+    return out
 
 
-def _apply_layers(c, op):
-    """d, b or B (op names the kernel) on every layer of c, a batch of input
-    rows at a time.  Each output length merges its chunks by source row,
-    stably, so that every word adds its contributions in the dict kernel's
-    order (source word, then slot, then entry) and keeps its first position."""
-    apply = getattr(_LayerKernels(c.alg), op)
-    dim = c.alg.dim
-    out = _LayerSum(c.alg)
+def _apply_layers(c, kernel):
+    """A word-layer kernel on every layer of c, a batch of input rows at a
+    time.  Each output length merges its chunks by source row, stably, so
+    that every word adds its contributions in the dict kernel's order (source
+    word, then slot, then entry) and keeps its first position."""
+    alg = c.alg
+    out = _LayerSum(alg)
     for layer in c._columns().values():
         words, coeffs = layer.words, layer.coeffs
         for lo in range(0, len(words), _LAYER_BATCH):
             by_len = {}
-            for w, cf, rows in apply(words[lo : lo + _LAYER_BATCH], coeffs[lo : lo + _LAYER_BATCH]):
-                by_len.setdefault(w.shape[1], []).append((_word_keys(w, dim), cf, rows))
+            for w, cf, rows in kernel(alg, words[lo : lo + _LAYER_BATCH], coeffs[lo : lo + _LAYER_BATCH]):
+                by_len.setdefault(w.shape[1], []).append((_word_keys(w, alg.dim), cf, rows))
             for L, parts in by_len.items():
                 order = _row_major(min(_LAYER_BATCH, len(words) - lo), [rows for _, _, rows in parts])
                 out.add(L, np.concatenate([keys for keys, _, _ in parts])[order],
                         np.concatenate([cf for _, cf, _ in parts])[order])
-    return out.chain(c.alg, c.kind)
+    return out.chain(alg, c.kind)
 
 
 def _row_major(n_rows, chunk_rows):
@@ -1093,16 +1081,6 @@ def _row_major(n_rows, chunk_rows):
         table[rows, j] = np.arange(offset, offset + len(rows))
         offset += len(rows)
     return table[table >= 0]
-
-
-def _padded(table, shape):
-    """A sparse (index, value) table as zero-padded target and coefficient arrays."""
-    width = max((len(v) for v in table.values()), default=1)
-    tgt, cf = np.zeros(shape + (width,), dtype=np.int64), np.zeros(shape + (width,), dtype=complex)
-    for key, entries in table.items():
-        for e, (k, v) in enumerate(entries):
-            tgt[key][e], cf[key][e] = k, v
-    return tgt, cf
 
 
 def _emit(chunks, words, coeffs, rows):
@@ -1124,6 +1102,18 @@ def _layer_words(alg, N, sample=None, rng=None):
         return np.stack(cols, axis=1).astype(np.int64), True
     grids = np.meshgrid(np.arange(dim), *([reduced] * N), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64), False
+
+
+def basis_layer(alg, N, sample=None, rng=None):
+    """The reduced cyclic basis words with N slots beyond slot 0 as one
+    columnar chain, each word with coefficient 1, or a seeded sample of them
+    (drawn with rng when the layer holds more than sample words), in which a
+    word drawn twice carries coefficient 2.  Returns (chain, words drawn,
+    whether the layer was sampled)."""
+    words, sampled = _layer_words(alg, N, sample=sample, rng=rng)
+    keys, coeffs, _ = _merge(_word_keys(words, alg.dim), np.ones(len(words), dtype=complex))
+    layer = _Layer(alg.dim, N + 1, coeffs, keys=keys)
+    return Chain._from_layers(alg, CYCLIC, {N + 1: layer}), len(words), sampled
 
 
 def _all_basis_words(alg, N_max):

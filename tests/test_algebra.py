@@ -210,6 +210,41 @@ def test_structure_constants_are_frozen_after_construction():
     assert own.mul_table == alg.mul_table and own.diff_table == alg.diff_table
 
 
+def _dense_from_tables(alg):
+    """mul and diff rebuilt from each sparse table, and each padded pair."""
+    dim = alg.dim
+    mul, diff = np.zeros((dim, dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
+    for (i, j), entries in alg.mul_table.items():
+        assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+        for k, v in entries:
+            mul[i, j, k] = v
+    for j, entries in alg.diff_table.items():
+        for i, v in entries:
+            diff[i, j] = v
+    mul_pad, diff_pad = np.zeros_like(mul), np.zeros_like(diff)
+    for i, j, e in np.ndindex(alg.mul_cf.shape):
+        mul_pad[i, j, alg.mul_tgt[i, j, e]] += alg.mul_cf[i, j, e]
+    for j, e in np.ndindex(alg.diff_cf.shape):
+        diff_pad[alg.diff_tgt[j, e], j] += alg.diff_cf[j, e]
+    return mul, diff, mul_pad, diff_pad
+
+
+@pytest.mark.parametrize("make", [exterior_algebra, lambda n: acyclic_extension(discrete_circle_algebra(n))])
+def test_sparse_tables_hold_every_nonzero_entry_and_a_nan(make):
+    alg = make(2)
+    mul, diff = np.array(alg.mul), np.array(alg.diff)
+    mul[1, 2, 3], diff[3, 1] = np.nan, np.nan
+    own = DgAlgebra(alg.dim, alg.degree, alg.unit_index, mul, diff)
+    for built, dense in zip(_dense_from_tables(own), (mul, diff, mul, diff)):
+        assert np.array_equal(built, dense, equal_nan=True)
+    assert list(own.mul_table) == sorted(own.mul_table) and list(own.diff_table) == sorted(own.diff_table)
+    assert own.mul_tgt.shape[:2] == own.mul_cf.shape[:2] == (alg.dim, alg.dim)
+    assert own.diff_tgt.shape[:1] == own.diff_cf.shape[:1] == (alg.dim,)
+    for arr in (own.mul_tgt, own.mul_cf, own.diff_tgt, own.diff_cf):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
 def test_degree_is_frozen_after_construction():
     degree = np.array([0, 1, 1, 2])
     alg = exterior_algebra(2)

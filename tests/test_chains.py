@@ -17,7 +17,6 @@ from chernlab.chains import (
     _b_signs,
     _d_signs,
     _koszul,
-    _LayerKernels,
     _layer_words,
     _rotation_signs,
     _wrap_sign,
@@ -272,6 +271,44 @@ def test_chen_Ti_rejects_bad_f():
         chen_Si(odd_el, 0, c)
 
 
+def test_chen_operators_keep_a_nan_coefficient_of_f():
+    # a NaN in f (u^1, degree 0) must reach the output, not be filtered as a zero
+    alg = ALGS["Circle3_T"]
+    f = alg.element(np.where(np.arange(alg.dim) == 1, np.nan, 0.0))
+    c = Chain.basis_word(alg, CYCLIC, (4, 2))
+    with np.errstate(invalid="ignore"):
+        si = chen_Si(f, 0, c)
+        assert np.isnan(si.terms[(4, 1, 2)])
+        ti = chen_Ti(f, 0, c)  # (4, f 2) - (4 f, 2) - (4, df, 2): a NaN in each part
+        assert all(np.isnan(ti.terms[w]) for w in ((4, 5), (5, 2), (4, 5, 2)))
+
+
+def test_basis_layer_merges_repeated_draws():
+    alg = ALGS["Circle3_T"]
+    words, sampled = _layer_words(alg, 3, sample=3000, rng=np.random.default_rng(61))
+    layer, draws, was_sampled = chains.basis_layer(alg, 3, sample=3000, rng=np.random.default_rng(61))
+    assert sampled and was_sampled and draws == 3000 == len(words)
+    counts = {}
+    for w in map(tuple, words.tolist()):
+        counts[w] = counts.get(w, 0) + 1
+    assert layer._layers is not None and 2 in counts.values()
+    assert list(layer.terms.items()) == list(counts.items())  # first-occurrence order, counts as coefficients
+    full, draws, was_sampled = chains.basis_layer(alg, 1)
+    assert not was_sampled and draws == alg.dim * (alg.dim - 1) == len(full.terms)
+    assert set(full.terms.values()) == {1.0}
+
+
+def test_max_coeff_reads_either_store_and_keeps_a_nan():
+    alg = ALGS["Ext2_T"]
+    terms = _random_terms(alg, 40, np.random.default_rng(67))
+    c = Chain(alg, CYCLIC, terms)
+    want = max(abs(cf) for _, cf in terms)
+    assert c.max_coeff() == want == _columnar(c).max_coeff()
+    assert Chain(alg, CYCLIC).max_coeff() == 0.0 == _columnar(Chain(alg, CYCLIC)).max_coeff()
+    c.add_term(terms[-1][0], complex(np.nan, 0.0))
+    assert np.isnan(c.max_coeff()) and np.isnan(_columnar(c).max_coeff())
+
+
 def test_chen_subspace_ground_field():
     alg = acyclic_extension(complex_line())
     sub = chen_subspace(alg, N_max=1)
@@ -387,25 +424,24 @@ def test_both_kernel_paths_match_the_per_word_reference(alg_name):
     # no cancellation across source words hides a sign
     alg = SIGN_ALGS[alg_name]
     reference = _reference(alg)
-    layers = _LayerKernels(alg)
     rng = np.random.default_rng(23)
-    ops = {"d": (d_cyclic, layers.d), "b": (b_cyclic, layers.b), "B": (B_connes, layers.B)}
     for N in range(4):
         words, _ = _layer_words(alg, N, sample=4000, rng=rng)
         coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
         terms = list(zip(map(tuple, words.tolist()), coeffs.tolist()))
-        for name, (op, layer_op) in ops.items():
+        on_dict = Chain(alg, CYCLIC, terms)
+        on_layers = _columnar(on_dict)
+        for name, op in (("d", d_cyclic), ("b", b_cyclic), ("B", B_connes)):
             ref = {}
             for word, coeff in terms:
                 for w, cf in reference(name, word):
                     ref[w] = ref.get(w, 0.0) + coeff * cf
-            on_layers = {}
-            for ws, cs, _ in layer_op(words, coeffs):
-                for w, cf in zip(map(tuple, ws.tolist()), cs.tolist()):
-                    on_layers[w] = on_layers.get(w, 0.0) + cf
             # the sums run in different orders: compare relative to the largest coefficient
             scale = max([1.0] + [abs(cf) for cf in ref.values()])
-            for path, got in (("dict", op(Chain(alg, CYCLIC, terms)).terms), ("layer", on_layers)):
+            for path, chain in (("dict", on_dict), ("layer", on_layers)):
+                got = op(chain)
+                assert (got._layers is not None) == (path == "layer")
+                got = dict(got.terms.items())
                 worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
                             default=0.0)
                 assert worst <= 1e-14 * scale, f"{path} {name} on {alg_name}, N={N}: {worst}"
@@ -442,15 +478,6 @@ def test_bar_sign_rows_by_hand(parities):
     assert _d_signs(parities, BAR) == d
     assert _b_signs(parities, BAR) == b
     assert _rotation_signs(parities) == rotation
-
-
-def test_layer_merge_refuses_an_overflowing_word_key():
-    # dim 16: the int64 keys of these two 17-slot words wrap to the same value,
-    # so a merge on them would cancel +1 against -1
-    alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
-    words = np.array([(1,) + (2,) * 16, (3,) + (2,) * 16], dtype=np.int64)
-    with pytest.raises(ChainError, match="17-slot words over a 16-dimensional algebra"):
-        _LayerKernels(alg).merged_max([(words, np.array([1.0, -1.0], dtype=complex), np.arange(2))])
 
 
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))

@@ -1,36 +1,61 @@
-"""The verification routines (the word-layer checks behind criterion 01,
-the bracket kernel) and their reports: a check passes only on finite
-residuals."""
+"""The verification routines (the complex-axiom checks behind criterion
+01, the bracket kernel) and their reports: a check passes only on finite
+residuals, and a wrong sign or a NaN structure constant fails them."""
 
 import inspect
 
 import numpy as np
+import pytest
 
 from chernlab import chains, verification
-from chernlab.algebra import dga_validate
-from chernlab.fixtures import exterior_algebra
+from chernlab.algebra import DgAlgebra, acyclic_extension, dga_validate
+from chernlab.chains import CYCLIC, Chain
+from chernlab.fixtures import discrete_circle_algebra, exterior_algebra
 from chernlab.fredholm import module_validate
 from chernlab.hilbert import clifford_validate
 
 
-def test_nan_product_entry_fails_the_axiom_checks(monkeypatch):
-    alg = exterior_algebra(2)
-    assert verification.complex_axiom_residuals(alg, max_slots=4).passed
-    (i, j), _ = next((pair, e) for pair, e in alg.mul_table.items() if alg.unit_index not in pair)
-    clean = chains._LayerKernels
-
-    class Poisoned(clean):
-        def __init__(self, a):
-            super().__init__(a)
-            self.prod_cf[i, j, 0] = np.nan
-
-    monkeypatch.setattr(chains, "_LayerKernels", Poisoned)
+def test_nan_product_entry_fails_the_axiom_checks():
+    # e1 * e2 = NaN * e1e2 in the exterior algebra on two generators
+    clean = exterior_algebra(2)
+    assert verification.complex_axiom_residuals(clean, max_slots=4).passed
+    mul = np.array(clean.mul)
+    mul[1, 2, 3] = np.nan
+    alg = DgAlgebra(clean.dim, clean.degree, clean.unit_index, mul, clean.diff, name="Ext2-NaN")
+    assert np.isnan(alg.mul_table[(1, 2)][0][1])
     with np.errstate(invalid="ignore"):
         rep = verification.complex_axiom_residuals(alg, max_slots=4)
+        word = Chain.basis_word(alg, CYCLIC, (0, 1, 2))
+        for c in (word, Chain._from_layers(alg, CYCLIC, word._columns())):
+            out = chains.b_cyclic(c)
+            assert (out._layers is None) == (c._layers is None)
+            assert np.isnan(out.terms[(0, 3)])
     assert not rep.passed
     bad = {c.check_id for c in rep.failing()}
     assert "bb" in bad
     assert all(np.isnan(rep.residual(cid)) for cid in bad)
+
+
+def _flipped(fn, index):
+    """fn with the sign at index flipped (the whole sign when index is None)."""
+    def flipped(parities, *args):
+        row = fn(parities, *args)
+        if index is None:
+            return -row
+        return [-v if k == index else v for k, v in enumerate(row)]
+    return flipped
+
+
+@pytest.mark.parametrize("name, index", [("_wrap_sign", None), ("_d_signs", 1), ("_b_signs", 1)])
+def test_a_flipped_sign_fails_the_axiom_checks(monkeypatch, name, index):
+    # one wrong sign in one convention must show in the axiom residuals
+    alg = acyclic_extension(discrete_circle_algebra(2))
+    assert verification.complex_axiom_residuals(alg, max_slots=4).passed
+    monkeypatch.setattr(chains, name, _flipped(getattr(chains, name), index))
+    monkeypatch.setattr(chains, "_SIGN_ROWS", {})
+    rep = verification.complex_axiom_residuals(alg, max_slots=4)
+    assert not rep.passed
+    assert rep.max_residual() >= 1.0
 
 
 def test_max_residual_keeps_a_nan():
