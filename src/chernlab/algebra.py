@@ -175,7 +175,7 @@ class AlgebraElement:
         return AlgebraElement(self.parent.diff_coeffs(self.coeffs), self.parent)
 
     def degrees_present(self):
-        nz = np.nonzero(np.abs(self.coeffs) > 0)[0]
+        nz = np.nonzero(self.coeffs != 0)[0]  # a NaN counts
         return sorted({int(self.parent.degree[i]) for i in nz})
 
     def norm(self) -> float:

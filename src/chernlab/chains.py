@@ -597,6 +597,9 @@ def _right_mul_entries(alg, j, coeffs):
 
 
 # -- cyclic differentials ----------------------------------------------------
+# The dict kernels of d and b serve the bar complexes too.  Their unit rule:
+# a new slot k >= lo may not hold the unit, with lo = 1 on cyclic words and
+# lo = 0 on reduced bar words; the unreduced bar complex has none (u = None).
 # A columnar chain goes through the word-layer kernels (below) and comes back
 # columnar; a dict chain stays on the dict kernels, whose fixed cost per call
 # is about 40x lower (d_total of one 3-slot word: 0.6-0.85 ms on layers, 14-22 us
@@ -606,18 +609,15 @@ _LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matr
 _MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
 
 
-def d_cyclic(c: Chain) -> Chain:
-    """Differential induced by d, on cyclic words."""
-    if c.kind != CYCLIC:
-        raise ChainError("d_cyclic expects a cyclic chain")
-    if c._layers is not None:
-        return _apply_layers(c, _layer_d)
+def _d_faces(c: Chain) -> Chain:
+    """d on every slot of every word, on the dict store."""
     alg = c.alg
-    u = alg.unit_index
+    u = None if c.kind == BAR else alg.unit_index
+    lo = 1 if c.kind == CYCLIC else 0
     diff = alg.diff_table
     par = alg.parity_tuple
-    signs_of = _sign_rows(_d_signs, CYCLIC)
-    out = Chain(alg, CYCLIC)
+    signs_of = _sign_rows(_d_signs, c.kind)
+    out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
         signs = signs_of[tuple([par[i] for i in word])]
@@ -628,28 +628,26 @@ def d_cyclic(c: Chain) -> Chain:
             sign = signs[k]
             head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
-                if l != u or k == 0:  # slot k is the only new slot
+                if l != u or k < lo:  # slot k is the only new slot
                     acc(head + (l,) + tail, coeff * sign * cf)
     return out
 
 
-def b_cyclic(c: Chain) -> Chain:
-    """Hochschild-type differential on cyclic words."""
-    if c.kind != CYCLIC:
-        raise ChainError("b_cyclic expects a cyclic chain")
-    if c._layers is not None:
-        return _apply_layers(c, _layer_b)
+def _b_faces(c: Chain) -> Chain:
+    """The products of neighbouring slots of every word, plus the wrap face
+    (theta_N theta_0, ...) on cyclic words, on the dict store."""
     alg = c.alg
-    u = alg.unit_index
+    u = None if c.kind == BAR else alg.unit_index
+    lo = 1 if c.kind == CYCLIC else 0
     mul = alg.mul_table
     par = alg.parity_tuple
-    signs_of = _sign_rows(_b_signs, CYCLIC)
-    wrap_of = _sign_rows(_wrap_sign)
-    out = Chain(alg, CYCLIC)
+    signs_of = _sign_rows(_b_signs, c.kind)
+    wrap_of = _sign_rows(_wrap_sign) if c.kind == CYCLIC else None
+    out = Chain(alg, c.kind)
     acc = out._acc
     for word, coeff in c.terms.items():
         N = len(word) - 1
-        if N == 0:
+        if N < 1:
             continue
         pattern = tuple([par[i] for i in word])
         signs = signs_of[pattern]
@@ -660,15 +658,30 @@ def b_cyclic(c: Chain) -> Chain:
             sign = signs[k]
             head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
-                if l != u or k == 0:  # slot k is the only new slot
+                if l != u or k < lo:  # slot k is the only new slot
                     acc(head + (l,) + tail, coeff * sign * cf)
-        entries = mul.get((word[N], word[0]))
-        if entries:
-            sign = wrap_of[pattern]
-            mid = word[1:N]
-            for l, cf in entries:
-                acc((l,) + mid, coeff * sign * cf)
+        if wrap_of is not None:
+            entries = mul.get((word[N], word[0]))
+            if entries:
+                sign = wrap_of[pattern]
+                mid = word[1:N]
+                for l, cf in entries:
+                    acc((l,) + mid, coeff * sign * cf)
     return out
+
+
+def d_cyclic(c: Chain) -> Chain:
+    """Differential induced by d, on cyclic words."""
+    if c.kind != CYCLIC:
+        raise ChainError("d_cyclic expects a cyclic chain")
+    return _apply_layers(c, _layer_d) if c._layers is not None else _d_faces(c)
+
+
+def b_cyclic(c: Chain) -> Chain:
+    """Hochschild-type differential on cyclic words."""
+    if c.kind != CYCLIC:
+        raise ChainError("b_cyclic expects a cyclic chain")
+    return _apply_layers(c, _layer_b) if c._layers is not None else _b_faces(c)
 
 
 def B_connes(c: Chain) -> Chain:
@@ -704,49 +717,13 @@ def d_total(c: Chain) -> Chain:
 def d_bar(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("d_bar expects a bar chain")
-    alg = c.alg
-    u = alg.unit_index if c.kind == BAR_RED else None
-    diff = alg.diff_table
-    par = alg.parity_tuple
-    signs_of = _sign_rows(_d_signs, BAR)
-    out = Chain(alg, c.kind)
-    acc = out._acc
-    for word, coeff in c.terms.items():
-        signs = signs_of[tuple([par[i] for i in word])]
-        for k, idx in enumerate(word):
-            entries = diff.get(idx)
-            if not entries:
-                continue
-            sign = signs[k]
-            head, tail = word[:k], word[k + 1 :]
-            for l, cf in entries:
-                if l != u:
-                    acc(head + (l,) + tail, coeff * sign * cf)
-    return out
+    return _d_faces(c)
 
 
 def b_prime(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("b_prime expects a bar chain")
-    alg = c.alg
-    u = alg.unit_index if c.kind == BAR_RED else None
-    mul = alg.mul_table
-    par = alg.parity_tuple
-    signs_of = _sign_rows(_b_signs, BAR)
-    out = Chain(alg, c.kind)
-    acc = out._acc
-    for word, coeff in c.terms.items():
-        signs = signs_of[tuple([par[i] for i in word])]
-        for k in range(len(word) - 1):
-            entries = mul.get((word[k], word[k + 1]))
-            if not entries:
-                continue
-            sign = signs[k]
-            head, tail = word[:k], word[k + 2 :]
-            for l, cf in entries:
-                if l != u:
-                    acc(head + (l,) + tail, coeff * sign * cf)
-    return out
+    return _b_faces(c)
 
 
 def cyclicize_N(c: Chain) -> Chain:

@@ -1,10 +1,13 @@
 """Command line interface.
 
   chernlab validate <instance.json>
-  chernlab suite -c config.json [--group G] [--seed S] [-j N] [-o report.json]
+  chernlab suite [-c config.json] [--group G] [--seed S] [--fast] [--stable] [-o report.json]
   chernlab pair -m module.json -g g.json --nmax K [-o report.json]
   chernlab explain report.json ID
   chernlab fixture NAME [--seed S] [-o out.json]
+
+The suite runs its groups on one worker thread per usable CPU; the
+report does not depend on the worker count.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
 """
@@ -49,8 +52,6 @@ def cmd_suite(args) -> int:
         data["seed"] = args.seed
     if args.group:
         data["groups"] = args.group
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
     if args.fast:
         data["fast"] = True
     try:
@@ -142,7 +143,6 @@ def build_parser():
     p.add_argument("--group", action="append", choices=["algebra", "complexes", "brackets",
                                                         "chern", "transgression", "pairing"])
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-j", "--jobs", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary-file", default=None)
     p.add_argument("--fast", action="store_true", help="trimmed sample counts")

@@ -21,7 +21,7 @@ class CochainError(ValueError):
 
 def slot_degree(alg: DgAlgebra, vec) -> int:
     """Degree of a homogeneous coefficient vector."""
-    nz = np.nonzero(np.abs(vec) > 0)[0]
+    nz = np.nonzero(np.asarray(vec) != 0)[0]  # a NaN counts
     degs = {int(alg.degree[i]) for i in nz}
     if len(degs) > 1:
         raise CochainError("slot is not homogeneous")

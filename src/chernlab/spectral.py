@@ -206,11 +206,12 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         comp = generalized_trace(acc.chain(lifted, CYCLIC), lifted, alg_T)
         total_terms += len(comp.terms)
         _check_ch_g_terms(total_terms, N)
-        chains[N] = comp.prune(0.0)
+        chains[N] = comp
     out = OddChernChain(g, alg_T, omega_T, N_max, chains)
-    # parity bookkeeping: every component must be odd
+    # parity bookkeeping: every component must be odd.  A NaN entry of g puts
+    # NaN coefficients on words of either parity; the checks then read NaN.
     for N, c in chains.items():
-        if c.terms and c.parity() != 1:
+        if c.terms and math.isfinite(c.max_coeff()) and c.parity() != 1:
             raise SpectralError(f"character component {N} is not odd")
     return out
 
@@ -287,12 +288,15 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     total = ch.total()
     d_part = d_cyclic(total) + b_cyclic(total)
     b_part = B_connes(total)
-    rep.add("connes-part-reduces-to-zero", b_part.norm(), 1e-12,
+    total_norm = total.norm()
+    # B kills every word of Ch(g), unit-led, whatever its coefficient: a
+    # non-finite Ch(g) must still fail this check
+    rep.add("connes-part-reduces-to-zero", b_part.norm() if math.isfinite(total_norm) else math.nan, 1e-12,
             "B Ch(g) dies in the reduced complex (unit in a positive slot)")
     lambdas = {1: Chain(alg_T, CYCLIC)}
     for N in range(2, N_max + 1):
         lambdas[N] = _lambda_chain(ch, N, lifted)
-    scale = max(1.0, total.norm())
+    scale = max(1.0, total_norm)
     absorbed = {}
     for N in range(1, N_max - 1 + 1):
         if N + 1 not in lambdas:

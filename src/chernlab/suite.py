@@ -2,9 +2,12 @@
 
 Groups: algebra, complexes, brackets, chern, transgression, pairing.
 Each group returns ValidationReports; the run report serializes them
-with tolerances, verdicts and timings.  Results are deterministic for a
-fixed (config, seed) in single-threaded mode; timings and the
-environment fingerprint live under the "volatile" key.
+with tolerances, verdicts and timings.  The groups run on a thread pool
+with one worker per usable CPU (at most one per group); every group
+builds its own fixtures, algebras and RNGs, so results are deterministic
+for a fixed (config, seed) whatever the worker count.  Timings, the
+worker count and the environment fingerprint live under the "volatile"
+key.
 """
 
 from __future__ import annotations
@@ -57,14 +60,13 @@ from .verification import (
 )
 
 GROUPS = ("algebra", "complexes", "brackets", "chern", "transgression", "pairing")
+CIRCLE_N = 6  # discrete circle size for the module-level groups
 
 
 @dataclass
 class SuiteConfig:
     seed: int = 0
     groups: tuple = GROUPS
-    n: int = 6                    # discrete circle size for module-level groups
-    jobs: int = 1
     fast: bool = False            # trims sample counts (used by unit tests)
 
     @classmethod
@@ -91,13 +93,13 @@ class SuiteConfig:
 def group_algebra(cfg: SuiteConfig):
     reports = []
     algs = [complex_line(), exterior_algebra(1), exterior_algebra(2),
-            discrete_circle_algebra(3), discrete_circle_algebra(cfg.n), matrix2_algebra()]
+            discrete_circle_algebra(3), discrete_circle_algebra(CIRCLE_N), matrix2_algebra()]
     for alg in algs:
         reports.append(dga_validate(alg))
         reports.append(dga_validate(acyclic_extension(alg)))
     reports.append(dga_validate(mat_lift(exterior_algebra(1), 2)))
     # Maurer-Cartan forms over the circle
-    alg = discrete_circle_algebra(cfg.n)
+    alg = discrete_circle_algebra(CIRCLE_N)
     rep = ValidationReport("maurer-cartan")
     g1 = circle_loop_element(alg, eps=0.4, seed=cfg.seed + 1)
     rep.add("scalar-loop", maurer_cartan_residual(maurer_cartan(g1)), 1e-12,
@@ -106,7 +108,7 @@ def group_algebra(cfg: SuiteConfig):
     entries = np.zeros((2, 2, alg.dim), dtype=complex)
     for p in range(2):
         for q in range(2):
-            vals = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+            vals = rng.standard_normal(CIRCLE_N) + 1j * rng.standard_normal(CIRCLE_N)
             if p == q:
                 vals += 4.0
             entries[p, q] = alg.deg0_uneval(vals)
@@ -117,10 +119,11 @@ def group_algebra(cfg: SuiteConfig):
     return reports
 
 
-def group_complexes(cfg: SuiteConfig):
-    reports = []
-    # exhaustive layers within the runtime budget, sampled on top
-    plan = [
+def complex_axiom_plan():
+    """(algebra, slot budget, layer sample size) for the complex-axiom checks:
+    exhaustive layers within the runtime budget, sampled on top; 87,293
+    basis words in all."""
+    return [
         (complex_line(), 6, None),
         (acyclic_extension(complex_line()), 6, None),
         (exterior_algebra(2), 6, None),
@@ -129,9 +132,14 @@ def group_complexes(cfg: SuiteConfig):
         (discrete_circle_algebra(2), 6, None),
         (acyclic_extension(discrete_circle_algebra(2)), 4, None),
         (acyclic_extension(discrete_circle_algebra(2)), 6, 1500),
-        (discrete_circle_algebra(cfg.n), 6, 1500),
-        (acyclic_extension(discrete_circle_algebra(cfg.n)), 6, 1000),
+        (discrete_circle_algebra(CIRCLE_N), 6, 1500),
+        (acyclic_extension(discrete_circle_algebra(CIRCLE_N)), 6, 1000),
     ]
+
+
+def group_complexes(cfg: SuiteConfig):
+    reports = []
+    plan = complex_axiom_plan()
     if cfg.fast:
         plan = plan[:4] + plan[5:7]
     for alg, L, sample in plan:
@@ -155,7 +163,7 @@ def _chern_fixtures(cfg: SuiteConfig):
     fixtures = [
         random_weak_cq(hdim=4, q=0, seed=cfg.seed + 3, k=1),
         random_weak_cq(hdim=6, q=1, seed=cfg.seed + 4, k=2),
-        double_odd(discrete_circle(cfg.n, seed=cfg.seed)),
+        double_odd(discrete_circle(CIRCLE_N, seed=cfg.seed)),
     ]
     return fixtures
 
@@ -242,7 +250,7 @@ def group_chern(cfg: SuiteConfig):
 
 
 def fundamental_estimate_report(cfg: SuiteConfig):
-    M = double_odd(discrete_circle(cfg.n, seed=cfg.seed))
+    M = double_odd(discrete_circle(CIRCLE_N, seed=cfg.seed))
     rng_cal = np.random.default_rng(cfg.seed + 100)
     rng_test = np.random.default_rng(cfg.seed + 200)
     cal_words = [random_basis_word(M.alg, CYCLIC, 1 + int(rng_cal.integers(0, 4)), rng_cal)[1:]
@@ -325,10 +333,9 @@ def group_pairing(cfg: SuiteConfig):
     alg = discrete_circle_algebra(2)
     g_small = circle_loop_element(alg, eps=0.5, seed=cfg.seed + 11)
     reports.append(ch_g_closed(g_small, 4 if cfg.fast else 8))
-    M = discrete_circle(cfg.n, seed=cfg.seed)
+    M = discrete_circle(CIRCLE_N, seed=cfg.seed)
     g = circle_loop_element(M.alg, eps=0.10, seed=cfg.seed + 12)
-    pr = pairing(M, g, N_max=8 if cfg.fast else 10)
-    reports.append(pr.checks)
+    reports.append(pairing(M, g, N_max=8 if cfg.fast else 10).checks)
     rep = ValidationReport("partition-resummation")
     from .spectral import twisted_family
 
@@ -339,7 +346,7 @@ def group_pairing(cfg: SuiteConfig):
     rep.add("resummation-identity", worst, 1e-8,
             "X-power heat series = partition-capped quantization of A-words")
     reports.append(rep)
-    return reports, pr
+    return reports
 
 
 GROUP_RUNNERS = {
@@ -348,13 +355,21 @@ GROUP_RUNNERS = {
     "brackets": group_brackets,
     "chern": group_chern,
     "transgression": group_transgression,
-    "pairing": lambda cfg: group_pairing(cfg)[0],
+    "pairing": group_pairing,
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute the selected groups; returns the run report dict."""
-    jobs = int(os.environ.get("CHERNLAB_THREADS", cfg.jobs))
+    """Execute the selected groups, one worker per usable CPU; returns the run report dict."""
+    workers = min(len(cfg.groups), _usable_cpus())
     t0 = time.time()
     results = {}
     timings = {}
@@ -368,12 +383,9 @@ def run_suite(cfg: SuiteConfig) -> dict:
         except Exception as exc:  # keep other groups running
             return name, [], time.time() - t, f"{type(exc).__name__}: {exc}"
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(run_group, cfg.groups))
-    else:
-        outs = [run_group(name) for name in cfg.groups]
-    for name, reports, dt, err in sorted(outs, key=lambda o: cfg.groups.index(o[0])):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outs = list(pool.map(run_group, cfg.groups))
+    for name, reports, dt, err in outs:
         results[name] = [r.as_dict() for r in reports]
         timings[name] = round17(dt)
         if err:
@@ -382,14 +394,12 @@ def run_suite(cfg: SuiteConfig) -> dict:
         item["passed"] for group in results.values() for item in group
     )
     report = {
-        "config": {
-            "seed": cfg.seed, "groups": list(cfg.groups), "n": cfg.n,
-            "jobs": jobs, "fast": cfg.fast,
-        },
+        "config": {"seed": cfg.seed, "groups": list(cfg.groups), "fast": cfg.fast},
         "results": results,
         "errors": errors,
         "passed": bool(passed),
         "volatile": {
+            "workers": workers,
             "timings": timings,
             "total_seconds": round17(time.time() - t0),
             "fingerprint": {
@@ -405,7 +415,10 @@ def run_suite(cfg: SuiteConfig) -> dict:
 def summarize(report: dict) -> str:
     lines = []
     mark = "PASS" if report["passed"] else "FAIL"
-    lines.append(f"[{mark}] chernlab suite (seed={report['config']['seed']})")
+    workers = report["volatile"]["workers"]
+    # groups sharing a CPU overlap, so their times add up to more than the wall time
+    lines.append(f"[{mark}] chernlab suite (seed={report['config']['seed']}, {workers} workers, "
+                 f"{report['volatile']['total_seconds']:.1f}s wall)")
     for group, items in report["results"].items():
         n_checks = sum(len(i["checks"]) for i in items)
         ok = all(i["passed"] for i in items)

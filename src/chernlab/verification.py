@@ -94,7 +94,7 @@ def random_bar_cochain(alg: DgAlgebra, H: GradedHilbert, parity, rng):
         # enforce parity: value parity = cochain parity + word parity
         word_par = 0
         for v in slots:
-            nz = np.nonzero(np.abs(v) > 0)[0]
+            nz = np.nonzero(v != 0)[0]
             word_par = (word_par + int(bar_parity[nz[0]])) % 2 if len(nz) else word_par
         return project(out, (parity + word_par) % 2)
 

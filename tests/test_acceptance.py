@@ -12,10 +12,8 @@ from chernlab.algebra import acyclic_extension
 from chernlab.chains import CYCLIC, Chain, random_basis_word
 from chernlab.fixtures import (
     circle_loop_element,
-    complex_line,
     discrete_circle,
     discrete_circle_algebra,
-    exterior_algebra,
     exterior_strong,
     getzler_trivial,
     random_weak_cq,
@@ -34,7 +32,7 @@ from chernlab.fredholm import (
 )
 from chernlab.report import running_max
 from chernlab.spectral import ch_g_closed, pairing, perturbation_series, twisted_family
-from chernlab.suite import SuiteConfig, fundamental_estimate_report
+from chernlab.suite import SuiteConfig, complex_axiom_plan, fundamental_estimate_report
 from chernlab.verification import (
     bracket_kernel_report,
     complex_axiom_residuals,
@@ -56,24 +54,13 @@ def _verdict(num, name, ok, detail, t0, budget):
 
 def test_criterion_01_complex_axioms():
     t0 = time.time()
-    plan = [
-        (complex_line(), 6, None),
-        (acyclic_extension(complex_line()), 6, None),
-        (exterior_algebra(2), 6, None),
-        (acyclic_extension(exterior_algebra(2)), 5, None),
-        (acyclic_extension(exterior_algebra(2)), 6, 1500),
-        (discrete_circle_algebra(2), 6, None),
-        (acyclic_extension(discrete_circle_algebra(2)), 4, None),
-        (acyclic_extension(discrete_circle_algebra(2)), 6, 1500),
-        (discrete_circle_algebra(6), 6, 1500),
-        (acyclic_extension(discrete_circle_algebra(6)), 6, 1000),
-    ]
     worst = 0.0
     total_words = 0
-    for alg, L, sample in plan:
+    for alg, L, sample in complex_axiom_plan():
         rep = complex_axiom_residuals(alg, max_slots=L, sample=sample, seed=SEED)
         worst = running_max(worst, rep.max_residual())
         total_words += rep.notes["n_words"]
+    assert total_words == 87_293  # the plan the benchmark's word_checks workload pins
     _verdict(1, "complex axioms", worst <= 1e-12,
              f"max residual {worst:.2e} <= 1e-12 over {total_words} basis words", t0, 10)
 

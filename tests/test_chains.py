@@ -1,6 +1,8 @@
 """Chain-level identities: differential axioms, rotation operators, the
 alpha intertwining identity and the Chen normalization operators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -445,6 +447,52 @@ def test_both_kernel_paths_match_the_per_word_reference(alg_name):
                 worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
                             default=0.0)
                 assert worst <= 1e-14 * scale, f"{path} {name} on {alg_name}, N={N}: {worst}"
+
+
+def _bar_reference(alg, kind):
+    """d_bar and b' on one bar basis word, term by term from the formulas of
+    the chains module docstring, on the dense structure constants."""
+    deg, u, dim = [int(x) for x in alg.degree], alg.unit_index, alg.dim
+    diff = {j: [(int(l), alg.diff[l, j]) for l in np.nonzero(alg.diff[:, j])[0]] for j in range(dim)}
+    mul = {(i, j): [(int(l), alg.mul[i, j, l]) for l in np.nonzero(alg.mul[i, j])[0]]
+           for i in range(dim) for j in range(dim)}
+
+    def apply(op, word):
+        # slot j holds theta_{j+1}; n[k] = |theta_1| + ... + |theta_k| - k
+        n = [sum(deg[i] for i in word[:k]) - k for k in range(len(word) + 1)]
+        if op == "d":
+            out = [(word[:j] + (l,) + word[j + 1 :], -(-1) ** (n[j] % 2) * cf)
+                   for j in range(len(word)) for l, cf in diff[word[j]]]
+        else:
+            out = [(word[:j] + (l,) + word[j + 2 :], -(-1) ** (n[j + 1] % 2) * cf)
+                   for j in range(len(word) - 1) for l, cf in mul[word[j], word[j + 1]]]
+        return out if kind == BAR else [(w, cf) for w, cf in out if u not in w]
+
+    return apply
+
+
+@pytest.mark.parametrize("kind", [BAR, BAR_RED])
+@pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
+def test_bar_differentials_match_the_per_word_reference(alg_name, kind):
+    # every bar word of at most 3 slots (reduced in each slot for bar_red),
+    # each with its own seeded random coefficient
+    alg = SIGN_ALGS[alg_name]
+    reference = _bar_reference(alg, kind)
+    letters = [i for i in range(alg.dim) if kind == BAR or i != alg.unit_index]
+    rng = np.random.default_rng(29)
+    for N in range(4):
+        words = list(itertools.product(letters, repeat=N))
+        coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+        chain = Chain(alg, kind, zip(words, coeffs.tolist()))
+        for name, op in (("d", d_bar), ("b", b_prime)):
+            ref = {}
+            for word, coeff in zip(words, coeffs.tolist()):
+                for w, cf in reference(name, word):
+                    ref[w] = ref.get(w, 0.0) + coeff * cf
+            scale = max([1.0] + [abs(cf) for cf in ref.values()])
+            got = dict(op(chain).terms)
+            worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()), default=0.0)
+            assert worst <= 1e-14 * scale, f"{name} on {kind} {alg_name}, N={N}: {worst}"
 
 
 # Sign rows by parity pattern, worked out by hand from the module docstring:

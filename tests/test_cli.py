@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -57,13 +58,29 @@ def test_suite_subset_and_explain(tmp_path, capsys):
     assert run_cli(["explain", str(out), "no-such-check"]) == 2
 
 
-def test_suite_reports_reproducible(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for path in (a, b):
-        assert run_cli(["suite", "--group", "brackets", "--seed", "3",
+@pytest.mark.parametrize("workers", [1, 2])
+def test_suite_reports_reproducible(tmp_path, monkeypatch, workers):
+    # the --stable report is byte-identical on one worker and on several; the
+    # groups run on no more threads than the usable CPUs
+    import chernlab.suite as suite
+
+    threads = set()
+    for name in ("brackets", "algebra"):
+        def traced(cfg, inner=suite.GROUP_RUNNERS[name]):
+            threads.add(threading.get_ident())
+            return inner(cfg)
+        monkeypatch.setitem(suite.GROUP_RUNNERS, name, traced)
+    reports = []
+    for n_cpus in (1, workers):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda n_cpus=n_cpus: n_cpus)
+        threads.clear()
+        path = tmp_path / f"{len(reports)}.json"
+        assert run_cli(["suite", "--group", "brackets", "--group", "algebra", "--seed", "3",
                         "--fast", "--stable", "-o", str(path)]) == 0
-    assert a.read_text() == b.read_text()
+        assert len(threads) <= n_cpus
+        reports.append(path.read_text())
+    assert reports[0] == reports[1]
+    assert sorted(json.loads(reports[0])["config"]) == ["fast", "groups", "seed"]
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -97,15 +114,6 @@ def test_console_script_entry_point():
     assert proc.returncode == 2
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHERNLAB_THREADS", "2")
-    out = tmp_path / "r.json"
-    assert run_cli(["suite", "--group", "brackets", "--group", "algebra",
-                    "--seed", "0", "--fast", "-o", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["config"]["jobs"] == 2
-
-
 def test_failing_report_exits_1(tmp_path, monkeypatch, capsys):
     import chernlab.suite as suite
     from chernlab.report import ValidationReport
@@ -124,10 +132,11 @@ def test_failing_report_exits_1(tmp_path, monkeypatch, capsys):
     assert "FAIL forced :: always-fails" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["tol_scale", "pairing_eps", "pairing_N_max", "chg_N_max"])
+@pytest.mark.parametrize("key", ["tol_scale", "pairing_eps", "pairing_N_max", "chg_N_max", "jobs", "n"])
 def test_tol_scale_is_an_unknown_config_key(tmp_path, capsys, key):
     # a tolerance scale would loosen every pinned tolerance, and the pairing
-    # fixture and degrees are pinned in the suite; no such knobs exist
+    # fixture and degrees, the circle size and the worker count are pinned in
+    # the suite; no such knobs exist
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"groups": ["brackets"], "seed": 2, "fast": True, key: 2}))
     assert run_cli(["suite", "-c", str(cfg)]) == 2

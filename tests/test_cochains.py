@@ -103,3 +103,16 @@ def test_total_codifferential_squares_chainside():
         w = random_basis_word(ALG, CYCLIC, N, rng)
         c = Chain.basis_word(ALG, CYCLIC, w)
         assert d_total(d_total(c)).norm() <= 1e-12
+
+
+def test_slot_degree_reads_a_nan_coefficient():
+    # a NaN on a degree-1 element next to the unit is an inhomogeneous slot,
+    # not a pure degree-0 one
+    from chernlab.algebra import AlgebraElement
+    from chernlab.cochains import slot_degree
+
+    alg = exterior_algebra(2)
+    vec = np.array([1.0, np.nan, 0.0, 0.0], dtype=complex)
+    with pytest.raises(CochainError, match="not homogeneous"):
+        slot_degree(alg, vec)
+    assert AlgebraElement(vec, alg).degrees_present() == [0, 1]

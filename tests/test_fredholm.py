@@ -497,7 +497,7 @@ def test_nan_coclosed_residual_fails_the_chern_group(monkeypatch):
         return inner(M, chain, *args, **kwargs)
 
     monkeypatch.setattr(suite, "coclosed_residual", poisoned)
-    reports = suite.group_chern(suite.SuiteConfig(seed=0, n=3, fast=True))
+    reports = suite.group_chern(suite.SuiteConfig(seed=0, fast=True))
     first = reports[0]
     assert first.subject.startswith("chern:")
     assert not next(c for c in first.checks if c.check_id == "coclosed-base").passed
@@ -515,7 +515,7 @@ def test_nan_phi_ratio_fails_the_trace_norm_bound(monkeypatch):
         return np.nan if len(calls) == 1 else inner(*args, **kwargs)
 
     monkeypatch.setattr(suite, "phi_estimate_ratio", poisoned)
-    rep = suite.fundamental_estimate_report(suite.SuiteConfig(seed=0, fast=True, n=3))
+    rep = suite.fundamental_estimate_report(suite.SuiteConfig(seed=0, fast=True))
     assert not rep.passed
     assert np.isnan(rep.residual("trace-norm-bound"))
 

@@ -391,9 +391,13 @@ def test_nan_loop_entry_fails_the_telescoped_components():
     g = circle_loop_element(discrete_circle_algebra(2), eps=0.5, seed=3)
     g.entries[0, 0, 1] = np.nan
     with np.errstate(invalid="ignore"):
+        ch = ch_g(g, 3)
         rep = ch_g_closed(g, 4)
     for N in range(1, 4):
+        assert np.isnan(ch.component(N).max_coeff())
         assert np.isnan(rep.residual(f"telescoped-component-N={N}"))
+    # B kills the unit-led words of Ch(g) whatever their coefficients
+    assert np.isnan(rep.residual("connes-part-reduces-to-zero"))
 
 
 @pytest.mark.parametrize("s", [0.1, 0.6])
