@@ -9,7 +9,8 @@
 The suite runs its groups on one worker thread per usable CPU; the
 report does not depend on the worker count.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
+Exit codes: 0 pass, 1 verification failure, 2 usage or config error (a
+pairing that refuses its input, for example an uncertified tail, is one).
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def cmd_suite(args) -> int:
 
 def cmd_pair(args) -> int:
     from .algebra import MatrixElement
+    from .fredholm import ModuleError
     from .serialize import dump_json, matrix_from_json, module_from_json
-    from .spectral import pairing
+    from .spectral import SpectralError, pairing
 
     module = module_from_json(_load(args.module))
     gdata = _load(args.g)
@@ -88,7 +90,12 @@ def cmd_pair(args) -> int:
         for row in gdata["entries"]
     ])
     g = MatrixElement(entries, alg)
-    rep = pairing(module, g, N_max=args.nmax)
+    try:
+        rep = pairing(module, g, N_max=args.nmax)
+    except (SpectralError, ModuleError) as exc:
+        # a refused input is not a verification failure
+        print(f"pairing refused: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
     out = rep.as_dict()
     if args.output:
         dump_json(out, args.output)

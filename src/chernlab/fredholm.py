@@ -352,12 +352,12 @@ class _HalfFrame:
         }
         return diag, bands
 
-    def lift(self, phi, word):
-        """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the word's chain."""
+    def lift(self, phi, p):
+        """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the reduced block."""
         if self.U is None:
             return phi
         h2 = phi.shape[0]
-        sign = -1.0 if sum(self.parity[i] + 1 for i in word) % 2 else 1.0
+        sign = -1.0 if p % 2 else 1.0
         left = np.concatenate([self.U[:, :h2] @ phi, sign * (self.U[:, h2:] @ phi)], axis=1)
         return left @ self.Uh
 
@@ -455,7 +455,9 @@ def quantize(M: CqFredholmModule, T, word):
     out = M._phi_cache.get(key)
     if out is None:
         frame = _curvature_tables(M)._basis_frame()
-        out = M._phi_cache[key] = frame.lift(chain_exp_topright(*frame.bands(T, key[1])), key[1])
+        phi = chain_exp_topright(*frame.bands(T, key[1]))
+        # the chain of a basis word has parity sum_j (|theta_j| + 1)
+        out = M._phi_cache[key] = frame.lift(phi, sum(frame.parity[i] + 1 for i in key[1]))
     return out
 
 

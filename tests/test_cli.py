@@ -89,23 +89,49 @@ def test_bad_config_exit_code(tmp_path):
     assert run_cli(["suite", "-c", str(cfg)]) == 2
 
 
-def test_pair_command(tmp_path):
+def _pair_inputs(tmp_path, module_seed=0):
     from chernlab.fixtures import discrete_circle, circle_loop_element
     from chernlab.serialize import complex_pair, dump_json, module_to_json
 
-    M = discrete_circle(6, seed=0)
+    M = discrete_circle(6, seed=module_seed)
     mod_path = tmp_path / "module.json"
     dump_json(module_to_json(M), mod_path)
     g = circle_loop_element(M.alg, eps=0.10, seed=7)
     g_path = tmp_path / "g.json"
     entries = [[[complex_pair(z) for z in g.entries[p, q]] for q in range(1)] for p in range(1)]
     g_path.write_text(json.dumps({"m": 1, "entries": entries}))
+    return ["-m", str(mod_path), "-g", str(g_path)]
+
+
+def test_pair_command(tmp_path):
     out = tmp_path / "pairing.json"
-    assert run_cli(["pair", "-m", str(mod_path), "-g", str(g_path),
-                    "--nmax", "8", "-o", str(out)]) == 0
+    assert run_cli(["pair", *_pair_inputs(tmp_path), "--nmax", "8", "-o", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["verdict"] is True
     assert len(report["terms"]) == 8
+
+
+def test_pair_reports_are_stable_without_the_volatile_section(tmp_path):
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"pairing{k}.json"
+        assert run_cli(["pair", *_pair_inputs(tmp_path), "--nmax", "8", "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    reports = [json.loads(t) for t in texts]
+    assert sorted(reports[0]["volatile"]["timings"]) == ["setup", "sf", "terms"]
+    assert "timings" not in reports[0]
+    for rep in reports:
+        del rep["volatile"]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+
+def test_pair_refusal_exits_2(tmp_path, capsys):
+    # the tail of this module does not certify at N_max = 2: the input is
+    # refused, which is not a verification failure
+    code = run_cli(["pair", *_pair_inputs(tmp_path, module_seed=3), "--nmax", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "certified tail" in err and "need N_max about" in err
 
 
 def test_console_script_entry_point():

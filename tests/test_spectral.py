@@ -9,6 +9,7 @@ import pytest
 from chernlab import chains, spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
+from chernlab.cochains import CochainError
 from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
 from chernlab.fredholm import _curvature_tables
 from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket
@@ -410,6 +411,37 @@ def test_pairing_rows_match_per_degree_terms(tf6, s):
             assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
             # the values fall with N to far below 1e-15: compare them relatively too
             assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_pairing_rows_run_one_half_frame_chain(tf6, monkeypatch):
+    # all degrees come from one Frechet call on (N_max + 1) half-size nodes
+    from chernlab import hilbert
+
+    shapes = []
+
+    def recording(G, E):
+        shapes.append(G.shape)
+        return frechet(G, E)
+
+    frechet = hilbert.expm_frechet
+    monkeypatch.setattr(hilbert, "expm_frechet", recording)
+    spectral._pairing_rows(tf6, 0.4, 10)
+    half = tf6.Mdt.hdim // 2
+    assert half == 6
+    assert shapes == [(11 * half, 11 * half)]
+
+
+def test_pairing_rows_refuse_a_mixed_degree_slot(tf6, monkeypatch):
+    # the lift's sign comes from the slot degrees: a slot with no single
+    # degree has no parity, and the rows must raise rather than lift it
+    a_vec, b_vec = tf6.ab_vectors(0.4)
+    alg = tf6.Mdt.alg
+    even = next(i for i in range(alg.dim) if alg.degree[i] % 2 == 0 and a_vec[i] == 0)
+    mixed = a_vec.copy()
+    mixed[even] = 0.25
+    monkeypatch.setattr(tf6, "ab_vectors", lambda s: (mixed, b_vec))
+    with pytest.raises(CochainError):
+        spectral._pairing_rows(tf6, 0.4, 4)
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0])
