@@ -28,8 +28,6 @@ from .chains import (
     B_connes,
     Chain,
     ChainError,
-    SeminormBound,
-    Subspace,
     alpha_map,
     b_cyclic,
     b_prime,
@@ -37,8 +35,6 @@ from .chains import (
     chen_S,
     chen_Si,
     chen_Ti,
-    chen_residual,
-    chen_subspace,
     cyclicize_N,
     d_bar,
     d_cyclic,

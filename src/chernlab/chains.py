@@ -27,7 +27,6 @@ word-layer kernels both read it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -37,7 +36,6 @@ from .algebra import AlgebraElement, DgAlgebra
 CYCLIC = "cyclic"
 BAR = "bar"
 BAR_RED = "bar_red"
-_CHEN_MAX_WORDS = 250_000  # words one Chen subspace may index (its SVD is dense)
 
 
 class ChainError(ValueError):
@@ -145,20 +143,15 @@ class Chain:
 
     @classmethod
     def from_elements(cls, alg, kind, slots, coeff=1.0, tol=0.0):
-        """Expand a tensor word of AlgebraElements into basis words."""
+        """Expand coeff * (slot_0 (x) slot_1 (x) ...), a tensor word of
+        AlgebraElements, into basis words in the nested-loop order of _kron."""
         c = cls(alg, kind)
-        c._add_tensor(slots, coeff, tol)
-        return c
-
-    def _add_tensor(self, slots, coeff, tol=0.0):
-        """Add coeff * (slot_0 (x) slot_1 (x) ...) in place, word by word in
-        the nested-loop order of _kron."""
-        self._to_dict()
-        factors = _slot_factors(self.alg, self.kind, slots, tol)
-        acc = self._acc
+        factors = _slot_factors(alg, kind, slots, tol)
+        acc = c._acc
         for word, cf in zip(product(*[nz.tolist() for nz, _ in factors]), _kron(factors, coeff).tolist()):
             if cf:  # add_term drops exact zeros
                 acc(word, cf)
+        return c
 
     def copy(self):
         if self._layers is not None:
@@ -891,61 +884,6 @@ def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
     return out
 
 
-# -- Chen subspace at a finite truncation ---------------------------------------
-
-
-@dataclass
-class Subspace:
-    """Orthonormal span of chains in word coordinates."""
-
-    alg: DgAlgebra
-    kind: str
-    word_index: dict
-    basis: np.ndarray  # (n_words, rank), orthonormal columns
-    leakage: int = 0
-    meta: dict = None
-
-    @property
-    def rank(self):
-        return self.basis.shape[1]
-
-    def vectorize(self, c: Chain):
-        missing = [w for w in c.terms if w not in self.word_index]
-        if missing:
-            raise ChainError(f"chain leaves the truncation window; offending words: {missing[:5]}")
-        v = np.zeros(len(self.word_index), dtype=complex)
-        for w, cf in c.terms.items():
-            v[self.word_index[w]] = cf
-        return v
-
-    def residual(self, c: Chain) -> float:
-        v = self.vectorize(c)
-        if self.rank == 0:
-            return float(np.linalg.norm(v))
-        r = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(r))
-
-
-def subspace_from_chains(chains, alg=None, kind=CYCLIC, leakage=0, meta=None) -> Subspace:
-    """Orthonormalize a finite family of chains (dropping zero ones)."""
-    chains = [c for c in chains if c.terms]
-    if not chains:
-        return Subspace(alg, kind, {}, np.zeros((0, 0)), leakage, meta or {})
-    alg = chains[0].alg
-    kind = chains[0].kind
-    word_index = {}
-    for c in chains:
-        for w in c.terms:
-            word_index.setdefault(w, len(word_index))
-    mat = np.zeros((len(word_index), len(chains)), dtype=complex)
-    for j, c in enumerate(chains):
-        for w, cf in c.terms.items():
-            mat[word_index[w], j] = cf
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
-    return Subspace(alg, kind, word_index, u[:, :rank], leakage, meta or {})
-
-
 # -- word-layer kernels -------------------------------------------------------------
 # d, b and B on an int64 word matrix and a coefficient vector at once, with the
 # dict kernels' sign rows, reduced-slot tests and coefficient products, read
@@ -1098,77 +1036,7 @@ def _all_basis_words(alg, N_max):
     return [w for N in range(N_max + 1) for w in map(tuple, _layer_words(alg, N)[0].tolist())]
 
 
-def chen_generator_images(alg, word_chain, N_max):
-    """Images of one chain under S+1, R, S_i^(f), T_i^(f), f in the base
-    degree-0 basis, i = 0..N_max."""
-    base_dim = alg.base_dim if alg.base_dim is not None else alg.dim
-    f_indices = [i for i in range(base_dim) if alg.degree[i] == 0]
-    images = [chen_S(word_chain) + word_chain, chen_R(word_chain)]
-    for fi in f_indices:
-        f = alg.basis_element(fi)
-        for i in range(N_max + 1):
-            images.append(chen_Si(f, i, word_chain))
-            images.append(chen_Ti(f, i, word_chain))
-    return images
-
-
-def chen_subspace(alg, N_max, close_each=False):
-    """Span of the Chen generator images and their D_tot images, windowed.
-
-    Output words with more than N_max slots are dropped; the number of
-    dropped terms is recorded as leakage.  With close_each the span is
-    also closed under d, b, B separately (one pass).
-    """
-    sigma = _require_sigma(alg)
-    del sigma
-    words = _all_basis_words(alg, N_max)
-    chains = []
-    leakage = 0
-
-    def window(c):
-        nonlocal leakage
-        out = Chain(alg, c.kind)
-        for w, cf in c.terms.items():
-            if len(w) - 1 <= N_max:
-                out.add_term(w, cf)
-            else:
-                leakage += 1
-        return out
-
-    for w in words:
-        base = Chain.basis_word(alg, CYCLIC, w)
-        for img in chen_generator_images(alg, base, N_max):
-            img_w = window(img)
-            if not img_w.terms:
-                continue
-            chains.append(img_w)
-            chains.append(window(d_total(img_w)))
-            if close_each:
-                chains.append(window(d_cyclic(img_w)))
-                chains.append(window(b_cyclic(img_w)))
-                chains.append(window(B_connes(img_w)))
-    n_index = len({w for c in chains for w in c.terms})
-    if n_index > _CHEN_MAX_WORDS:
-        raise ChainError(f"truncation window too large ({n_index} words indexed)")
-    sub = subspace_from_chains(chains, alg=alg, kind=CYCLIC, leakage=leakage,
-                               meta={"N_max": N_max, "close_each": close_each})
-    if sub.rank == 0:
-        sub.meta["warning"] = "empty subspace: truncation too small to contain any image"
-    return sub
-
-
-def chen_residual(c: Chain, sub: Subspace) -> float:
-    """Distance from the chain to the subspace in word coordinates."""
-    return sub.residual(c)
-
-
 # -- entire seminorm bound -----------------------------------------------------
-
-
-@dataclass
-class SeminormBound:
-    value: float
-    seminorm_id: str
 
 
 def _floor_half_factorial(N):
@@ -1178,18 +1046,18 @@ def _floor_half_factorial(N):
     return out
 
 
-def entire_bound(c: Chain) -> SeminormBound:
+def entire_bound(c: Chain) -> float:
     """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term,
     in the designated max-coefficient norm (1 on every basis element)."""
     off = 1 if c.kind == CYCLIC else 0
     if c._layers is not None:
         parts = [_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._layers.items()]
-        return SeminormBound(_ordered_sum(parts), "max-coeff")
+        return _ordered_sum(parts)
     total = 0.0
     for word, coeff in c.terms.items():
         N = len(word) - off
         total += abs(coeff) / _floor_half_factorial(N)
-    return SeminormBound(float(total), "max-coeff")
+    return float(total)
 
 
 # -- test helpers ----------------------------------------------------------------

@@ -9,8 +9,10 @@
 The suite runs its groups on one worker thread per usable CPU; the
 report does not depend on the worker count.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or config error (a
-pairing that refuses its input, for example an uncertified tail, is one).
+Exit codes: 0 pass, 1 verification failure, 2 usage, config or input
+error.  A malformed instance JSON ("bad input: ...") and an input that
+pairing refuses ("pairing refused: ...": a module failing its axioms, a
+non-finite g, N_max < 1, an uncertified tail) each print one stderr line.
 """
 
 from __future__ import annotations
@@ -27,19 +29,34 @@ def _load(path):
         return json.load(fh)
 
 
+def _bad_input(exc) -> int:
+    """Report an instance JSON that does not parse into its object."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else " ".join(str(exc).split())
+    print(f"bad input: {what}", file=sys.stderr)
+    return 2
+
+
+# what building an object from well-formed JSON of the wrong content raises
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
 def cmd_validate(args) -> int:
     from .algebra import DgAlgebra, dga_validate
     from .fredholm import module_validate
     from .serialize import module_from_json
 
     data = _load(args.instance)
-    if "kind" in data and data["kind"] in ("cq-module", "odd-module"):
-        rep = module_validate(module_from_json(data))
-    elif "mul" in data:
-        rep = dga_validate(DgAlgebra.from_json_dict(data))
-    else:
-        print("unrecognized instance schema", file=sys.stderr)
-        return 2
+    try:
+        if "kind" in data and data["kind"] in ("cq-module", "odd-module"):
+            instance, validate = module_from_json(data), module_validate
+        elif "mul" in data:
+            instance, validate = DgAlgebra.from_json_dict(data), dga_validate
+        else:
+            print("unrecognized instance schema", file=sys.stderr)
+            return 2
+    except _MALFORMED as exc:
+        return _bad_input(exc)
+    rep = validate(instance)
     print(rep.summary())
     return 0 if rep.passed else 1
 
@@ -76,23 +93,29 @@ def cmd_suite(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    from .algebra import MatrixElement
-    from .fredholm import ModuleError
+    from .algebra import AlgebraError, MatrixElement
+    from .fredholm import ModuleError, module_validate
     from .serialize import dump_json, matrix_from_json, module_from_json
     from .spectral import SpectralError, pairing
 
-    module = module_from_json(_load(args.module))
-    gdata = _load(args.g)
-    alg = module.alg
-    entries = np.stack([
-        np.stack([matrix_from_json(cell).reshape(-1) if isinstance(cell, dict) else
-                  np.array([re + 1j * im for re, im in cell]) for cell in row])
-        for row in gdata["entries"]
-    ])
-    g = MatrixElement(entries, alg)
     try:
+        module = module_from_json(_load(args.module))
+        entries = np.stack([
+            np.stack([matrix_from_json(cell).reshape(-1) if isinstance(cell, dict) else
+                      np.array([re + 1j * im for re, im in cell]) for cell in row])
+            for row in _load(args.g)["entries"]
+        ])
+    except _MALFORMED as exc:
+        return _bad_input(exc)
+    try:
+        checked = module_validate(module)
+        if not checked.passed:
+            raise ModuleError("module fails " + ", ".join(c.check_id for c in checked.failing()))
+        if not np.isfinite(entries).all():
+            raise SpectralError("g has a non-finite entry")
+        g = MatrixElement(entries, module.alg)
         rep = pairing(module, g, N_max=args.nmax)
-    except (SpectralError, ModuleError) as exc:
+    except (AlgebraError, SpectralError, ModuleError) as exc:
         # a refused input is not a verification failure
         print(f"pairing refused: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """JSON schemas: matrices as row-major [re, im] pairs, sparse-triplet
-algebras, chains with per-slot coefficient arrays, module bundles.
+algebras, Clifford modules and module bundles.
 
 Floats are rounded through 17 significant digits so serialized values
 round-trip exactly and files are byte-stable for fixed inputs.
@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from .algebra import DgAlgebra
-from .chains import BAR, BAR_RED, CYCLIC, Chain
 from .hilbert import CliffordModule, GradedHilbert
 
 
@@ -36,27 +35,6 @@ def matrix_to_json(mat) -> dict:
 def matrix_from_json(data) -> np.ndarray:
     flat = np.array([re + 1j * im for re, im in data["data"]], dtype=complex)
     return flat.reshape(data["shape"])
-
-
-def chain_to_json(chain: Chain) -> dict:
-    terms = []
-    eye = np.eye(chain.alg.dim)
-    for word, coeff in sorted(chain.terms.items()):
-        slots = [[complex_pair(x) for x in eye[i]] for i in word]
-        terms.append({"coeff": complex_pair(coeff), "slots": slots})
-    return {"algebra": chain.alg.name, "kind": chain.kind, "terms": terms}
-
-
-def chain_from_json(data, alg: DgAlgebra) -> Chain:
-    kind = data.get("kind", CYCLIC)
-    if kind not in (CYCLIC, BAR, BAR_RED):
-        raise ValueError(f"unknown chain kind {kind!r}")
-    out = Chain(alg, kind)
-    for term in data["terms"]:
-        coeff = term["coeff"][0] + 1j * term["coeff"][1]
-        slots = [np.array([re + 1j * im for re, im in slot]) for slot in term["slots"]]
-        out._add_tensor(slots, coeff)
-    return out
 
 
 def clifford_to_json(cm: CliffordModule) -> dict:
@@ -104,54 +82,6 @@ def module_from_json(data):
     if data["kind"] == "odd-module":
         return OddFredholmModule(alg, c_mats, Q, weak=data["weak"], name=data["name"])
     raise ValueError(f"unknown module kind {data['kind']!r}")
-
-
-def subspace_to_json(sub) -> dict:
-    """Subspace as a matrix of basis chains (the chain schema per column)."""
-    eye = np.eye(sub.alg.dim)
-    words = sorted(sub.word_index, key=lambda w: sub.word_index[w])
-    columns = []
-    for j in range(sub.basis.shape[1]):
-        terms = []
-        for w in words:
-            z = sub.basis[sub.word_index[w], j]
-            if z != 0:
-                terms.append({"coeff": complex_pair(z),
-                              "slots": [[complex_pair(x) for x in eye[i]] for i in w]})
-        columns.append({"algebra": sub.alg.name, "kind": sub.kind, "terms": terms})
-    return {"algebra": sub.alg.name, "kind": sub.kind, "leakage": int(sub.leakage),
-            "meta": sub.meta or {}, "basis_chains": columns}
-
-
-def subspace_from_json(data, alg) -> "object":
-    from .chains import subspace_from_chains
-
-    chains = [chain_from_json(col, alg) for col in data["basis_chains"]]
-    sub = subspace_from_chains(chains, alg=alg, kind=data.get("kind", CYCLIC),
-                               leakage=int(data.get("leakage", 0)), meta=data.get("meta"))
-    return sub
-
-
-def homotopy_to_json(hom, **params) -> dict:
-    """Named parametric description of an affine_Q homotopy (no closures)."""
-    from .fredholm import CqFredholmModule
-
-    base = CqFredholmModule(hom.alg, hom.cm, hom.c_of(0.0), hom.Q_of(0.0),
-                            weak=hom.weak, name=hom.name + "[s=0]")
-    out = {"family": "affine_Q", "base": module_to_json(base), "name": hom.name}
-    out["params"] = {k: (matrix_to_json(v) if isinstance(v, np.ndarray) else v)
-                     for k, v in params.items()}
-    return out
-
-
-def homotopy_from_json(data):
-    from .fredholm import Homotopy
-
-    if data["family"] != "affine_Q":
-        raise ValueError(f"unknown homotopy family {data['family']!r}")
-    base = module_from_json(data["base"])
-    V = matrix_from_json(data["params"]["V"])
-    return Homotopy.affine_Q(base, V, name=data.get("name"))
 
 
 def dump_json(obj, path=None) -> str:

@@ -309,7 +309,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
         rep.add(f"telescoped-component-N={N}", resid / scale, tol,
                 "(D Ch)_N + lambda_N - lambda_{N+1} is an explicit T-operator image")
         absorbed[N] = "T_{N-1}^(g^-1)" if N >= 2 else "T_0^(g^-1), T_0^(g)"
-    bounds = {N: entire_bound(lambdas[N]).value for N in range(2, N_max + 1)}
+    bounds = {N: entire_bound(lambdas[N]) for N in range(2, N_max + 1)}
     rep.notes["lambda_entire_bounds"] = {N: round17(v) for N, v in bounds.items()}
     rep.notes["absorbed_by"] = absorbed
     # decay certificate: the entire bound of a pure tensor word is the
@@ -685,6 +685,8 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     content of the check is the agreement of the independently computed
     series.
     """
+    if N_max < 1:
+        raise SpectralError(f"N_max must be >= 1, got {N_max}")
     t0 = time.perf_counter()
     tf = twisted_family(M, g)
     checks = tf.report

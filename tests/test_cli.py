@@ -134,6 +134,53 @@ def test_pair_refusal_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "certified tail" in err and "need N_max about" in err
 
 
+def _nan_q(module):
+    module["Q"]["data"][1] = [float("nan"), 0.0]
+
+
+def _no_q(module):
+    del module["Q"]
+
+
+def _flat_q(module):
+    module["Q"]["shape"] = [1, len(module["Q"]["data"])]
+
+
+def _nan_g(g):
+    g["entries"][0][0][2] = [float("nan"), 0.0]
+
+
+def _short_g(g):
+    g["entries"][0][0].pop()
+
+
+@pytest.mark.parametrize("command, spoil, nmax, message", [
+    ("pair", _nan_q, "8", "pairing refused: module fails Q-hermitian"),
+    ("pair", _nan_g, "8", "pairing refused: g has a non-finite entry"),
+    ("pair", _short_g, "8", "pairing refused: entry length does not match the algebra dimension"),
+    ("pair", None, "-3", "pairing refused: N_max must be >= 1"),
+    ("pair", _no_q, "8", "bad input: missing key 'Q'"),
+    ("pair", _flat_q, "8", "bad input: Q has wrong shape"),
+    ("validate", _no_q, None, "bad input: missing key 'Q'"),
+    ("validate", _flat_q, None, "bad input: Q has wrong shape"),
+], ids=["nan-Q", "nan-g", "short-g-entry", "negative-nmax", "pair-no-Q", "pair-Q-shape",
+        "validate-no-Q", "validate-Q-shape"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, spoil, nmax, message):
+    # a malformed or invalid input is refused in one stderr line, not with a traceback
+    args = _pair_inputs(tmp_path)
+    if spoil is not None:
+        path = tmp_path / ("g.json" if spoil.__name__.endswith("_g") else "module.json")
+        data = json.loads(path.read_text())
+        spoil(data)
+        path.write_text(json.dumps(data))
+    argv = ["pair", *args, "--nmax", nmax] if command == "pair" else ["validate", str(tmp_path / "module.json")]
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(message)
+    assert "Traceback" not in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "chernlab.cli", "validate", "/nonexistent.json"],
                           capture_output=True, text=True)

@@ -460,6 +460,16 @@ def test_nan_operator_entry_fails_module_validation(make):
     assert all(np.isnan(c.residual) for c in rep.failing())
 
 
+
+def test_nan_q_entry_fails_module_validation_without_raising():
+    # the NaN reaches Delta = Q^2 + 1, whose spectrum is only a note
+    base = random_weak_cq(hdim=6, q=1, seed=22, k=2)
+    Q = np.array(base.Q)
+    Q[0, 1] = np.nan
+    rep = module_validate(CqFredholmModule(base.alg, base.cm, base.c_mats, Q, weak=True))
+    assert not rep.passed and np.isnan(rep.residual("Q-hermitian"))
+    assert np.isnan(rep.notes["delta_max_eig"])
+
 def test_module_operators_are_read_only_copies():
     base = random_weak_cq(hdim=6, q=1, seed=22, k=2)
     c_mats, Q = np.array(base.c_mats), np.array(base.Q)

@@ -242,6 +242,13 @@ def test_pairing_tail_guard(circle6):
         pairing(circle6, g, N_max=3, tail_tol=1e-9)
 
 
+
+@pytest.mark.parametrize("N_max", [0, -3])
+def test_pairing_refuses_a_degree_below_one(circle6, N_max):
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    with pytest.raises(SpectralError, match="N_max must be >= 1"):
+        pairing(circle6, g, N_max=N_max)
+
 def test_doubling_reshuffle_isomorphism():
     # pairing data on (H^m)~ equals the reshuffle of the doubled matrix module
     from chernlab.fredholm import acyclic_extend_module, double_odd, matrix_module
@@ -378,7 +385,7 @@ def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
     def poisoned(c, *args, **kwargs):
         out = inner(c, *args, **kwargs)
         if c.terms and len(next(iter(c.terms))) == 5:  # lambda_4
-            out.value = float("nan")
+            return float("nan")
         return out
 
     monkeypatch.setattr(spectral, "entire_bound", poisoned)
