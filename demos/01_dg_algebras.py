@@ -1,5 +1,7 @@
 """Differential graded algebras: construction, validation, the acyclic
-extension and Maurer-Cartan forms.
+extension and Maurer-Cartan forms.  Degree-0 inversion is one linear
+solve in the regular representation, so an algebra read back from JSON
+inverts to the same bits.
 
 Run as: python3 demos/01_dg_algebras.py
 """
@@ -7,13 +9,15 @@ Run as: python3 demos/01_dg_algebras.py
 import numpy as np
 
 from chernlab import (
+    AlgebraError,
+    DgAlgebra,
     MatrixElement,
     acyclic_extension,
     dga_validate,
     maurer_cartan,
     maurer_cartan_residual,
 )
-from chernlab.fixtures import discrete_circle_algebra, exterior_algebra
+from chernlab.fixtures import circle_function, discrete_circle_algebra, exterior_algebra
 
 print("== exterior algebra on two generators ==")
 ext2 = exterior_algebra(2)
@@ -44,7 +48,7 @@ print()
 print("== Maurer-Cartan form of an invertible loop ==")
 rng = np.random.default_rng(0)
 values = np.exp(0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
-f = MatrixElement(circle.deg0_uneval(values).reshape(1, 1, -1), circle)
+f = MatrixElement(circle_function(circle, values).reshape(1, 1, -1), circle)
 omega = maurer_cartan(f)
 print("omega = f^{-1} df lives in degree 1:", omega.degrees_present())
 print(f"d(omega) + omega^2 residual: {maurer_cartan_residual(omega):.2e}")
@@ -57,7 +61,7 @@ for p in range(2):
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         if p == q:
             v += 4.0
-        entries[p, q] = circle.deg0_uneval(v)
+        entries[p, q] = circle_function(circle, v)
 g = MatrixElement(entries, circle)
 omega2 = maurer_cartan(g)
 print(f"GL_2 Maurer-Cartan residual: {maurer_cartan_residual(omega2):.2e}")
@@ -65,3 +69,17 @@ g_inv = g.inverse_deg0()
 lhs = g_inv.d()
 rhs = (g_inv @ g.d() @ g_inv).scale(-1.0)
 print(f"d(g^-1) = -g^-1 (dg) g^-1 residual: {(lhs - rhs).max_norm():.2e}")
+
+print()
+print("== one inverse for every copy of an algebra ==")
+# circle_function turns point values on Z_6 into degree-0 coefficients
+circle_json = DgAlgebra.from_json_dict(circle.to_json_dict())
+g_json = MatrixElement(g.entries, circle_json)
+same = np.array_equal(g.inverse_deg0().entries, g_json.inverse_deg0().entries)
+print("g^-1 over the circle and over its JSON round trip agree bitwise:", same)
+singular = np.ones(6)
+singular[2] = 0.0
+try:
+    maurer_cartan(MatrixElement(circle_function(circle, singular).reshape(1, 1, -1), circle))
+except AlgebraError as exc:
+    print("a loop vanishing at one point of Z_6 is refused:", exc)

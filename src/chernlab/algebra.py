@@ -79,9 +79,6 @@ class DgAlgebra:
         self.sigma_index = None
         # base_dim: dimension of the algebra this one extends (if any)
         self.base_dim = None
-        # optional hooks for pointwise inversion of degree-0 elements
-        self.deg0_eval = None
-        self.deg0_uneval = None
 
     # -- element helpers -------------------------------------------------
 
@@ -273,19 +270,6 @@ def acyclic_extension(alg: DgAlgebra) -> DgAlgebra:
     out = DgAlgebra(dim2, deg2, alg.unit_index, mul2, diff2, name=alg.name + "_T")
     out.sigma_index = dim + alg.unit_index
     out.base_dim = dim
-    if alg.deg0_eval is not None:
-        # degree-0 part of the extension containing the base degree-0 part;
-        # pointwise hooks only make sense on base coefficients
-        def ev(coeffs, _alg=alg):
-            return _alg.deg0_eval(coeffs[:dim])
-
-        def unev(values, _alg=alg):
-            out_c = np.zeros(dim2, dtype=complex)
-            out_c[:dim] = _alg.deg0_uneval(values)
-            return out_c
-
-        out.deg0_eval = ev
-        out.deg0_uneval = unev
     return out
 
 
@@ -307,14 +291,12 @@ def _matrix_unit_basis(m):
 
 
 def mat_lift(alg: DgAlgebra, m: int) -> DgAlgebra:
-    """Mat_m(alg) as a DgAlgebra of dimension m^2 * dim with entrywise d."""
+    """Mat_m(alg) as a DgAlgebra of dimension m^2 * dim with entrywise d;
+    Mat_1(alg) is alg itself."""
     if m < 1:
         raise AlgebraError("matrix size must be >= 1")
     if m == 1:
-        out = DgAlgebra(alg.dim, alg.degree, alg.unit_index, alg.mul, alg.diff, name=f"Mat1({alg.name})")
-        out.sigma_index = alg.sigma_index
-        out.base_dim = alg.base_dim
-        return out
+        return alg
     mats = _matrix_unit_basis(m)
     mm = len(mats)
     flat = np.stack([b.reshape(-1) for b in mats], axis=1)  # (m*m, mm)
@@ -400,31 +382,12 @@ class MatrixElement:
         return sorted(degs)
 
     def inverse_deg0(self) -> "MatrixElement":
-        """Inverse of a degree-0 matrix.
-
-        Pointwise inversion through the algebra's evaluation hooks when
-        present; otherwise a linear solve in the regular representation
-        of Mat_m of the degree-0 subalgebra.
-        """
+        """Inverse of a degree-0 matrix: a linear solve in the regular
+        representation of Mat_m of the degree-0 subalgebra, so the result
+        depends only on the structure constants."""
         if not self.is_degree(0):
             raise AlgebraError("matrix has entries of nonzero degree")
         alg = self.alg
-        if alg.deg0_eval is not None:
-            probe = alg.deg0_eval(np.zeros(alg.dim, dtype=complex))
-            npts = len(probe)
-            vals = np.zeros((npts, self.m, self.m), dtype=complex)
-            for p in range(self.m):
-                for q in range(self.m):
-                    vals[:, p, q] = alg.deg0_eval(self.entries[p, q])
-            try:
-                inv_vals = np.linalg.inv(vals)
-            except np.linalg.LinAlgError as exc:
-                raise AlgebraError("matrix not invertible at some point") from exc
-            out = np.zeros_like(self.entries)
-            for p in range(self.m):
-                for q in range(self.m):
-                    out[p, q] = alg.deg0_uneval(inv_vals[:, p, q])
-            return MatrixElement(out, alg)
         deg0 = alg.degree0_indices()
         n0 = len(deg0)
         m = self.m
@@ -462,11 +425,7 @@ def maurer_cartan(g: MatrixElement) -> MatrixElement:
     """omega = g^{-1} dg for an invertible degree-0 matrix g."""
     if not g.is_degree(0):
         raise AlgebraError("maurer_cartan requires a degree-0 matrix")
-    g_inv = g.inverse_deg0()
-    resid = (g_inv @ g - MatrixElement.identity(g.m, g.alg)).max_norm()
-    if resid > 1e-8:
-        raise AlgebraError(f"inverse fails g^-1 g = 1 (residual {resid:.2e})")
-    return g_inv @ g.d()
+    return g.inverse_deg0() @ g.d()
 
 
 def maurer_cartan_residual(omega: MatrixElement) -> float:

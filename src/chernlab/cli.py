@@ -12,7 +12,8 @@ report does not depend on the worker count.
 Exit codes: 0 pass, 1 verification failure, 2 usage, config or input
 error.  A malformed instance JSON ("bad input: ...") and an input that
 pairing refuses ("pairing refused: ...": a module failing its axioms, a
-non-finite g, N_max < 1, an uncertified tail) each print one stderr line.
+non-finite or singular g, N_max < 1, an uncertified tail) each print one
+stderr line.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ __all__ = [
     "exterior_algebra",
     "discrete_circle_algebra",
     "matrix2_algebra",
+    "circle_function",
     "gen_fixture",
 ]
 
@@ -100,20 +101,22 @@ def discrete_circle_algebra(n: int) -> DgAlgebra:
     for k in range(n):
         diff[n + k, k] = zeta[k] - 1.0
         diff[2 * n + k, k] = zeta[k].conjugate() - 1.0
-    alg = DgAlgebra(dim, deg, 0, mul, diff, name=f"Circle{n}")
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    return DgAlgebra(dim, deg, 0, mul, diff, name=f"Circle{n}")
 
-    def ev(coeffs, _F=fourier, _n=n):
-        return _F @ coeffs[:_n]
 
-    def unev(values, _F=fourier, _n=n, _dim=dim):
-        out = np.zeros(_dim, dtype=complex)
-        out[:_n] = np.linalg.solve(_F, values)
-        return out
+def _fourier(n):
+    """F[j, k] = u^k(j): the values of the basis functions u^k at the points of Z_n."""
+    return np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
 
-    alg.deg0_eval = ev
-    alg.deg0_uneval = unev
-    return alg
+
+def circle_function(alg, values):
+    """Coefficients of the function on Z_n with the given point values, as a
+    degree-0 element of the discrete circle or of its acyclic extension
+    (both hold u^0..u^{n-1} at indices 0..n-1)."""
+    n = len(values)
+    out = np.zeros(alg.dim, dtype=complex)
+    out[:n] = np.linalg.solve(_fourier(n), values)
+    return out
 
 
 def matrix2_algebra() -> DgAlgebra:
@@ -210,7 +213,7 @@ def discrete_circle(n=6, seed=0, coupling=1.0):
         S[j, (j + 1) % n] = 1.0  # (S xi)(j) = xi(j+1)
     A = np.diag(a) @ S
     Q = A + A.conj().T + np.diag(h).astype(complex)
-    vals = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # u^k values
+    vals = _fourier(n)
     c_mats = np.zeros((alg.dim, n, n), dtype=complex)
     for kdx in range(n):
         Mk = np.diag(vals[:, kdx])
@@ -251,7 +254,7 @@ def circle_loop_element(alg, eps=0.10, seed=7):
     n = len(alg.degree0_indices())
     rng = np.random.default_rng(seed)
     vals = np.exp(eps * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    return MatrixElement(alg.deg0_uneval(vals).reshape(1, 1, -1), alg)
+    return MatrixElement(circle_function(alg, vals).reshape(1, 1, -1), alg)
 
 
 _GENERATORS = {

@@ -228,12 +228,13 @@ def double_odd(M: OddFredholmModule) -> CqFredholmModule:
 
 
 def matrix_module(M: OddFredholmModule, m: int, lifted_alg=None) -> OddFredholmModule:
-    """M^(m) on H^m over Mat_m of the algebra (kron with the matrix basis)."""
+    """M^(m) on H^m over Mat_m of the algebra (kron with the matrix basis);
+    M^(1) is M itself."""
     from .algebra import mat_lift
 
-    lifted = lifted_alg if lifted_alg is not None else mat_lift(M.alg, m)
     if m == 1:
-        return OddFredholmModule(lifted, M.c_mats, M.Q, weak=M.weak, name=M.name + "^(1)")
+        return M
+    lifted = lifted_alg if lifted_alg is not None else mat_lift(M.alg, m)
     mats = lifted._mat_basis
     c_out = np.zeros((lifted.dim, m * M.hdim, m * M.hdim), dtype=complex)
     for a, B in enumerate(mats):
@@ -768,7 +769,10 @@ def phi_estimate_ratio(M: CqFredholmModule, word, T, kappa=1.0):
         nu_prod *= kappa * float(np.max(np.abs(v)))
     bound = np.exp(T / 2) * np.trace(expm(-T * M.Q2 / 2)).real
     bound *= T ** (N / 2.0) / _floor_half_factorial(N) * nu_prod
-    return lhs / bound if bound > 0 else np.inf
+    if bound > 0:
+        return lhs / bound
+    # a zero slot makes the bound 0, and then Phi is 0 too (multilinear)
+    return 0.0 if lhs == 0 else np.inf
 
 
 def calibrate_nu(M: CqFredholmModule, words, Ts, safety=1.25):

@@ -49,6 +49,7 @@ from .fredholm import (
     _curvature_tables,
     _f2_rows,
     acyclic_extend_module,
+    calibrate_nu,
     chern_eval,
     double_odd,
     matrix_module,
@@ -183,7 +184,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     alg_T = acyclic_extension(g.alg)
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
-    lifted = mat_lift(alg_T, g.m) if g.m > 1 else alg_T
+    lifted = mat_lift(alg_T, g.m)
     unit_vec = _unit_vec(lifted)
     chains = {0: Chain(alg_T, CYCLIC)}
     total_terms = 0
@@ -285,7 +286,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     """
     ch = ch_g(g, N_max)
     alg_T = ch.alg_T
-    lifted = mat_lift(alg_T, g.m) if g.m > 1 else alg_T
+    lifted = mat_lift(alg_T, g.m)
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
     total = ch.total()
     d_part = d_cyclic(total) + b_cyclic(total)
@@ -769,15 +770,8 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
 
 def _calibrate_pairing_kappa(tf: TwistedFamily):
     """Per-slot scaling making the trace-norm bound valid on small words."""
-    from .fredholm import phi_estimate_ratio
-
-    worst = 1.0
+    words = []
     for s in (0.3, 0.9):
         a_vec, b_vec = tf.ab_vectors(s)
-        for word in [(a_vec,), (b_vec,), (a_vec, b_vec), (a_vec, a_vec), (b_vec, a_vec, a_vec)]:
-            r = phi_estimate_ratio(tf.Mdt, word, 1.0, kappa=1.0)
-            if not np.isfinite(r):
-                raise SpectralError(f"trace-norm ratio {r} on a calibration word of length {len(word)}")
-            if r > 0:
-                worst = max(worst, r ** (1.0 / len(word)))
-    return worst * 1.5
+        words += [(a_vec,), (b_vec,), (a_vec, b_vec), (a_vec, a_vec), (b_vec, a_vec, a_vec)]
+    return calibrate_nu(tf.Mdt, words, (1.0,), safety=1.5)

@@ -24,6 +24,7 @@ import numpy as np
 from .algebra import MatrixElement, acyclic_extension, dga_validate, mat_lift, maurer_cartan, maurer_cartan_residual
 from .chains import CYCLIC, Chain, _all_basis_words, random_basis_word
 from .fixtures import (
+    circle_function,
     circle_loop_element,
     complex_line,
     discrete_circle,
@@ -111,7 +112,7 @@ def group_algebra(cfg: SuiteConfig):
             vals = rng.standard_normal(CIRCLE_N) + 1j * rng.standard_normal(CIRCLE_N)
             if p == q:
                 vals += 4.0
-            entries[p, q] = alg.deg0_uneval(vals)
+            entries[p, q] = circle_function(alg, vals)
     g2 = MatrixElement(entries, alg)
     rep.add("gl2-loop", maurer_cartan_residual(maurer_cartan(g2)), 1e-10,
             "d omega + omega^2 = 0 for a random GL_2 loop")

@@ -15,6 +15,7 @@ from chernlab.algebra import (
     maurer_cartan_residual,
 )
 from chernlab.fixtures import (
+    circle_function,
     complex_line,
     discrete_circle_algebra,
     exterior_algebra,
@@ -110,11 +111,9 @@ def test_extension_restricts_to_base_differential():
     assert np.allclose(ext.diff[alg.dim :, : alg.dim], 0.0)
 
 
-def test_mat_lift_m1_is_isomorphic_copy():
+def test_mat_lift_m1_is_the_algebra_itself():
     alg = exterior_algebra(1)
-    lifted = mat_lift(alg, 1)
-    assert lifted.dim == alg.dim
-    assert np.allclose(lifted.mul, alg.mul)
+    assert mat_lift(alg, 1) is alg
 
 
 def test_mat_lift_m2_ground_field():
@@ -146,11 +145,20 @@ def test_maurer_cartan_scalar_function():
     rng = np.random.default_rng(3)
     n = 5
     vals = 1.0 + 0.4 * rng.standard_normal(n) + 0.3j * rng.standard_normal(n)
-    coeffs = alg.deg0_uneval(vals)
+    coeffs = circle_function(alg, vals)
     g = MatrixElement(coeffs.reshape(1, 1, -1), alg)
     assert np.max(np.abs(alg.diff @ coeffs)) > 1e-3  # df != 0
     omega = maurer_cartan(g)
     assert maurer_cartan_residual(omega) <= 1e-12
+
+
+def test_maurer_cartan_refuses_a_singular_loop():
+    alg = discrete_circle_algebra(6)
+    vals = np.ones(6)
+    vals[2] = 0.0  # g vanishes at one point of Z_6
+    g = MatrixElement(circle_function(alg, vals).reshape(1, 1, -1), alg)
+    with pytest.raises(AlgebraError):
+        maurer_cartan(g)
 
 
 def test_maurer_cartan_random_gl2():
@@ -162,7 +170,7 @@ def test_maurer_cartan_random_gl2():
             vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             if p == q:
                 vals += 4.0  # keep pointwise matrices invertible
-            entries[p, q] = alg.deg0_uneval(vals)
+            entries[p, q] = circle_function(alg, vals)
     g = MatrixElement(entries, alg)
     omega = maurer_cartan(g)
     assert maurer_cartan_residual(omega) <= 1e-10

@@ -1,5 +1,6 @@
 """The benchmark harness end to end: bench/run.py on the chain_closedness
-workload must exit 0 with every check passing, untraced and traced."""
+and pairing workloads must exit 0 with every check passing, untraced and
+traced."""
 
 import json
 import subprocess
@@ -11,11 +12,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_bench_chain_closedness_runs_clean(trace):
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "chain_closedness",
+def _run_clean(workload, trace):
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seconds", "0.01", "--trace", trace]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_chain_closedness_runs_clean(trace):
+    _run_clean("chain_closedness", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_pairing_runs_clean(trace):
+    # the pairing workload gates exact invariants (ten nonzero terms, a
+    # certified tail), which a change of the last bits could break
+    _run_clean("pairing", trace)

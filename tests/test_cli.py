@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from chernlab.cli import main
@@ -125,6 +126,21 @@ def test_pair_reports_are_stable_without_the_volatile_section(tmp_path):
     assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
+def test_pair_report_matches_the_library_on_the_fixture(tmp_path):
+    # the module and g read back from JSON compute the same bits as the
+    # fixture objects they were written from
+    from chernlab.fixtures import circle_loop_element, discrete_circle
+    from chernlab.spectral import pairing
+
+    out = tmp_path / "pairing.json"
+    assert run_cli(["pair", *_pair_inputs(tmp_path), "--nmax", "8", "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    M = discrete_circle(6, seed=0)
+    expected = json.loads(json.dumps(pairing(M, circle_loop_element(M.alg, eps=0.10, seed=7), 8).as_dict()))
+    del report["volatile"], expected["volatile"]
+    assert report == expected
+
+
 def test_pair_refusal_exits_2(tmp_path, capsys):
     # the tail of this module does not certify at N_max = 2: the input is
     # refused, which is not a verification failure
@@ -154,16 +170,26 @@ def _short_g(g):
     g["entries"][0][0].pop()
 
 
+def _singular_g(g):
+    from chernlab.fixtures import circle_function, discrete_circle_algebra
+    from chernlab.serialize import complex_pair
+
+    vals = np.ones(6)
+    vals[2] = 0.0  # g vanishes at one point of Z_6
+    g["entries"][0][0] = [complex_pair(z) for z in circle_function(discrete_circle_algebra(6), vals)]
+
+
 @pytest.mark.parametrize("command, spoil, nmax, message", [
     ("pair", _nan_q, "8", "pairing refused: module fails Q-hermitian"),
     ("pair", _nan_g, "8", "pairing refused: g has a non-finite entry"),
     ("pair", _short_g, "8", "pairing refused: entry length does not match the algebra dimension"),
+    ("pair", _singular_g, "8", "pairing refused: matrix has no two-sided inverse"),
     ("pair", None, "-3", "pairing refused: N_max must be >= 1"),
     ("pair", _no_q, "8", "bad input: missing key 'Q'"),
     ("pair", _flat_q, "8", "bad input: Q has wrong shape"),
     ("validate", _no_q, None, "bad input: missing key 'Q'"),
     ("validate", _flat_q, None, "bad input: Q has wrong shape"),
-], ids=["nan-Q", "nan-g", "short-g-entry", "negative-nmax", "pair-no-Q", "pair-Q-shape",
+], ids=["nan-Q", "nan-g", "short-g-entry", "singular-g", "negative-nmax", "pair-no-Q", "pair-Q-shape",
         "validate-no-Q", "validate-Q-shape"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, spoil, nmax, message):
     # a malformed or invalid input is refused in one stderr line, not with a traceback

@@ -313,12 +313,25 @@ def test_trace_norm_bound_calibrated(circle_doubled):
             assert phi_estimate_ratio(M, w, T, kappa=kappa) <= 1.0 + 1e-10
 
 
-def test_calibrate_nu_refuses_a_non_finite_ratio(circle_doubled):
-    from chernlab.fredholm import calibrate_nu
+def test_calibrate_nu_refuses_a_non_finite_ratio(circle_doubled, monkeypatch):
+    import chernlab.fredholm as fredholm
 
     M = circle_doubled
+    word = (M.alg.unit.coeffs,)
+    monkeypatch.setattr(fredholm, "phi_estimate_ratio", lambda *args, **kwargs: np.nan)
     with pytest.raises(ModuleError, match="trace-norm ratio"):
-        calibrate_nu(M, [(np.zeros(M.alg.dim, dtype=complex),)], [1.0])
+        fredholm.calibrate_nu(M, [word], [1.0])
+
+
+def test_a_zero_slot_word_has_ratio_zero(circle_doubled):
+    # a zero slot makes the bound 0, and Phi is multilinear, so 0 too
+    from chernlab.fredholm import calibrate_nu, phi_estimate_ratio
+
+    M = circle_doubled
+    zero = np.zeros(M.alg.dim, dtype=complex)
+    for word in [(zero,), (M.alg.unit.coeffs, zero), (zero, M.alg.unit.coeffs, zero)]:
+        assert phi_estimate_ratio(M, word, 1.0) == 0.0
+    assert calibrate_nu(M, [(zero,)], [1.0]) == 1.25
 
 
 # -- basis words in the Clifford half-frame ----------------------------------------------

@@ -10,8 +10,8 @@ from chernlab import chains, spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
 from chernlab.cochains import CochainError
-from chernlab.fixtures import circle_loop_element, discrete_circle, discrete_circle_algebra
-from chernlab.fredholm import _curvature_tables
+from chernlab.fixtures import circle_function, circle_loop_element, discrete_circle, discrete_circle_algebra
+from chernlab.fredholm import ModuleError, _curvature_tables
 from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket
 from chernlab.spectral import (
     SpectralError,
@@ -109,7 +109,7 @@ def _m2_element():
             vals = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             if p == q:
                 vals += 1.5
-            entries[p, q] = alg.deg0_uneval(vals)
+            entries[p, q] = circle_function(alg, vals)
     return MatrixElement(entries, alg)
 
 
@@ -496,10 +496,20 @@ def test_affine_sf_check_fails_on_a_perturbed_oracle(circle6, monkeypatch):
     assert [c.check_id for c in rep.checks.failing()] == ["affine-sf-erf-identity"]
 
 
-def test_pairing_refuses_a_non_finite_kappa_ratio(circle6):
-    # a constant loop has omega = 0, so the trace-norm bound of the word
-    # (B,) is 0 and its ratio infinite; that used to give kappa = inf and
-    # a NaN tail bound, with which the report passed
-    g = circle_loop_element(circle6.alg, eps=0.0, seed=7)
-    with pytest.raises(SpectralError, match="trace-norm ratio"):
+def test_pairing_refuses_a_non_finite_kappa_ratio(circle6, monkeypatch):
+    # kappa = inf would give a NaN tail bound, with which the report passed
+    import chernlab.fredholm as fredholm
+
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    monkeypatch.setattr(fredholm, "phi_estimate_ratio", lambda *args, **kwargs: np.inf)
+    with pytest.raises(ModuleError, match="trace-norm ratio"):
         pairing(circle6, g, N_max=4, tail_tol=1e-3)
+
+
+def test_pairing_of_a_constant_loop_is_zero(circle6):
+    # omega = 0 makes every calibration word's slots zero; their ratio is
+    # 0, not inf, and every term of the pairing vanishes
+    g = circle_loop_element(circle6.alg, eps=0.0, seed=7)
+    rep = pairing(circle6, g, N_max=4)
+    assert rep.verdict, rep.checks.summary()
+    assert rep.pairing_total == 0.0 and rep.sf_direct == 0.0 and rep.sf_series == 0.0
