@@ -54,7 +54,7 @@ print()
 print("== homotopy invariance through the transgression form ==")
 M0 = random_weak_cq(hdim=4, q=0, seed=5, k=2, strong=True)
 V = M0.cm.project_equivariant(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
-hom = Homotopy.affine_Q(M0, 0.5 * (V + V.conj().T))
+hom = Homotopy(M0, 0.5 * (V + V.conj().T))
 ext = acyclic_extension(M0.alg)
 words = [random_basis_word(ext, CYCLIC, 1 + int(rng.integers(0, 2)), rng) for _ in range(8)]
 M1_T = acyclic_extend_module(hom.module(1.0), ext)

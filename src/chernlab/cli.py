@@ -161,6 +161,8 @@ def cmd_fixture(args) -> int:
 
 
 def build_parser():
+    from .suite import GROUPS
+
     parser = argparse.ArgumentParser(prog="chernlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,8 +173,7 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run verification groups")
     p.add_argument("-c", "--config", default=None)
-    p.add_argument("--group", action="append", choices=["algebra", "complexes", "brackets",
-                                                        "chern", "transgression", "pairing"])
+    p.add_argument("--group", action="append", choices=GROUPS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary-file", default=None)

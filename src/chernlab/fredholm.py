@@ -152,6 +152,23 @@ def _strong_residuals(alg, c_stack, Q, rep):
     rep.add("multiplicativity", mults, MODULE_TOL, "c(f a) = c(f) c(a), c(a f) = c(a) c(f)")
 
 
+_Q_CHECKS = (("Q-hermitian", "Q = Q*"),
+             ("Q-odd", "Q anticommutes with the grading"),
+             ("Q-clifford-equivariance", "Q supercommutes with the C_q action"))
+
+
+def _odd_operator_residuals(cm: CliffordModule, X):
+    """Residuals of X = X*, G X = -X G and e X = -X e for every C_q generator e,
+    in the order of _Q_CHECKS."""
+    G = cm.H.parity.astype(float)
+    equiv = 0.0
+    for e in cm.e:
+        equiv = running_max(equiv, np.max(np.abs(e @ X + X @ e)))
+    return (float(np.max(np.abs(X - X.conj().T))),
+            float(np.max(np.abs(X + G[:, None] * X * G[None, :]))),
+            equiv)
+
+
 def module_validate(M) -> ValidationReport:
     """Residuals of all structural module axioms; weak skips multiplicativity."""
     tol = MODULE_TOL
@@ -179,12 +196,8 @@ def module_validate(M) -> ValidationReport:
             equivariance = running_max(equivariance, np.max(np.abs(e @ ci - sign * ci @ e)))
     rep.add("grading-preserving", grading, tol, "c maps degree parity to operator parity")
     rep.add("clifford-equivariance", equivariance, tol, "c(a) supercommutes with the C_q action")
-    rep.add("Q-hermitian", float(np.max(np.abs(M.Q - M.Q.conj().T))), tol, "Q = Q*")
-    rep.add("Q-odd", float(np.max(np.abs(M.Q + G[:, None] * M.Q * G[None, :]))), tol, "Q anticommutes with the grading")
-    q_equiv = 0.0
-    for e in M.cm.e:
-        q_equiv = running_max(q_equiv, np.max(np.abs(e @ M.Q + M.Q @ e)))
-    rep.add("Q-clifford-equivariance", q_equiv, tol, "Q supercommutes with the C_q action")
+    for (check_id, formula), residual in zip(_Q_CHECKS, _odd_operator_residuals(M.cm, M.Q)):
+        rep.add(check_id, residual, tol, formula)
     if not M.weak:
         _strong_residuals(M.alg, M.c_mats, M.Q, rep)
     delta = M.delta_operator()  # a non-finite Q fails Q-hermitian above; eigvalsh raises on it
@@ -561,67 +574,48 @@ def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, ext_alg=None) -> Valid
 # -- homotopies, the transgression and the Chern-Simons form ------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Homotopy:
-    """Family (c^s, Q_s) with fixed Clifford action and derivative closures."""
+    """The family Q_s = Q + sV with c fixed: the module M at s = 0 and an odd,
+    Hermitian, C_q-equivariant direction V, validated on construction."""
 
-    alg: DgAlgebra
-    cm: CliffordModule
-    c_of: callable
-    Q_of: callable
-    cdot_of: callable
-    Qdot_of: callable
-    weak: bool = False
-    name: str = "homotopy"
-
+    M: CqFredholmModule
+    V: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def affine_Q(cls, M: CqFredholmModule, V, name=None):
-        """Q_s = Q + sV with c fixed; V must be odd Hermitian equivariant."""
-        V = np.asarray(V, dtype=complex)
+    def __post_init__(self):
+        self.V = _frozen(self.V)
+        if self.V.shape != self.M.Q.shape:
+            raise ModuleError("V has wrong shape")
+        residuals = _odd_operator_residuals(self.M.cm, self.V)
+        bad = [f"{check_id} ({r:.2e})" for (check_id, _), r in zip(_Q_CHECKS, residuals) if not r <= MODULE_TOL]
+        if bad:
+            raise ModuleError("homotopy direction V fails " + ", ".join(bad))
 
-        return cls(
-            M.alg,
-            M.cm,
-            c_of=lambda s, _c=M.c_mats: _c,
-            Q_of=lambda s, _Q=M.Q, _V=V: _Q + s * _V,
-            cdot_of=lambda s, _z=np.zeros_like(M.c_mats): _z,
-            Qdot_of=lambda s, _V=V: _V,
-            weak=M.weak,
-            name=name or (M.name + "+sV"),
-        )
+    @property
+    def name(self):
+        return self.M.name + "+sV"
 
     def module(self, s) -> CqFredholmModule:
         key = round(float(s), 14)
         if key not in self._cache:
-            self._cache[key] = CqFredholmModule(
-                self.alg, self.cm, self.c_of(s), self.Q_of(s), weak=self.weak,
-                name=f"{self.name}[s={key}]",
-            )
+            M = self.M
+            self._cache[key] = CqFredholmModule(M.alg, M.cm, M.c_mats, M.Q + s * self.V, weak=M.weak,
+                                                name=f"{self.name}[s={key}]")
         return self._cache[key]
 
     def extended(self, ext_alg) -> "Homotopy":
         """The same homotopy over the acyclic extension (weak modules)."""
-
-        def c_ext(s, _c=self.c_of):
-            base = _c(s)
-            return np.concatenate([base, np.zeros_like(base)], axis=0)
-
-        def cdot_ext(s, _c=self.cdot_of):
-            base = _c(s)
-            return np.concatenate([base, np.zeros_like(base)], axis=0)
-
-        return Homotopy(ext_alg, self.cm, c_ext, self.Q_of, cdot_ext, self.Qdot_of,
-                        weak=True, name=self.name + "_T")
+        return Homotopy(acyclic_extend_module(self.M, ext_alg), self.V)
 
 
-def psi_eval(M_s: CqFredholmModule, Qdot, cdot_mats, T, word):
-    """Psi_T = -T int_0^1 Phi_uT omegadot Phi_(1-u)T du on one bar word.
+def psi_eval(M_s: CqFredholmModule, V, T, word):
+    """Psi_T = -T int_0^1 Phi_uT V Phi_(1-u)T du on one bar word.
 
-    Evaluated exactly through a marked block exponential: the velocity
-    insertion at prefix length a carries the Koszul sign (-1)^{n_a} from
-    the bar-cochain product (omegadot is odd).
+    Evaluated exactly through a marked block exponential: the insertion of
+    the velocity V at prefix length a carries the Koszul sign (-1)^{n_a}
+    from the bar-cochain product (V is odd).  c is fixed along the
+    homotopy, so V is the only velocity.
     """
     slots = _as_slot_vecs(M_s.alg, word)
     N = len(slots)
@@ -629,51 +623,39 @@ def psi_eval(M_s: CqFredholmModule, Qdot, cdot_mats, T, word):
         raise HilbertError("word too long for the bracket bound")
     n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
     diag, bands = _curvature_tables(M_s).bands(T, slots)
-    cdot = lambda v: np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), cdot_mats)  # noqa: E731
-    marked = {
-        0: {a: (-1.0) ** n[a] * (-T) * Qdot for a in range(N + 1)},
-        1: {a: (-1.0) ** n[a] * (-T) * cdot(slots[a]) for a in range(N)},
-    }
+    marked = {0: {a: (-1.0) ** n[a] * (-T) * V for a in range(N + 1)}}
     return marked_chain_exp_topright(diag, bands, marked)
 
 
-def psi_quadrature(M_s: CqFredholmModule, Qdot, cdot_mats, T, word, nodes=48):
+def psi_quadrature(M_s: CqFredholmModule, V, T, word, nodes=48):
     """Independent evaluation of Psi_T by u-quadrature of the definition."""
     slots = _as_slot_vecs(M_s.alg, word)
     N = len(slots)
     n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
     u_nodes, u_w = gauss_legendre_01(nodes)
-    cdot = lambda v: np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), cdot_mats)  # noqa: E731
     out = np.zeros((M_s.hdim, M_s.hdim), dtype=complex)
     for ui, wi in zip(u_nodes, u_w):
         acc = np.zeros_like(out)
         for a in range(N + 1):
             left = quantize(M_s, ui * T, slots[:a])
-            sign = (-1.0) ** n[a]
-            # arity-0 insertion
             right = quantize(M_s, (1.0 - ui) * T, slots[a:])
-            acc += sign * (left @ Qdot @ right)
-            # arity-1 insertion
-            if a < N:
-                right1 = quantize(M_s, (1.0 - ui) * T, slots[a + 1 :])
-                acc += sign * (left @ cdot(slots[a]) @ right1)
+            acc += (-1.0) ** n[a] * (left @ V @ right)
         out += wi * acc
     return -T * out
 
 
 def psi_cochain(hom: Homotopy, s, T) -> OperatorBarCochain:
     M_s = hom.module(s)
-    Qdot = hom.Qdot_of(s)
-    cdot = hom.cdot_of(s)
     return OperatorBarCochain(M_s.alg, M_s.hdim, 1,
-                              lambda slots: psi_eval(M_s, Qdot, cdot, T, slots),
+                              lambda slots: psi_eval(M_s, hom.V, T, slots),
                               label=f"psi[s={s}]")
 
 
 def bianchi_residual(hom: Homotopy, s, T, word):
     """|d/ds Phi_T^s - delta Psi_T^s - [omega_s, Psi_T^s]| on one bar word."""
     fd_step = 1e-4
-    word_chain = Chain.from_elements(hom.alg, BAR_RED, _as_slot_vecs(hom.alg, word))
+    alg = hom.M.alg
+    word_chain = Chain.from_elements(alg, BAR_RED, _as_slot_vecs(alg, word))
     lhs = (quantize(hom.module(s + fd_step), T, word) - quantize(hom.module(s - fd_step), T, word)) / (2 * fd_step)
     psi = psi_cochain(hom, s, T)
     # delta psi: -(d + b')^dual, psi odd
@@ -681,14 +663,14 @@ def bianchi_residual(hom: Homotopy, s, T, word):
     delta_psi = psi.eval_chain(image)
     om = omega_cochain(hom.module(s))
     commutator = om.supercommutator(psi)
-    rhs = delta_psi + commutator.eval_slots(_as_slot_vecs(hom.alg, word))
+    rhs = delta_psi + commutator.eval_slots(_as_slot_vecs(alg, word))
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def chern_simons_eval(hom_T: Homotopy, chain, s_nodes=32):
     """CS(chain) = (-1)^q int_0^1 (alpha^* CStr Psi_1^s)(chain) ds."""
     if not isinstance(chain, Chain):
-        chain = Chain.basis_word(hom_T.alg, CYCLIC, chain)
+        chain = Chain.basis_word(hom_T.M.alg, CYCLIC, chain)
     bar = alpha_map(chain)
     if not bar.terms:
         return 0.0 + 0.0j
@@ -696,40 +678,43 @@ def chern_simons_eval(hom_T: Homotopy, chain, s_nodes=32):
     total = 0.0 + 0.0j
     for si, wi in zip(s_x, s_w):
         M_s = hom_T.module(si)
-        Qdot = hom_T.Qdot_of(si)
-        cdot = hom_T.cdot_of(si)
         val = 0.0 + 0.0j
         for word, coeff in bar.terms.items():
-            val += coeff * cstr(M_s.cm, psi_eval(M_s, Qdot, cdot, 1.0, word))
+            val += coeff * cstr(M_s.cm, psi_eval(M_s, hom_T.V, 1.0, word))
         total += wi * val
-    return (-1.0) ** hom_T.cm.q * total
+    return (-1.0) ** hom_T.M.q * total
 
 
 def transgression_check(hom: Homotopy, words, s_nodes=32, ext_alg=None) -> ValidationReport:
     """Ch(1) - Ch(0) = (d + b - B)^dual CS on the supplied cyclic words.
 
-    Words live over the acyclic extension of the homotopy's algebra.
+    Words live over the acyclic extension of the homotopy's algebra.  The
+    note nonzero_lhs_words counts the words with |Ch(1) - Ch(0)| > 1e-8,
+    on which the formula is not met by two zeros.
     """
     from .algebra import acyclic_extension
 
-    alg_T = ext_alg if ext_alg is not None else acyclic_extension(hom.alg)
+    alg_T = ext_alg if ext_alg is not None else acyclic_extension(hom.M.alg)
     hom_T = hom.extended(alg_T)
-    M1 = acyclic_extend_module(hom.module(1.0), alg_T)
-    M0 = acyclic_extend_module(hom.module(0.0), alg_T)
-    q = hom.cm.q
-    cs_parity = (q + 1) % 2
+    M1 = hom_T.module(1.0)
+    M0 = hom_T.module(0.0)
+    sign = (-1.0) ** ((hom.M.q + 1) % 2)  # (-1)^{|D_tot| |CS|}
     rep = ValidationReport(f"transgression:{hom.name}")
     scale = max(chern_scale(M0), chern_scale(M1))
     worst = 0.0
+    n_words = nonzero = 0
     for w in words:
         chain = w if isinstance(w, Chain) else Chain.basis_word(alg_T, CYCLIC, w)
         lhs = chern_eval(M1, chain) - chern_eval(M0, chain)
-        sign = (-1.0) ** cs_parity  # (-1)^{|D_tot| |CS|}
         rhs = sign * chern_simons_eval(hom_T, d_total(chain), s_nodes=s_nodes)
         worst = running_max(worst, abs(lhs - rhs))
+        n_words += 1
+        if abs(lhs) > 1e-8:
+            nonzero += 1
     rep.add("transgression-formula", worst / scale, 1e-6,
-            "Ch(s=1) - Ch(s=0) = (d + b - B)^dual CS", note=f"{len(list(words))} words")
+            "Ch(s=1) - Ch(s=0) = (d + b - B)^dual CS", note=f"{n_words} words")
     rep.notes["scale"] = scale
+    rep.notes["nonzero_lhs_words"] = nonzero
     return rep
 
 

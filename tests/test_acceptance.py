@@ -170,15 +170,15 @@ def test_criterion_07_transgression():
     M0 = random_weak_cq(hdim=4, q=0, seed=SEED + 6, k=2, strong=True)
     V0 = M0.cm.project_equivariant(
         rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
-    homs.append(Homotopy.affine_Q(M0, 0.5 * (V0 + V0.conj().T)))
+    homs.append(Homotopy(M0, 0.5 * (V0 + V0.conj().T)))
     Mq = double_odd(discrete_circle(3, seed=SEED))
     h = Mq.hdim // 2
     Vq = np.kron(np.array([[0, 1], [1, 0]]), np.diag(rng.standard_normal(h)))
-    homs.append(Homotopy.affine_Q(Mq, Vq))
+    homs.append(Homotopy(Mq, Vq))
     worst_t, worst_b = 0.0, 0.0
     nonzero = 0
     for hom in homs:
-        ext = acyclic_extension(hom.alg)
+        ext = acyclic_extension(hom.M.alg)
         M1 = acyclic_extend_module(hom.module(1.0), ext)
         M0_ = acyclic_extend_module(hom.module(0.0), ext)
         words = []
@@ -193,7 +193,7 @@ def test_criterion_07_transgression():
         worst_t = running_max(worst_t, rep.residual("transgression-formula"))
         for _ in range(8):
             N = int(rng.integers(0, 3))
-            w = random_basis_word(hom.alg, "bar_red", N, rng)
+            w = random_basis_word(hom.M.alg, "bar_red", N, rng)
             worst_b = running_max(worst_b, bianchi_residual(hom, float(rng.uniform(0.1, 0.9)), 1.0, w))
     ok = worst_t <= 1e-6 and worst_b <= 1e-6 and nonzero > 0
     _verdict(7, "transgression", ok,

@@ -90,6 +90,22 @@ def test_bad_config_exit_code(tmp_path):
     assert run_cli(["suite", "-c", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"fast": "no", "groups": ["brackets"]}, "fast must be true or false, not 'no'"),
+    ({"seed": "7", "groups": ["algebra"]}, "seed must be an integer, not '7'"),
+    ({"seed": True, "groups": ["algebra"]}, "seed must be an integer, not True"),
+    ({"groups": "pairing"}, "groups must be a list of group names, not 'pairing'"),
+], ids=["string-fast", "string-seed", "bool-seed", "string-groups"])
+def test_mistyped_config_exits_2(tmp_path, capsys, config, message):
+    # the config is type-checked before any group runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["suite", "-c", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 def _pair_inputs(tmp_path, module_seed=0):
     from chernlab.fixtures import discrete_circle, circle_loop_element
     from chernlab.serialize import complex_pair, dump_json, module_to_json

@@ -233,16 +233,16 @@ def test_psi_matches_definition(weak_q1):
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     V = M.cm.project_equivariant(raw, 1)
     V = 0.5 * (V + V.conj().T)
-    hom = Homotopy.affine_Q(M, V)
+    hom = Homotopy(M, V)
     M_s = hom.module(0.4)
     for N in range(0, 4):
         w = random_basis_word(M.alg, BAR_RED, N, rng)
-        a = psi_eval(M_s, V, hom.cdot_of(0.4), 0.9, w)
-        b = psi_quadrature(M_s, V, hom.cdot_of(0.4), 0.9, w, nodes=40)
+        a = psi_eval(M_s, V, 0.9, w)
+        b = psi_quadrature(M_s, V, 0.9, w, nodes=40)
         assert np.max(np.abs(a - b)) <= 1e-10
     # arity-0 component scales linearly in T as T -> 0
-    n1 = np.max(np.abs(psi_eval(M_s, V, hom.cdot_of(0.4), 1e-5, ())))
-    n2 = np.max(np.abs(psi_eval(M_s, V, hom.cdot_of(0.4), 2e-5, ())))
+    n1 = np.max(np.abs(psi_eval(M_s, V, 1e-5, ())))
+    n2 = np.max(np.abs(psi_eval(M_s, V, 2e-5, ())))
     assert n2 / n1 == pytest.approx(2.0, rel=1e-3)
 
 
@@ -252,7 +252,7 @@ def test_bianchi_identity(weak_q1):
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     V = M.cm.project_equivariant(raw, 1)
     V = 0.5 * (V + V.conj().T)
-    hom = Homotopy.affine_Q(M, V)
+    hom = Homotopy(M, V)
     for N in range(0, 3):
         w = random_basis_word(M.alg, BAR_RED, N, rng)
         assert bianchi_residual(hom, 0.3, 1.0, w) <= 1e-6
@@ -264,15 +264,86 @@ def test_transgression_small():
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     V = M.cm.project_equivariant(raw, 1)
     V = 0.5 * (V + V.conj().T)
-    hom = Homotopy.affine_Q(M, V)
+    hom = Homotopy(M, V)
     ext = acyclic_extension(M.alg)
     words = [random_basis_word(ext, CYCLIC, 1 + int(rng.integers(0, 2)), rng) for _ in range(6)]
     rep = transgression_check(hom, words, s_nodes=16, ext_alg=ext)
     assert rep.passed, rep.summary()
     # V = 0: both sides vanish
-    rep0 = transgression_check(Homotopy.affine_Q(M, np.zeros_like(V)), words[:2],
+    rep0 = transgression_check(Homotopy(M, np.zeros_like(V)), words[:2],
                                s_nodes=8, ext_alg=ext)
     assert rep0.max_residual() <= 1e-12
+    assert rep0.notes["nonzero_lhs_words"] == 0
+
+
+def _small_homotopy(seed, q=1):
+    M = random_weak_cq(hdim=4, q=q, seed=seed, k=2, strong=q == 0)
+    rng = np.random.default_rng(seed + 1)
+    V = M.cm.project_equivariant(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
+    return M, 0.5 * (V + V.conj().T)
+
+
+def test_transgression_counts_the_words_it_evaluates():
+    # a generator of words is consumed by the check; the note counts what it evaluated
+    M, V = _small_homotopy(17, q=0)
+    ext = acyclic_extension(M.alg)
+    rng = np.random.default_rng(18)
+    words = [random_basis_word(ext, CYCLIC, 1 + int(rng.integers(0, 2)), rng) for _ in range(4)]
+    rep = transgression_check(Homotopy(M, V), (w for w in words), s_nodes=8, ext_alg=ext)
+    assert rep.passed, rep.summary()
+    assert rep.checks[0].note == "4 words"
+    M1, M0 = (acyclic_extend_module(Homotopy(M, V).module(s), ext) for s in (1.0, 0.0))
+    expected = sum(abs(chern_eval(M1, w) - chern_eval(M0, w)) > 1e-8 for w in words)
+    assert expected > 0
+    assert rep.notes["nonzero_lhs_words"] == expected
+
+
+def _not_hermitian(M, V):
+    return 1j * V
+
+
+def _not_odd(M, V):
+    # the grading is Hermitian and anticommutes with every generator, but is even
+    return V + np.diag(M.cm.H.parity.astype(complex))
+
+
+def _not_equivariant(M, V):
+    # an odd Hermitian operator minus its C_q-equivariant part
+    rng = np.random.default_rng(20)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    G = M.cm.H.parity.astype(float)
+    A = 0.5 * (A - G[:, None] * A * G[None, :])
+    A = 0.5 * (A + A.conj().T)
+    return V + A - M.cm.project_equivariant(A, 1)
+
+
+CHECK_IDS = ("Q-hermitian", "Q-odd", "Q-clifford-equivariance")
+
+
+@pytest.mark.parametrize("spoil, failing", [
+    (_not_hermitian, "Q-hermitian"),
+    (_not_odd, "Q-odd"),
+    (_not_equivariant, "Q-clifford-equivariance"),
+], ids=["not-hermitian", "not-odd", "not-equivariant"])
+def test_homotopy_refuses_a_bad_direction(spoil, failing):
+    M, V = _small_homotopy(19)
+    Homotopy(M, V)  # the projected direction is accepted
+    with pytest.raises(ModuleError) as err:
+        Homotopy(M, spoil(M, V))
+    named = [check_id for check_id in CHECK_IDS if check_id in str(err.value)]
+    assert named == [failing]
+
+
+def test_extended_homotopy_is_the_extension_of_each_module():
+    M, V = _small_homotopy(21)
+    hom = Homotopy(M, V)
+    ext = acyclic_extension(M.alg)
+    hom_T = hom.extended(ext)
+    for s in (0.0, 0.37, 1.0):
+        direct = acyclic_extend_module(hom.module(s), ext)
+        assert hom_T.module(s).alg is ext
+        assert np.array_equal(hom_T.module(s).c_mats, direct.c_mats)
+        assert np.array_equal(hom_T.module(s).Q, direct.Q)
 
 
 def test_getzler_closed_form_matches_doubling():
