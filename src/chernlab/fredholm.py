@@ -11,13 +11,16 @@ The quantization map on a word with N slots is evaluated through one
 augmented block exponential: nodes 0..N carry -T Q^2 on the diagonal,
 arity-1 curvature blocks on the first superdiagonal and arity-2 blocks
 on the second; the top-right block of the exponential is the full sum
-over ordered partitions.  An explicit partition enumeration,
-quantize_partitions, is kept as an independent cross-check.
+over ordered partitions.  _HalfFrame.bands builds that chain for every
+word, in the Clifford half-frame, for quantize, psi_eval and the pairing
+rows.  The full-size Curvature.F1 and F2 and the explicit partition
+enumeration, quantize_partitions, are kept as independent cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -268,7 +271,7 @@ def conjugate_module(M: CqFredholmModule, U) -> CqFredholmModule:
 
 
 class Curvature:
-    """Components of delta(omega) + omega^2 for a module."""
+    """Components of delta(omega) + omega^2: full-size F_1 and F_2, and the half-frame."""
 
     def __init__(self, M):
         self.M = M
@@ -281,13 +284,11 @@ class Curvature:
             f1[i] = M.Q @ stack[i] - sign * stack[i] @ M.Q - M.c(alg.diff[:, i])
         self.f1_table = f1
         self.sign_vec = (-1.0) ** (np.asarray(deg) % 2)
-        self._frame = None
 
-    def _basis_frame(self) -> "_HalfFrame":
-        """The basis-word tables in the Clifford half-frame, built on first use."""
-        if self._frame is None:
-            self._frame = _HalfFrame(self)
-        return self._frame
+    @cached_property
+    def frame(self) -> "_HalfFrame":
+        """The tables in the Clifford half-frame, built on first use."""
+        return _HalfFrame(self)
 
     def F1(self, vec):
         return np.einsum("i,ijk->jk", np.asarray(vec, dtype=complex), self.f1_table)
@@ -295,21 +296,6 @@ class Curvature:
     def F2(self, vec1, vec2):
         rows = _f2_rows(self.M.alg.mul, self.M.c_mats, self.sign_vec, vec1)
         return np.tensordot(np.asarray(vec2, dtype=complex), rows, axes=1)
-
-    def bands(self, T, slots):
-        """Block chain of Phi_T on a word: -T Q^2 on the N+1 diagonal nodes,
-        -T F(theta_j) one step up and -T F(theta_j, theta_j+1) two steps up."""
-        # words like (a,) * N repeat one slot object: build each block once
-        singles = {id(v): v for v in slots}
-        pairs = {(id(u), id(v)): (u, v) for u, v in zip(slots, slots[1:])}
-        f1 = {key: -T * self.F1(v) for key, v in singles.items()}
-        f2 = {key: -T * self.F2(u, v) for key, (u, v) in pairs.items()}
-        diag = [-T * self.M.Q2] * (len(slots) + 1)
-        bands = {
-            1: {j: f1[id(v)] for j, v in enumerate(slots)},
-            2: {j: f2[id(u), id(v)] for j, (u, v) in enumerate(zip(slots, slots[1:]))},
-        }
-        return diag, bands
 
 
 def _f2_rows(mul, c, sign_vec, u):
@@ -319,17 +305,22 @@ def _f2_rows(mul, c, sign_vec, u):
     return np.tensordot(np.tensordot(su, mul, axes=1), c, axes=1) - np.tensordot(su, c, axes=1) @ c
 
 
+def _is_basis_word(word):
+    return not len(word) or isinstance(word[0], (int, np.integer))
+
+
 class _HalfFrame:
-    """Curvature blocks of basis words, reduced to half the space when q >= 1.
+    """Curvature chains of words, reduced to half the space when q >= 1.
 
     P = Gamma e_1 is a Hermitian involution that commutes with every
     C_q-equivariant operator (an even one commutes with Gamma and e_1, an
     odd one anticommutes with both).  With U_+ an orthonormal basis of its
     +1 eigenspace and U_- = e_1 U_+, an equivariant X of parity p is
     U_+ X_+ U_+* + (-1)^p U_- X_+ U_-* with X_+ = U_+* X U_+.  Every block
-    of the chain of a basis word is equivariant, and the chain's top-right
-    block has the parity p of the word, so one exponential of the reduced
-    chain gives Phi.  For q = 0 the frame is the identity.
+    of the chain of a word of basis indices or of homogeneous coefficient
+    vectors is equivariant, and the chain's top-right block has the parity
+    p of the word, so one exponential of the reduced chain gives Phi.  For
+    q = 0 the frame is the identity.
 
     The frame is trusted only after a guard: c_i (parity |i|) and Q (odd)
     must be block-diagonal in (U_+, U_-) with the signed lower block, to
@@ -338,34 +329,53 @@ class _HalfFrame:
 
     def __init__(self, cur: Curvature):
         M = cur.M
-        self.mul = M.alg.mul
-        self.parity = M.alg.parity_tuple
+        self.alg = M.alg
         self.sign_vec = cur.sign_vec
-        if M.q == 0:
-            self.U = None
-            self.c, self.f1, self.q2 = M.c_mats, cur.f1_table, M.Q2
-        else:
-            self.U = _half_frame_basis(M, cur.sign_vec)
-            self.Uh = self.U.conj().T
-            Up = self.U[:, : M.hdim // 2]
-            self.c, self.f1, self.q2 = (Up.conj().T @ X @ Up for X in (M.c_mats, cur.f1_table, M.Q2))
+        self.U = None if M.q == 0 else _half_frame_basis(M, cur.sign_vec)
+        self.Uh = None if M.q == 0 else self.U.conj().T
+        self.c, self.f1_table, self.q2 = (self.reduce(X) for X in (M.c_mats, cur.f1_table, M.Q2))
         self._rows = {}
+
+    def reduce(self, X):
+        """X_+ = U_+* X U_+ of an equivariant X (or of a stack of them)."""
+        if self.U is None:
+            return X
+        Up = self.U[:, : self.U.shape[0] // 2]
+        return Up.conj().T @ X @ Up
+
+    def f1(self, v):
+        """F_1(v) of a coefficient vector, in the frame."""
+        return np.tensordot(v, self.f1_table, axes=1)
 
     def f2(self, i, j):
         """F_2(e_i, e_j) in the frame, one row i at a time."""
         row = self._rows.get(i)
         if row is None:
-            row = self._rows[i] = _f2_rows(self.mul, self.c, self.sign_vec, np.eye(len(self.mul))[i])
+            row = self._rows[i] = _f2_rows(self.alg.mul, self.c, self.sign_vec, np.eye(self.alg.dim)[i])
         return row[j]
 
     def bands(self, T, word):
-        """The reduced chain of Curvature.bands on a basis word."""
+        """(diag, bands) of Phi_T on a word: -T Q^2 on nodes 0..N, -T F_1(theta_j)
+        one step up, -T F_2(theta_j, theta_j+1) two steps up; and the prefix
+        parities n_k = sum_{j<k} (|theta_j| + 1) mod 2, n_N the chain's.  Basis
+        words read table rows; coefficient-vector words build each block once
+        per slot object, with degrees from slot_degree (CochainError if mixed).
+        """
         diag = [-T * self.q2] * (len(word) + 1)
-        bands = {
-            1: {j: -T * self.f1[i] for j, i in enumerate(word)},
-            2: {j: -T * self.f2(i, k) for j, (i, k) in enumerate(zip(word, word[1:]))},
-        }
-        return diag, bands
+        if _is_basis_word(word):
+            one = [-T * self.f1_table[i] for i in word]
+            two = [-T * self.f2(i, k) for i, k in zip(word, word[1:])]
+            degrees = [self.alg.parity_tuple[i] for i in word]
+        else:
+            word = [np.asarray(v, dtype=complex) for v in word]
+            singles = {id(v): v for v in word}
+            pairs = {(id(u), id(v)): (u, v) for u, v in zip(word, word[1:])}
+            f1 = {key: (-T * self.f1(v), slot_degree(self.alg, v)) for key, v in singles.items()}
+            f2 = {key: -T * np.tensordot(v, _f2_rows(self.alg.mul, self.c, self.sign_vec, u), axes=1)
+                  for key, (u, v) in pairs.items()}
+            one, degrees = zip(*(f1[id(v)] for v in word))
+            two = [f2[id(u), id(v)] for u, v in zip(word, word[1:])]
+        return (diag, {1: dict(enumerate(one)), 2: dict(enumerate(two))}), _prefix_parities(degrees)
 
     def lift(self, phi, p):
         """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the reduced block."""
@@ -444,7 +454,7 @@ def _compositions(N, max_blocks=None):
 
 
 def _as_slot_vecs(alg, word):
-    if len(word) and isinstance(word[0], (int, np.integer)):
+    if _is_basis_word(word):
         return word_to_vecs(alg, word)
     return tuple(np.asarray(v, dtype=complex) for v in word)
 
@@ -459,20 +469,19 @@ def _check_word(T, N):
 def quantize(M: CqFredholmModule, T, word):
     """Heat-kernel quantization of the curvature on one bar word.
 
-    word: tuple of basis indices or coefficient vectors (N slots).  Basis
-    words are cached per (T, word) and run on the curvature tables, on
-    half-size blocks when q >= 1.
+    word: tuple of basis indices or homogeneous coefficient vectors (N
+    slots).  The chain runs in the half-frame, on half-size blocks when
+    q >= 1; basis words are cached per (T, word).
     """
     _check_word(T, len(word))
-    if len(word) and not isinstance(word[0], (int, np.integer)):
-        return chain_exp_topright(*_curvature_tables(M).bands(T, _as_slot_vecs(M.alg, word)))
-    key = (float(T), tuple(int(i) for i in word))
+    key = (float(T), tuple(int(i) for i in word)) if _is_basis_word(word) else None
     out = M._phi_cache.get(key)
     if out is None:
-        frame = _curvature_tables(M)._basis_frame()
-        phi = chain_exp_topright(*frame.bands(T, key[1]))
-        # the chain of a basis word has parity sum_j (|theta_j| + 1)
-        out = M._phi_cache[key] = frame.lift(phi, sum(frame.parity[i] + 1 for i in key[1]))
+        frame = _curvature_tables(M).frame
+        chain, n = frame.bands(T, word if key is None else key[1])
+        out = frame.lift(chain_exp_topright(*chain), n[-1])
+        if key is not None:
+            M._phi_cache[key] = out
     return out
 
 
@@ -504,11 +513,8 @@ def chern_eval(M: CqFredholmModule, item, T=1.0):
         if item.kind != CYCLIC:
             raise ModuleError("chern_eval expects a cyclic chain")
         return complex(sum(coeff * chern_eval(M, w, T) for w, coeff in item.terms.items()))
-    word = item
-    head = word[0]
-    c0 = M.c(head) if not isinstance(head, (int, np.integer)) else M.c_mats[int(head)]
-    phi = quantize(M, T, tuple(word[1:]))
-    return complex(cstr(M.cm, c0 @ phi))
+    phi = quantize(M, T, tuple(item[1:]))
+    return complex(cstr(M.cm, M.c(item[0]) @ phi))
 
 
 def coclosed_residual(M: CqFredholmModule, chain):
@@ -609,37 +615,36 @@ class Homotopy:
         return Homotopy(acyclic_extend_module(self.M, ext_alg), self.V)
 
 
-def psi_eval(M_s: CqFredholmModule, V, T, word):
-    """Psi_T = -T int_0^1 Phi_uT V Phi_(1-u)T du on one bar word.
+def psi_eval(hom: Homotopy, s, T, word):
+    """Psi_T = -T int_0^1 Phi_uT V Phi_(1-u)T du on one bar word at M_s.
 
-    Evaluated exactly through a marked block exponential: the insertion of
-    the velocity V at prefix length a carries the Koszul sign (-1)^{n_a}
-    from the bar-cochain product (V is odd).  c is fixed along the
-    homotopy, so V is the only velocity.
+    Evaluated exactly through a marked block exponential in the half-frame:
+    the insertion of the velocity V at prefix length a carries the Koszul
+    sign (-1)^{n_a} from the bar-cochain product (V is odd), so the marked
+    block has parity n_N + 1.  c is fixed, so V is the only velocity.
     """
-    slots = _as_slot_vecs(M_s.alg, word)
-    N = len(slots)
-    if N + 1 > N_BRACKET_MAX:
+    if len(word) + 1 > N_BRACKET_MAX:
         raise HilbertError("word too long for the bracket bound")
-    n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
-    diag, bands = _curvature_tables(M_s).bands(T, slots)
-    marked = {0: {a: (-1.0) ** n[a] * (-T) * V for a in range(N + 1)}}
-    return marked_chain_exp_topright(diag, bands, marked)
+    frame = _curvature_tables(hom.module(s)).frame
+    (diag, bands), n = frame.bands(T, word)
+    V = frame.reduce(hom.V)
+    marked = {0: {a: (-1.0) ** n[a] * (-T) * V for a in range(len(word) + 1)}}
+    return frame.lift(marked_chain_exp_topright(diag, bands, marked), n[-1] + 1)
 
 
-def psi_quadrature(M_s: CqFredholmModule, V, T, word, nodes=48):
-    """Independent evaluation of Psi_T by u-quadrature of the definition."""
+def psi_quadrature(hom: Homotopy, s, T, word, nodes=48):
+    """Independent evaluation of Psi_T at M_s by u-quadrature of the definition."""
+    M_s = hom.module(s)
     slots = _as_slot_vecs(M_s.alg, word)
-    N = len(slots)
     n = _prefix_parities([slot_degree(M_s.alg, v) for v in slots])  # n_k
     u_nodes, u_w = gauss_legendre_01(nodes)
     out = np.zeros((M_s.hdim, M_s.hdim), dtype=complex)
     for ui, wi in zip(u_nodes, u_w):
         acc = np.zeros_like(out)
-        for a in range(N + 1):
+        for a in range(len(slots) + 1):
             left = quantize(M_s, ui * T, slots[:a])
             right = quantize(M_s, (1.0 - ui) * T, slots[a:])
-            acc += (-1.0) ** n[a] * (left @ V @ right)
+            acc += (-1.0) ** n[a] * (left @ hom.V @ right)
         out += wi * acc
     return -T * out
 
@@ -647,7 +652,7 @@ def psi_quadrature(M_s: CqFredholmModule, V, T, word, nodes=48):
 def psi_cochain(hom: Homotopy, s, T) -> OperatorBarCochain:
     M_s = hom.module(s)
     return OperatorBarCochain(M_s.alg, M_s.hdim, 1,
-                              lambda slots: psi_eval(M_s, hom.V, T, slots),
+                              lambda slots: psi_eval(hom, s, T, slots),
                               label=f"psi[s={s}]")
 
 
@@ -677,10 +682,9 @@ def chern_simons_eval(hom_T: Homotopy, chain, s_nodes=32):
     s_x, s_w = gauss_legendre_01(s_nodes)
     total = 0.0 + 0.0j
     for si, wi in zip(s_x, s_w):
-        M_s = hom_T.module(si)
         val = 0.0 + 0.0j
         for word, coeff in bar.terms.items():
-            val += coeff * cstr(M_s.cm, psi_eval(M_s, hom_T.V, 1.0, word))
+            val += coeff * cstr(hom_T.M.cm, psi_eval(hom_T, si, 1.0, word))
         total += wi * val
     return (-1.0) ** hom_T.M.q * total
 
@@ -696,8 +700,7 @@ def transgression_check(hom: Homotopy, words, s_nodes=32, ext_alg=None) -> Valid
 
     alg_T = ext_alg if ext_alg is not None else acyclic_extension(hom.M.alg)
     hom_T = hom.extended(alg_T)
-    M1 = hom_T.module(1.0)
-    M0 = hom_T.module(0.0)
+    M1, M0 = hom_T.module(1.0), hom_T.module(0.0)
     sign = (-1.0) ** ((hom.M.q + 1) % 2)  # (-1)^{|D_tot| |CS|}
     rep = ValidationReport(f"transgression:{hom.name}")
     scale = max(chern_scale(M0), chern_scale(M1))

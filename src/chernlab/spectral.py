@@ -47,7 +47,6 @@ from .fredholm import (
     CqFredholmModule,
     OddFredholmModule,
     _curvature_tables,
-    _f2_rows,
     acyclic_extend_module,
     calibrate_nu,
     chern_eval,
@@ -554,15 +553,17 @@ def partition_resum_check(tf: TwistedFamily, s, T, M_max):
 
 
 def pairing_term(tf: TwistedFamily, N, s):
-    """1/2 Tr(gt sum_k Phi_1(A^(k-1) B A^(N-k))) at parameter s, through a
-    single marked block exponential (the B block replaces one A step)."""
+    """1/2 Tr(gt sum_k Phi_1(A^(k-1) B A^(N-k))) at parameter s, through one
+    marked exponential of the full-size Curvature.F1 and F2 blocks (the B
+    block replaces one A step)."""
     Mdt = tf.Mdt
     cur = _curvature_tables(Mdt)
     a_vec, b_vec = tf.ab_vectors(s)
     if N == 0:
         return 0.0 + 0.0j
-    diag, bands = cur.bands(1.0, (a_vec,) * N)
-    f1b = cur.F1(b_vec)
+    f1a, f2aa, f1b = cur.F1(a_vec), cur.F2(a_vec, a_vec), cur.F1(b_vec)
+    diag = [-Mdt.Q2] * (N + 1)
+    bands = {1: {j: -f1a for j in range(N)}, 2: {j: -f2aa for j in range(N - 1)}}
     marked = {1: {j: -f1b for j in range(N)}}
     phi_sum = marked_chain_exp_topright(diag, bands, marked)
     return complex(cstr(Mdt.cm, phi_sum))
@@ -597,20 +598,14 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     back: an A step has parity |A| + 1 and the marked B step |B| + 1.
     """
     Mdt = tf.Mdt
-    frame = _curvature_tables(Mdt)._basis_frame()
+    frame = _curvature_tables(Mdt).frame
     a_vec, b_vec = tf.ab_vectors(s)
-    a_step = slot_degree(Mdt.alg, a_vec) + 1
-    b_step = slot_degree(Mdt.alg, b_vec) + 1
-    f1a = np.tensordot(a_vec, frame.f1, axes=1)
-    f2aa = np.tensordot(a_vec, _f2_rows(frame.mul, frame.c, frame.sign_vec, a_vec), axes=1)
-    f1b = np.tensordot(b_vec, frame.f1, axes=1)
-    diag = [-frame.q2] * (N_max + 1)
-    bands = {1: {j: -f1a for j in range(N_max)}, 2: {j: -f2aa for j in range(N_max - 1)}}
+    (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
+    f1b, b_step = frame.f1(b_vec), slot_degree(Mdt.alg, b_vec) + 1
     E, L = marked_chain_exp_row(diag, bands, {1: {j: -f1b for j in range(N_max)}})
     c_omega = tf.c_omega_doubled
-    p_row = [complex(cstr(Mdt.cm, frame.lift(L[N], (N - 1) * a_step + b_step))) for N in range(1, N_max + 1)]
-    sf_row = [complex(cstr(Mdt.cm, c_omega @ frame.lift(E[N - 1], (N - 1) * a_step)))
-              for N in range(1, N_max + 1)]
+    p_row = [complex(cstr(Mdt.cm, frame.lift(L[N], n[N - 1] + b_step))) for N in range(1, N_max + 1)]
+    sf_row = [complex(cstr(Mdt.cm, c_omega @ frame.lift(E[N - 1], n[N - 1]))) for N in range(1, N_max + 1)]
     return p_row, sf_row
 
 

@@ -90,6 +90,8 @@ class SuiteConfig:
         unknown = [g for g in groups if g not in GROUPS]
         if unknown:
             raise ValueError(f"unknown groups: {unknown}")
+        if len(set(groups)) < len(groups):
+            raise ValueError(f"repeated groups: {sorted({g for g in groups if groups.count(g) > 1})}")
         return cls(seed=seed, groups=tuple(groups), fast=fast)
 
 
@@ -361,18 +363,18 @@ def _usable_cpus() -> int:
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute the selected groups, one worker per usable CPU; returns the run report dict."""
     workers = min(len(cfg.groups), _usable_cpus())
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = {}
     timings = {}
     errors = {}
 
     def run_group(name):
-        t = time.time()
+        t = time.perf_counter()
         try:
             reports = GROUP_RUNNERS[name](cfg)
-            return name, reports, time.time() - t, None
+            return name, reports, time.perf_counter() - t, None
         except Exception as exc:  # keep other groups running
-            return name, [], time.time() - t, f"{type(exc).__name__}: {exc}"
+            return name, [], time.perf_counter() - t, f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         outs = list(pool.map(run_group, cfg.groups))
@@ -392,7 +394,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         "volatile": {
             "workers": workers,
             "timings": timings,
-            "total_seconds": round17(time.time() - t0),
+            "total_seconds": round17(time.perf_counter() - t0),
             "fingerprint": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

@@ -1,6 +1,6 @@
-"""The benchmark harness end to end: bench/run.py on the chain_closedness
-and pairing workloads must exit 0 with every check passing, untraced and
-traced."""
+"""The benchmark harness end to end: bench/run.py must exit 0 with every
+check passing on the chain_closedness and pairing workloads, untraced and
+traced, and on the word_checks workload untraced."""
 
 import json
 import subprocess
@@ -31,3 +31,9 @@ def test_bench_pairing_runs_clean(trace):
     # the pairing workload gates exact invariants (ten nonzero terms, a
     # certified tail), which a change of the last bits could break
     _run_clean("pairing", trace)
+
+
+def test_bench_word_checks_runs_clean():
+    # the one workload that runs basis-word quantize at scale (5,848
+    # coclosedness words)
+    _run_clean("word_checks", "0")

@@ -95,7 +95,9 @@ def test_bad_config_exit_code(tmp_path):
     ({"seed": "7", "groups": ["algebra"]}, "seed must be an integer, not '7'"),
     ({"seed": True, "groups": ["algebra"]}, "seed must be an integer, not True"),
     ({"groups": "pairing"}, "groups must be a list of group names, not 'pairing'"),
-], ids=["string-fast", "string-seed", "bool-seed", "string-groups"])
+    # a repeated group would run twice and leave one result under its name
+    ({"groups": ["brackets", "brackets"]}, "repeated groups: ['brackets']"),
+], ids=["string-fast", "string-seed", "bool-seed", "string-groups", "repeated-group"])
 def test_mistyped_config_exits_2(tmp_path, capsys, config, message):
     # the config is type-checked before any group runs
     cfg = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from chernlab.fixtures import (
     getzler_trivial,
     random_weak_cq,
 )
-from chernlab.cochains import word_to_vecs
+from chernlab.cochains import CochainError, word_to_vecs
 from chernlab.fredholm import (
     CqFredholmModule,
     Homotopy,
@@ -227,23 +227,53 @@ def test_chen_vanish_strong_fixture():
     assert rep.passed, rep.summary()
 
 
-def test_psi_matches_definition(weak_q1):
-    M = weak_q1
-    rng = np.random.default_rng(11)
-    raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+def _direction(M, rng):
+    """A random odd, Hermitian, C_q-equivariant direction on M's space."""
+    raw = rng.standard_normal((M.hdim, M.hdim)) + 1j * rng.standard_normal((M.hdim, M.hdim))
     V = M.cm.project_equivariant(raw, 1)
-    V = 0.5 * (V + V.conj().T)
-    hom = Homotopy(M, V)
-    M_s = hom.module(0.4)
+    return 0.5 * (V + V.conj().T)
+
+
+# q2 is left out: its odd C_q-equivariant operators are all zero (so is its
+# Q), and Psi along the only direction it admits, V = 0, is 0 on both sides
+@pytest.mark.parametrize("name", ["q0", "q1", "circle~_T"])
+def test_psi_matches_definition(name):
+    M = _HALF_FRAME_MODULES[name]()
+    rng = np.random.default_rng(11)
+    hom = Homotopy(M, _direction(M, rng))
     for N in range(0, 4):
         w = random_basis_word(M.alg, BAR_RED, N, rng)
-        a = psi_eval(M_s, V, 0.9, w)
-        b = psi_quadrature(M_s, V, 0.9, w, nodes=40)
-        assert np.max(np.abs(a - b)) <= 1e-10
+        for word in (w, word_to_vecs(M.alg, w)):
+            a = psi_eval(hom, 0.4, 0.9, word)
+            b = psi_quadrature(hom, 0.4, 0.9, word, nodes=40)
+            assert np.max(np.abs(a - b)) <= 1e-10
+            assert np.max(np.abs(b)) > 1e-3
     # arity-0 component scales linearly in T as T -> 0
-    n1 = np.max(np.abs(psi_eval(M_s, V, 1e-5, ())))
-    n2 = np.max(np.abs(psi_eval(M_s, V, 2e-5, ())))
+    n1 = np.max(np.abs(psi_eval(hom, 0.4, 1e-5, ())))
+    n2 = np.max(np.abs(psi_eval(hom, 0.4, 2e-5, ())))
     assert n2 / n1 == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["q1", "q2", "circle~_T"])
+def test_psi_eval_runs_one_half_frame_chain(name, monkeypatch):
+    # one Frechet call on (N + 1) half-size nodes, for basis and vector words
+    from chernlab import hilbert
+
+    M = _HALF_FRAME_MODULES[name]()
+    hom = Homotopy(M, _direction(M, np.random.default_rng(12)))
+    shapes = []
+
+    def recording(G, E):
+        shapes.append(G.shape)
+        return frechet(G, E)
+
+    frechet = hilbert.expm_frechet
+    monkeypatch.setattr(hilbert, "expm_frechet", recording)
+    words = [(), (1,), (1, 2), (2, 1, 3)]
+    for w in words + [word_to_vecs(M.alg, w) for w in words]:
+        psi_eval(hom, 0.4, 1.0, w)
+    h = M.hdim // 2
+    assert shapes == [((len(w) + 1) * h, (len(w) + 1) * h) for w in words] * 2
 
 
 def test_bianchi_identity(weak_q1):
@@ -423,8 +453,9 @@ _HALF_FRAME_MODULES = {
 
 @pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~", "circle~_T"])
 def test_basis_word_quantize_matches_vector_slots_and_partitions(name):
-    # basis words run on lookup tables (and half-size blocks when q >= 1);
-    # coefficient-vector words and the partition enumeration do not
+    # basis words read the tables and coefficient-vector words build their
+    # blocks from the F_2 rows, both on half-size blocks when q >= 1; the
+    # partition enumeration runs on the full-size Curvature.F1 and F2
     M = _HALF_FRAME_MODULES[name]()
     words = _all_words(M.alg.dim, 3)
     for T in (0.5, 1.0, 2.0):
@@ -432,10 +463,30 @@ def test_basis_word_quantize_matches_vector_slots_and_partitions(name):
             phi = quantize(M, T, w)
             assert phi.shape == (M.hdim, M.hdim)
             tol = 1e-13 * max(1.0, float(np.max(np.abs(phi))))
-            dense = quantize(M, T, word_to_vecs(M.alg, w))
-            assert np.max(np.abs(phi - dense)) <= tol, (T, w)
+            vec = quantize(M, T, word_to_vecs(M.alg, w))
+            assert np.max(np.abs(phi - vec)) <= tol, (T, w)
             parts = quantize_partitions(M, T, w)
             assert np.max(np.abs(phi - parts)) <= tol, (T, w)
+    rng = np.random.default_rng(42)
+    degrees = sorted(set(M.alg.degree_tuple))
+    for N in range(1, 4):
+        for _ in range(4):
+            w = tuple(_of_degree(M.alg, rng, degrees[rng.integers(len(degrees))]) for _ in range(N))
+            # distinct slots, and one slot object repeated (its blocks are built once)
+            for word, T in itertools.product((w, (w[0],) * N), (0.5, 2.0)):
+                parts = quantize_partitions(M, T, word)
+                tol = 1e-13 * max(1.0, float(np.max(np.abs(parts))))
+                assert np.max(np.abs(quantize(M, T, word) - parts)) <= tol, (T, N)
+
+
+def test_quantize_refuses_a_mixed_degree_slot():
+    # the lift's sign is the word's parity, and a slot of two degrees has none
+    M = _HALF_FRAME_MODULES["q1"]()
+    mixed = np.zeros(M.alg.dim, dtype=complex)
+    mixed[[M.alg.degree_tuple.index(0), M.alg.degree_tuple.index(1)]] = 1.0
+    for word in [(mixed,), (M.alg.unit.coeffs, mixed)]:
+        with pytest.raises(CochainError):
+            quantize(M, 1.0, word)
 
 
 @pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~_T"])
@@ -455,6 +506,12 @@ def test_basis_word_chain_runs_on_half_size_blocks(name, monkeypatch):
         quantize(M, 1.0, w)
     h = M.hdim // 2 if M.q >= 1 else M.hdim
     assert sizes == [{(h, h)}] * 4
+
+
+def _of_degree(alg, rng, degree):
+    """A random coefficient vector supported on basis elements of one degree."""
+    mask = np.array([d == degree for d in alg.degree_tuple])
+    return mask * (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
 
 
 def _homogeneous(alg, rng, parity):
@@ -481,7 +538,7 @@ def test_f2_is_the_closed_form_in_both_frames(name):
         assert np.max(np.abs(got - closed)) <= 1e-13 * max(1.0, float(np.max(np.abs(closed))))
     if M.q == 0:
         return
-    frame = cur._basis_frame()
+    frame = cur.frame
     Up = frame.U[:, : M.hdim // 2]
     for i, j in itertools.product(range(alg.dim), repeat=2):
         full = cur.F2(np.eye(alg.dim)[i], np.eye(alg.dim)[j])
@@ -513,10 +570,10 @@ def _non_equivariant(M, which, eps=1e-6):
 def test_half_frame_guard_refuses_a_non_equivariant_module(which):
     M = _non_equivariant(random_weak_cq(hdim=6, q=1, seed=22, k=2), which)
     assert not module_validate(M).passed
-    with pytest.raises(ModuleError, match="equivariant"):
-        quantize(M, 1.0, (1,))
-    # vector-slot words keep the dense path and do not consult the frame
-    quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+    # every word runs in the half-frame, so every word is refused
+    for word in [(1,), word_to_vecs(M.alg, (1,))]:
+        with pytest.raises(ModuleError, match="equivariant"):
+            quantize(M, 1.0, word)
 
 
 def test_half_frame_guard_refuses_a_nan_entry():
@@ -573,8 +630,8 @@ def test_module_operators_are_read_only_copies():
     M.Q = 2.0 * Q
     assert not M.Q.flags.writeable
     after = quantize(M, 1.0, (1,))
-    dense = quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
-    assert np.max(np.abs(after - dense)) <= 1e-13 * max(1.0, float(np.max(np.abs(dense))))
+    vec = quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+    assert np.max(np.abs(after - vec)) <= 1e-13 * max(1.0, float(np.max(np.abs(vec))))
     assert np.max(np.abs(after - before)) > 1e-3
 
 
