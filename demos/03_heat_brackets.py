@@ -55,7 +55,7 @@ print(f"||bracket||_1 = {lhs:.4f} <= factorial heat bound {bound:.4f}")
 print()
 print("== Clifford supertrace kills graded commutators ==")
 for q in (0, 1, 2):
-    cm = standard_clifford_module(q, 3, 3 if q == 0 else None)
+    cm = standard_clifford_module(q, 3, 3)
     X = cm.project_equivariant(rng.standard_normal((cm.dim, cm.dim)) + 0j, 1)
     Y = cm.project_equivariant(rng.standard_normal((cm.dim, cm.dim)) + 0j, 1)
     com = X @ Y + Y @ X  # graded commutator of two odds

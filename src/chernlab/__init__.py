@@ -71,6 +71,7 @@ from .hilbert import (
     cstr,
     cstr_cyclic_sum,
     heat_bracket,
+    spinor_step,
     standard_clifford_module,
     supertrace,
     trace_norm,

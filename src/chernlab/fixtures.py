@@ -153,32 +153,32 @@ def _random_hermitian(rng, d):
 def random_weak_cq(hdim=6, q=1, seed=0, k=1, strong=False, name=None):
     """Seeded random (weak) module over an exterior algebra.
 
-    c sends each basis element to a random equivariant operator of the
-    matching parity (the unit to the identity); Q is a random odd
-    Hermitian equivariant operator.  Over an exterior algebra the
-    degree-0 part is spanned by the unit, so the module is automatically
-    strong; pass strong=True to record that.
+    H = S_q (x) C^{p_plus|p_minus}, with the multiplicity m = hdim / 2^ceil(q/2)
+    split (m // 2, m - m // 2) for even q and purely even for odd q, where
+    S_q is its own parity shift.  c sends each basis element to a random
+    equivariant operator of the matching parity (the unit to the identity);
+    Q is a random odd Hermitian equivariant operator.  Over an exterior
+    algebra the degree-0 part is spanned by the unit, so the module is
+    automatically strong; pass strong=True to record that.
     """
     from .fredholm import CqFredholmModule, module_validate
-    from .hilbert import standard_clifford_module
+    from .hilbert import _is_count, standard_clifford_module
 
+    spinor = standard_clifford_module(q, 1).dim
+    if not _is_count(hdim) or hdim == 0 or hdim % spinor:
+        raise AlgebraError(f"hdim must be a positive multiple of 2^ceil(q/2) = {spinor}, got {hdim!r}")
+    m = hdim // spinor
+    p_minus = 0 if q % 2 else m - m // 2
+    cm = standard_clifford_module(q, m - p_minus, p_minus)
     alg = exterior_algebra(k)
     rng = np.random.default_rng(seed)
-    if q == 0:
-        cm = standard_clifford_module(0, hdim // 2, hdim - hdim // 2)
-    else:
-        if hdim % 2:
-            raise AlgebraError("q >= 1 needs an even-dimensional space")
-        cm = standard_clifford_module(q, hdim // 2)
-    c_mats = np.zeros((alg.dim, cm.dim, cm.dim), dtype=complex)
-    c_mats[alg.unit_index] = np.eye(cm.dim)
-    for i in range(alg.dim):
-        if i == alg.unit_index:
-            continue
-        raw = rng.standard_normal((cm.dim, cm.dim)) + 1j * rng.standard_normal((cm.dim, cm.dim))
-        c_mats[i] = cm.project_equivariant(raw, int(alg.degree[i]) % 2)
-    raw = rng.standard_normal((cm.dim, cm.dim)) + 1j * rng.standard_normal((cm.dim, cm.dim))
-    Q = cm.project_equivariant(raw, 1)
+
+    def draw(parity):
+        raw = rng.standard_normal((hdim, hdim)) + 1j * rng.standard_normal((hdim, hdim))
+        return cm.project_equivariant(raw, parity)
+
+    c_mats = np.stack([np.eye(hdim) if i == alg.unit_index else draw(p) for i, p in enumerate(alg.parity_tuple)])
+    Q = draw(1)
     Q = 0.5 * (Q + Q.conj().T)
     M = CqFredholmModule(alg, cm, c_mats, Q, weak=not strong,
                          name=name or f"random_weak_cq(d={hdim},q={q},k={k},seed={seed})")

@@ -31,6 +31,7 @@ from .chains import _prefix_parities, chen_R, chen_S, chen_Si, chen_Ti, random_b
 from .cochains import OperatorBarCochain, slot_degree, word_to_vecs
 from .hilbert import (
     CliffordModule,
+    GradedHilbert,
     HilbertError,
     N_BRACKET_MAX,
     _frozen,
@@ -39,6 +40,7 @@ from .hilbert import (
     gauss_legendre_01,
     heat_bracket,
     marked_chain_exp_topright,
+    spinor_step,
     trace_norm,
 )
 from .report import ValidationReport, running_max
@@ -67,6 +69,12 @@ class _FrozenOperators:
                 self._phi_cache = {}
                 self._curv = None
         super().__setattr__(name, value)
+
+    def c(self, theta):
+        """Representation applied to a coefficient vector or basis index."""
+        if isinstance(theta, (int, np.integer)):
+            return self.c_mats[int(theta)]
+        return np.einsum("i,ijk->jk", np.asarray(theta, dtype=complex), self.c_mats)
 
 
 @dataclass
@@ -97,12 +105,6 @@ class CqFredholmModule(_FrozenOperators):
     def q(self):
         return self.cm.q
 
-    def c(self, theta):
-        """Representation applied to a coefficient vector or basis index."""
-        if isinstance(theta, (int, np.integer)):
-            return self.c_mats[int(theta)]
-        return np.einsum("i,ijk->jk", np.asarray(theta, dtype=complex), self.c_mats)
-
     @property
     def Q2(self):
         return self.Q @ self.Q
@@ -131,11 +133,6 @@ class OddFredholmModule(_FrozenOperators):
     @property
     def hdim(self):
         return self.c_mats.shape[1]
-
-    def c(self, theta):
-        if isinstance(theta, (int, np.integer)):
-            return self.c_mats[int(theta)]
-        return np.einsum("i,ijk->jk", np.asarray(theta, dtype=complex), self.c_mats)
 
 
 def _strong_residuals(alg, c_stack, Q, rep):
@@ -225,22 +222,13 @@ def acyclic_extend_module(M, ext_alg=None):
 
 
 def double_odd(M: OddFredholmModule) -> CqFredholmModule:
-    """H + H with e_1 = [[0,1],[-1,0]], block-diagonal c on even elements,
-    antidiagonal c on odd ones, and antidiagonal Q."""
-    h = M.hdim
-    from .hilbert import GradedHilbert
-
-    parity = np.array([1] * h + [-1] * h)
-    e1 = np.kron(np.array([[0, 1], [-1, 0]], dtype=complex), np.eye(h))
-    cm = CliffordModule(GradedHilbert(parity), 1, [e1])
-    c_ext = np.zeros((M.alg.dim, 2 * h, 2 * h), dtype=complex)
-    for i in range(M.alg.dim):
-        if int(M.alg.degree[i]) % 2 == 0:
-            c_ext[i] = np.kron(np.eye(2), M.c_mats[i])
-        else:
-            c_ext[i] = np.kron(np.array([[0, 1], [1, 0]]), M.c_mats[i])
-    Q_ext = np.kron(np.array([[0, 1], [1, 0]]), M.Q)
-    return CqFredholmModule(M.alg, cm, c_ext, Q_ext, weak=M.weak, name=M.name + "~")
+    """The C_1 spinor step on H with the trivial grading: even c becomes
+    1 (x) c, odd c and Q become sigma_1 (x) X."""
+    cm = spinor_step(CliffordModule(GradedHilbert(np.ones(M.hdim)), 0, []), 1)
+    sigma1 = np.array([[0, 1], [1, 0]])
+    c_ext = np.stack([np.kron(sigma1 if p else np.eye(2), c)
+                      for p, c in zip(M.alg.parity_tuple, M.c_mats)])
+    return CqFredholmModule(M.alg, cm, c_ext, np.kron(sigma1, M.Q), weak=M.weak, name=M.name + "~")
 
 
 def matrix_module(M: OddFredholmModule, m: int, lifted_alg=None) -> OddFredholmModule:

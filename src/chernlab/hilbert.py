@@ -1,6 +1,10 @@
 """Graded Hilbert spaces, Clifford actions, supertraces and simplex heat
 brackets.
 
+Every Clifford module here comes from spinor_step, which tensors a C_q
+module with C^{1|1} to give a C_{q+1} or C_{q+2} module; the standard
+module S_q (x) C^{p_plus|p_minus} exists for every q.
+
 The bracket {A_1, ..., A_N}_H is the integral of
 e^{-t1 H} A_1 e^{-(t2-t1) H} ... A_N e^{-(1-tN) H} over the ordered
 simplex 0 <= t1 <= ... <= tN <= 1.  The primary evaluator embeds the
@@ -70,30 +74,34 @@ def _frozen(m):
     return out
 
 
-def _clifford_pair(p):
-    """e_1, e_2 on C^2 tensor C^p in the diag(1,-1) grading."""
-    e1 = np.kron(np.array([[0, 1], [-1, 0]], dtype=complex), np.eye(p))
-    e2 = np.kron(np.array([[0, 1j], [1j, 0]], dtype=complex), np.eye(p))
-    return e1, e2
+_EPS = (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 1j], [1j, 0]], dtype=complex))
 
 
-def standard_clifford_module(q, p_plus, p_minus=None):
-    """A Clifford module on a graded space of balanced block size.
+def spinor_step(cm: CliffordModule, k) -> CliffordModule:
+    """The C_{q+k} module on C^{1|1} (x) H of a C_q module on H, k = 1 or 2:
+    grading sigma_3 (x) Gamma, old generators 1 (x) e_i, new ones eps_j (x) Gamma."""
+    gamma = cm.H.gamma_grading
+    gens = [np.kron(np.eye(2), m) for m in cm.e] + [np.kron(eps, gamma) for eps in _EPS[:k]]
+    return CliffordModule(GradedHilbert(np.kron([1, -1], cm.H.parity)), cm.q + k, gens)
 
-    q = 0: grading (p_plus, p_minus), no generators.  q >= 1 requires a
-    balanced space; generators act blockwise as the standard pair.
-    """
-    if q == 0:
-        p_minus = p_plus if p_minus is None else p_minus
-        parity = np.array([1] * p_plus + [-1] * p_minus)
-        return CliffordModule(GradedHilbert(parity), 0, [])
-    p = p_plus
-    parity = np.array([1] * p + [-1] * p)
-    e1, e2 = _clifford_pair(p)
-    gens = [e1, e2][:q]
-    if q > 2:
-        raise HilbertError("generators beyond q = 2 are not implemented")
-    return CliffordModule(GradedHilbert(parity), q, gens)
+
+def _is_count(n):
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
+def standard_clifford_module(q, p_plus, p_minus=0):
+    """S_q (x) C^{p_plus|p_minus} for every q: one C_1 spinor step for odd q,
+    then C_2 steps, so the spinor module S_q has dimension 2^ceil(q/2).  At
+    even q, odd equivariant operators need both p_plus and p_minus > 0."""
+    for name, n in (("q", q), ("p_plus", p_plus), ("p_minus", p_minus)):
+        if not _is_count(n):
+            raise HilbertError(f"{name} must be a nonnegative integer, got {n!r}")
+    if p_plus + p_minus == 0:
+        raise HilbertError("the space is empty: p_plus + p_minus must be positive")
+    cm = CliffordModule(GradedHilbert(np.array([1] * p_plus + [-1] * p_minus)), 0, [])
+    for k in [1] * (q % 2) + [2] * (q // 2):
+        cm = spinor_step(cm, k)
+    return cm
 
 
 @dataclass
@@ -144,11 +152,8 @@ class CliffordModule:
         so one sequential pass projects exactly.
         """
         G = self.H.parity.astype(float)
-        if parity == 0:
-            A = 0.5 * (A + G[:, None] * A * G[None, :])
-        else:
-            A = 0.5 * (A - G[:, None] * A * G[None, :])
         sign = (-1.0) ** parity
+        A = 0.5 * (A + sign * (G[:, None] * A * G[None, :]))
         for m in self.e:
             A = 0.5 * (A - sign * (m @ A @ m))
         return A

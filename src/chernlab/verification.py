@@ -16,6 +16,7 @@ from .algebra import DgAlgebra
 from .chains import BAR, CYCLIC, Chain, random_basis_word
 from .cochains import OperatorBarCochain, delta
 from .hilbert import (
+    CliffordModule,
     GradedHilbert,
     bracket_insert_unit,
     bracket_oracle,
@@ -185,7 +186,9 @@ def supertrace_report(n_tuples=200, seed=0) -> ValidationReport:
     for t in range(n_tuples):
         q = int(rng.integers(0, 3))
         p = int(rng.integers(2, 4))
-        cm = standard_clifford_module(q, p, p if q == 0 else None)
+        # the standard C_2 module on C^{p|p}, restricted to its first q generators
+        cm2 = standard_clifford_module(2, p)
+        cm = CliffordModule(cm2.H, q, cm2.e[:q])
         d = cm.dim
         pa, pb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         A = cm.project_equivariant(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), pa)

@@ -45,6 +45,27 @@ def test_unknown_fixture_exit_code(tmp_path):
     assert run_cli(["fixture", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"q": -1}, "q must be a nonnegative integer, got -1"),
+    ({"q": 1.5}, "q must be a nonnegative integer, got 1.5"),
+    ({"q": True}, "q must be a nonnegative integer, got True"),
+    ({"hdim": 0, "q": 0}, "hdim must be a positive multiple of 2^ceil(q/2) = 1, got 0"),
+    ({"hdim": 6, "q": 3}, "hdim must be a positive multiple of 2^ceil(q/2) = 4, got 6"),
+], ids=["negative-q", "float-q", "bool-q", "empty-space", "hdim-not-a-spinor-multiple"])
+def test_bad_clifford_fixture_exits_2_with_one_line(capsys, params, message):
+    code = run_cli(["fixture", "random_weak_cq", "--params", json.dumps(params)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"fixture error: {message}\n"
+
+
+def test_q3_fixture_is_built_and_validates(tmp_path):
+    fx = tmp_path / "q3.json"
+    assert run_cli(["fixture", "random_weak_cq", "--params", '{"q": 3, "hdim": 8}', "-o", str(fx)]) == 0
+    assert json.loads(fx.read_text())["clifford"]["q"] == 3
+    assert run_cli(["validate", str(fx)]) == 0
+
+
 def test_suite_subset_and_explain(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(["suite", "--group", "brackets", "--seed", "1", "--fast", "-o", str(out)])

@@ -37,6 +37,7 @@ from chernlab.fredholm import (
     quantize_partitions,
     transgression_check,
 )
+from chernlab.hilbert import clifford_validate, spinor_step
 from scipy.linalg import expm
 
 
@@ -96,6 +97,17 @@ def test_double_odd_structure():
     Modd = getzler_trivial(4, seed=2)
     M = double_odd(Modd)
     h = Modd.hdim
+    # the doubling written out: H + H, e_1 = [[0, 1], [-1, 0]], block-diagonal
+    # c on even elements, antidiagonal c on odd ones and antidiagonal Q
+    sigma1 = np.array([[0, 1], [1, 0]])
+    for odd in (Modd, discrete_circle(3, seed=1)):
+        D, n = double_odd(odd), odd.hdim
+        assert np.array_equal(D.cm.H.parity, np.array([1] * n + [-1] * n))
+        assert np.array_equal(D.cm.e[0], np.kron(np.array([[0, 1], [-1, 0]], dtype=complex), np.eye(n)))
+        for i in range(odd.alg.dim):
+            block = sigma1 if odd.alg.degree[i] % 2 else np.eye(2)
+            assert np.array_equal(D.c_mats[i], np.kron(block, odd.c_mats[i]))
+        assert np.array_equal(D.Q, np.kron(sigma1, odd.Q))
     assert np.allclose(M.Q @ M.Q, np.kron(np.eye(2), Modd.Q @ Modd.Q))
     e1 = M.cm.e[0]
     assert np.allclose(e1 @ e1, -np.eye(2 * h))
@@ -234,9 +246,7 @@ def _direction(M, rng):
     return 0.5 * (V + V.conj().T)
 
 
-# q2 is left out: its odd C_q-equivariant operators are all zero (so is its
-# Q), and Psi along the only direction it admits, V = 0, is 0 on both sides
-@pytest.mark.parametrize("name", ["q0", "q1", "circle~_T"])
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~_T"])
 def test_psi_matches_definition(name):
     M = _HALF_FRAME_MODULES[name]()
     rng = np.random.default_rng(11)
@@ -254,7 +264,7 @@ def test_psi_matches_definition(name):
     assert n2 / n1 == pytest.approx(2.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("name", ["q1", "q2", "circle~_T"])
+@pytest.mark.parametrize("name", ["q1", "q2", "q3", "circle~_T"])
 def test_psi_eval_runs_one_half_frame_chain(name, monkeypatch):
     # one Frechet call on (N + 1) half-size nodes, for basis and vector words
     from chernlab import hilbert
@@ -435,6 +445,35 @@ def test_a_zero_slot_word_has_ratio_zero(circle_doubled):
     assert calibrate_nu(M, [(zero,)], [1.0]) == 1.25
 
 
+# -- Clifford periodicity ------------------------------------------------------------------
+
+
+def _times_spinor_module(M):
+    """M (x) S, S = C^{1|1} the spinor module of C_2: one C_2 spinor step on the
+    Clifford module, with c and Q becoming 1 (x) c and 1 (x) Q."""
+    eye = np.eye(2)
+    return CqFredholmModule(M.alg, spinor_step(M.cm, 2), np.stack([np.kron(eye, c) for c in M.c_mats]),
+                            np.kron(eye, M.Q), weak=M.weak, name=M.name + "(x)S")
+
+
+@pytest.mark.parametrize("make", [lambda: random_weak_cq(hdim=6, q=0, seed=3, k=2),
+                                  lambda: random_weak_cq(hdim=6, q=1, seed=4, k=2),
+                                  lambda: double_odd(discrete_circle(3))], ids=["q0", "q1", "circle~"])
+def test_clifford_periodicity(make):
+    # Ch(M (x) S) = (i/2) Ch(M) on every basis word of 1 to 4 slots; the factor
+    # is 2^-2 tr(sigma_3 eps_1 eps_2) = 2i / 4
+    M = make()
+    MS = _times_spinor_module(M)
+    assert MS.q == M.q + 2
+    assert clifford_validate(MS.cm).passed and module_validate(MS).passed
+    nonzero = 0
+    for w in _all_words(M.alg.dim, 4)[1:]:
+        ch = chern_eval(M, w)
+        assert abs(chern_eval(MS, w) - 0.5j * ch) <= 1e-13 * max(1.0, abs(ch)), w
+        nonzero += abs(ch) > 1e-8
+    assert nonzero > 0
+
+
 # -- basis words in the Clifford half-frame ----------------------------------------------
 
 
@@ -446,12 +485,13 @@ _HALF_FRAME_MODULES = {
     "q0": lambda: random_weak_cq(hdim=4, q=0, seed=21, k=2),
     "q1": lambda: random_weak_cq(hdim=6, q=1, seed=22, k=2),
     "q2": lambda: random_weak_cq(hdim=8, q=2, seed=23, k=2),
+    "q3": lambda: random_weak_cq(hdim=8, q=3, seed=24, k=2),
     "circle~": lambda: double_odd(discrete_circle(2, seed=3)),
     "circle~_T": lambda: acyclic_extend_module(double_odd(discrete_circle(2, seed=3))),
 }
 
 
-@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~", "circle~_T"])
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~", "circle~_T"])
 def test_basis_word_quantize_matches_vector_slots_and_partitions(name):
     # basis words read the tables and coefficient-vector words build their
     # blocks from the F_2 rows, both on half-size blocks when q >= 1; the
@@ -489,7 +529,7 @@ def test_quantize_refuses_a_mixed_degree_slot():
             quantize(M, 1.0, word)
 
 
-@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~_T"])
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~_T"])
 def test_basis_word_chain_runs_on_half_size_blocks(name, monkeypatch):
     import chernlab.fredholm as fredholm
 
@@ -520,7 +560,7 @@ def _homogeneous(alg, rng, parity):
     return mask * (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
 
 
-@pytest.mark.parametrize("name", ["q0", "q1", "q2", "circle~_T"])
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~_T"])
 def test_f2_is_the_closed_form_in_both_frames(name):
     # F_2(u, v) = c(s(u) v) - c(s(u)) c(v), s(u) = (-1)^{|u|} u
     from chernlab.fredholm import _curvature_tables

@@ -64,9 +64,27 @@ def test_clifford_q1_standard_matrix():
     assert np.allclose(cm.e[0], np.array([[0, 1], [-1, 0]]))
 
 
-def test_clifford_q2_relations():
-    cm = standard_clifford_module(2, 3)
-    assert clifford_validate(cm).passed
+def test_clifford_relations_every_q():
+    # S_q (x) C^{p+|p-} has dimension 2^ceil(q/2) (p+ + p-) for every q
+    for q in range(6):
+        for p_plus, p_minus in [(3, 0), (2, 1), (1, 2), (0, 1)]:
+            cm = standard_clifford_module(q, p_plus, p_minus)
+            assert cm.q == q and cm.dim == 2 ** ((q + 1) // 2) * (p_plus + p_minus)
+            assert clifford_validate(cm).passed, (q, p_plus, p_minus)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 2), "q must be a nonnegative integer"),
+    ((1.5, 2), "q must be a nonnegative integer"),
+    ((True, 2), "q must be a nonnegative integer"),
+    ((1, -1), "p_plus must be a nonnegative integer"),
+    ((2, 2, -1), "p_minus must be a nonnegative integer"),
+    ((2, 2.0), "p_plus must be a nonnegative integer"),
+    ((3, 0, 0), "the space is empty"),
+])
+def test_standard_clifford_module_refuses_bad_input(args, message):
+    with pytest.raises(HilbertError, match=message):
+        standard_clifford_module(*args)
 
 
 def test_clifford_forced_failure():
@@ -89,10 +107,10 @@ def test_supertrace_of_identity():
     assert supertrace(H, np.eye(4)) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_cstr_vanishes_on_supercommutators(q):
     rng = np.random.default_rng(q + 1)
-    cm = standard_clifford_module(q, 3, 3 if q == 0 else None)
+    cm = standard_clifford_module(q, 3, 3)
     for _ in range(50):
         pa, pb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         A = cm.project_equivariant(_rand_mat(rng, cm.dim), pa)
@@ -111,6 +129,12 @@ def test_project_equivariant_is_projection():
         assert cm.supercommutes(A) <= 1e-12
         A2 = cm.project_equivariant(A, parity)
         assert np.max(np.abs(A - A2)) <= 1e-12
+    # at q = 2 an odd equivariant operator needs a graded multiplicity space
+    for p_minus in (0, 2):
+        cm = standard_clifford_module(2, 2, p_minus)
+        A = cm.project_equivariant(_rand_mat(rng, cm.dim), 1)
+        assert cm.supercommutes(A) <= 1e-12
+        assert (np.max(np.abs(A)) > 0.1) == (p_minus > 0)
 
 
 def test_heat_bracket_arity_zero_and_unit():
@@ -236,10 +260,10 @@ def test_trace_norm_bracket_bound():
         assert lhs <= bound * (1 + 1e-10)
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_cstr_cyclic_sum(q):
     rng = np.random.default_rng(29 + q)
-    cm = standard_clifford_module(q, 3, 3 if q == 0 else None)
+    cm = standard_clifford_module(q, 3, 3)
     H = cm.project_equivariant(_rand_psd(rng, cm.dim, scale=2.0), 0)
     H = 0.5 * (H + H.conj().T)
     # shift to keep PSD after projection
@@ -351,9 +375,9 @@ def test_marked_chain_exp_row_matches_two_copy_matrix(norm):
     assert np.array_equal(marked_chain_exp_topright(diag, bands, marked), L[-1])
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_cstr_matches_the_volume_element_written_out(q):
-    cm = standard_clifford_module(q, 2, 3) if q == 0 else standard_clifford_module(q, 2)
+    cm = standard_clifford_module(q, 2, 3)
     rng = np.random.default_rng(53 + q)
     A = _rand_mat(rng, cm.dim)
     gamma = np.eye(cm.dim, dtype=complex)
