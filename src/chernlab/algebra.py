@@ -5,6 +5,11 @@ An algebra is stored through its structure constants ``mul[i, j, k]``
 degree per basis element, the index of the unit and the matrix of the
 differential.  Everything downstream (chains, Chern characters, the
 spectral-flow pairing) works in these coordinates.
+
+An algebra carries nothing else that computes, so one read back from its
+JSON behaves as the one it was written from.  The basis of Mat_m(C) that
+matrix lifts use belongs to matrix_units(m) alone: mat_lift, the Mat_2(C)
+fixture, matrix modules and the generalized trace all read it there.
 """
 
 from __future__ import annotations
@@ -273,8 +278,11 @@ def acyclic_extension(alg: DgAlgebra) -> DgAlgebra:
     return out
 
 
-def _matrix_unit_basis(m):
-    """Basis of Mat_m(C) whose first element is the identity."""
+def matrix_units(m):
+    """The basis of Mat_m(C) used by mat_lift, the inverse of its flattening
+    and its structure constants: the identity, the E_pq with p != q in row
+    order, then E_00 - E_pp for p = 1..m-1.  For m = 2 this is
+    {1, E_01, E_10, E_00 - E_11}."""
     mats = [np.eye(m, dtype=complex)]
     for p in range(m):
         for q in range(m):
@@ -284,39 +292,33 @@ def _matrix_unit_basis(m):
                 mats.append(e)
     for p in range(1, m):
         e = np.zeros((m, m), dtype=complex)
-        e[p, p] = 1.0
-        e[0, 0] = -1.0
+        e[0, 0] = 1.0
+        e[p, p] = -1.0
         mats.append(e)
-    return mats
+    flat_inv = np.linalg.inv(np.stack([b.reshape(-1) for b in mats], axis=1))
+    mm = len(mats)
+    cmat = np.zeros((mm, mm, mm), dtype=complex)
+    for a in range(mm):
+        for b in range(mm):
+            cmat[a, b] = flat_inv @ (mats[a] @ mats[b]).reshape(-1)
+    return mats, flat_inv, cmat
 
 
 def mat_lift(alg: DgAlgebra, m: int) -> DgAlgebra:
-    """Mat_m(alg) as a DgAlgebra of dimension m^2 * dim with entrywise d;
+    """Mat_m(alg) as a DgAlgebra of dimension m^2 * dim with entrywise d, in
+    the basis B_a (x) e_i (index a * dim + i) with B_a from matrix_units(m);
     Mat_1(alg) is alg itself."""
     if m < 1:
         raise AlgebraError("matrix size must be >= 1")
     if m == 1:
         return alg
-    mats = _matrix_unit_basis(m)
-    mm = len(mats)
-    flat = np.stack([b.reshape(-1) for b in mats], axis=1)  # (m*m, mm)
-    flat_inv = np.linalg.inv(flat)
-    # structure constants of Mat_m(C) in this basis
-    cmat = np.zeros((mm, mm, mm), dtype=complex)
-    for a in range(mm):
-        for b in range(mm):
-            prod = (mats[a] @ mats[b]).reshape(-1)
-            cmat[a, b] = flat_inv @ prod
-    dim = alg.dim
+    cmat = matrix_units(m)[2]
+    mm, dim = m * m, alg.dim
     dim_out = mm * dim
     mul_out = np.einsum("abc,ijk->aibjck", cmat, alg.mul).reshape(dim_out, dim_out, dim_out)
-    deg_out = np.tile(alg.degree, mm).reshape(mm, dim).reshape(-1)
+    deg_out = np.tile(alg.degree, mm)
     diff_out = np.kron(np.eye(mm), alg.diff)
-    out = DgAlgebra(dim_out, deg_out, alg.unit_index, mul_out, diff_out, name=f"Mat{m}({alg.name})")
-    out._mat_basis = mats
-    out._mat_flat_inv = flat_inv
-    out._mat_base_alg = alg
-    return out
+    return DgAlgebra(dim_out, deg_out, alg.unit_index, mul_out, diff_out, name=f"Mat{m}({alg.name})")
 
 
 class MatrixElement:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import AlgebraError, DgAlgebra
+from .algebra import AlgebraError, DgAlgebra, matrix_units
 
 __all__ = [
     "complex_line",
@@ -122,24 +122,11 @@ def circle_function(alg, values):
 def matrix2_algebra() -> DgAlgebra:
     """Mat_2(C), trivially graded with zero differential.
 
-    Basis {1, X, Y, Z} with X = E12, Y = E21, Z = E11 - E22; the unit is
-    a basis element, which the chain machinery requires.
+    Basis {1, X, Y, Z} with X = E12, Y = E21, Z = E11 - E22, the basis of
+    algebra.matrix_units(2); the unit is a basis element, which the chain
+    machinery requires.
     """
-    one = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [0, 0]], dtype=complex)
-    y = np.array([[0, 0], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    mats = [one, x, y, z]
-    flat = np.stack([m.reshape(-1) for m in mats], axis=1)
-    flat_inv = np.linalg.inv(flat)
-    dim = 4
-    mul = np.zeros((dim, dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            mul[a, b] = flat_inv @ (mats[a] @ mats[b]).reshape(-1)
-    alg = DgAlgebra(dim, [0, 0, 0, 0], 0, mul, np.zeros((dim, dim)), name="Mat2C")
-    alg._rep_mats = mats
-    return alg
+    return DgAlgebra(4, [0] * 4, 0, matrix_units(2)[2], np.zeros((4, 4)), name="Mat2C")
 
 
 # -- module fixtures -------------------------------------------------------------
@@ -153,23 +140,17 @@ def _random_hermitian(rng, d):
 def random_weak_cq(hdim=6, q=1, seed=0, k=1, strong=False, name=None):
     """Seeded random (weak) module over an exterior algebra.
 
-    H = S_q (x) C^{p_plus|p_minus}, with the multiplicity m = hdim / 2^ceil(q/2)
-    split (m // 2, m - m // 2) for even q and purely even for odd q, where
-    S_q is its own parity shift.  c sends each basis element to a random
-    equivariant operator of the matching parity (the unit to the identity);
-    Q is a random odd Hermitian equivariant operator.  Over an exterior
-    algebra the degree-0 part is spanned by the unit, so the module is
-    automatically strong; pass strong=True to record that.
+    H is hilbert.balanced_clifford_module(q, hdim).  c sends each basis
+    element to a random equivariant operator of the matching parity (the
+    unit to the identity); Q is a random odd Hermitian equivariant
+    operator.  Over an exterior algebra the degree-0 part is spanned by
+    the unit, so the module is automatically strong; pass strong=True to
+    record that.
     """
     from .fredholm import CqFredholmModule, module_validate
-    from .hilbert import _is_count, standard_clifford_module
+    from .hilbert import balanced_clifford_module
 
-    spinor = standard_clifford_module(q, 1).dim
-    if not _is_count(hdim) or hdim == 0 or hdim % spinor:
-        raise AlgebraError(f"hdim must be a positive multiple of 2^ceil(q/2) = {spinor}, got {hdim!r}")
-    m = hdim // spinor
-    p_minus = 0 if q % 2 else m - m // 2
-    cm = standard_clifford_module(q, m - p_minus, p_minus)
+    cm = balanced_clifford_module(q, hdim)
     alg = exterior_algebra(k)
     rng = np.random.default_rng(seed)
 
@@ -237,7 +218,7 @@ def getzler_trivial(hdim=4, seed=0):
     alg = matrix2_algebra()
     r = hdim // 2
     rng = np.random.default_rng(seed)
-    c_mats = np.stack([np.kron(m, np.eye(r)) for m in alg._rep_mats])
+    c_mats = np.stack([np.kron(m, np.eye(r)) for m in matrix_units(2)[0]])
     Q = _random_hermitian(rng, hdim)
     M = OddFredholmModule(alg, c_mats, Q, weak=True, name=f"getzler_trivial(d={hdim},seed={seed})")
     rep = module_validate(M)

@@ -1,5 +1,10 @@
 """Theta-summable Clifford Fredholm modules and their Chern characters.
 
+Modules are frozen: c_mats and Q are read-only copies taken on
+construction, and the caches built from them (M.curvature and
+M._phi_cache) live as long as the module.  dataclasses.replace makes a
+changed module, with empty caches.
+
 Provides module validation, the acyclic extension, doubling of odd
 modules, the curvature cochain, the quantization map (heat-kernel
 expansion of the curvature), the Chern character, coclosedness and
@@ -19,7 +24,7 @@ enumeration, quantize_partitions, are kept as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +40,7 @@ from .hilbert import (
     HilbertError,
     N_BRACKET_MAX,
     _frozen,
+    _set_frozen,
     chain_exp_topright,
     cstr,
     gauss_legendre_01,
@@ -56,19 +62,8 @@ class ModuleError(ValueError):
 # -- module types -----------------------------------------------------------------
 
 
-class _FrozenOperators:
-    """Stores c_mats and Q as read-only copies, on construction and on every
-    reassignment: the curvature tables and the quantization cache are built
-    from them, so they may not change under the caches."""
-
-    def __setattr__(self, name, value):
-        if name in ("c_mats", "Q"):
-            value = _frozen(value)
-            if "_phi_cache" in self.__dict__:
-                # built from the old operator
-                self._phi_cache = {}
-                self._curv = None
-        super().__setattr__(name, value)
+class _Representation:
+    """The representation c of a module, from its table c_mats."""
 
     def c(self, theta):
         """Representation applied to a coefficient vector or basis index."""
@@ -77,9 +72,10 @@ class _FrozenOperators:
         return np.einsum("i,ijk->jk", np.asarray(theta, dtype=complex), self.c_mats)
 
 
-@dataclass
-class CqFredholmModule(_FrozenOperators):
-    """(H, c, Q) with a Clifford action; weak modules drop multiplicativity."""
+@dataclass(frozen=True, eq=False)
+class CqFredholmModule(_Representation):
+    """(H, c, Q) with a Clifford action; weak modules drop multiplicativity.
+    Frozen: a changed module is dataclasses.replace(M, Q=...), with empty caches."""
 
     alg: DgAlgebra
     cm: CliffordModule
@@ -87,15 +83,20 @@ class CqFredholmModule(_FrozenOperators):
     Q: np.ndarray
     weak: bool = True
     name: str = "module"
+    _phi_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        _set_frozen(self, c_mats=_frozen(self.c_mats), Q=_frozen(self.Q))
         h = self.cm.dim
         if self.c_mats.shape != (self.alg.dim, h, h):
             raise ModuleError("c_mats has wrong shape")
         if self.Q.shape != (h, h):
             raise ModuleError("Q has wrong shape")
-        self._phi_cache = {}
-        self._curv = None
+
+    @cached_property
+    def curvature(self) -> "Curvature":
+        """The curvature tables, built on first use."""
+        return Curvature(self)
 
     @property
     def hdim(self):
@@ -114,9 +115,9 @@ class CqFredholmModule(_FrozenOperators):
         return self.Q2 + np.eye(self.hdim)
 
 
-@dataclass
-class OddFredholmModule(_FrozenOperators):
-    """Ungraded (H, c, Q); the doubling produces a q = 1 module."""
+@dataclass(frozen=True, eq=False)
+class OddFredholmModule(_Representation):
+    """Ungraded (H, c, Q); the doubling produces a q = 1 module.  Frozen."""
 
     alg: DgAlgebra
     c_mats: np.ndarray
@@ -125,6 +126,7 @@ class OddFredholmModule(_FrozenOperators):
     name: str = "odd-module"
 
     def __post_init__(self):
+        _set_frozen(self, c_mats=_frozen(self.c_mats), Q=_frozen(self.Q))
         if self.c_mats.ndim != 3 or self.c_mats.shape[0] != self.alg.dim:
             raise ModuleError("c_mats has wrong shape")
         if self.Q.shape != self.c_mats.shape[1:]:
@@ -232,16 +234,15 @@ def double_odd(M: OddFredholmModule) -> CqFredholmModule:
 
 
 def matrix_module(M: OddFredholmModule, m: int, lifted_alg=None) -> OddFredholmModule:
-    """M^(m) on H^m over Mat_m of the algebra (kron with the matrix basis);
-    M^(1) is M itself."""
-    from .algebra import mat_lift
+    """M^(m) on H^m over Mat_m of the algebra: c(B_a (x) e_i) = B_a (x) c(e_i)
+    with B_a from matrix_units(m), the basis of mat_lift; M^(1) is M itself."""
+    from .algebra import mat_lift, matrix_units
 
     if m == 1:
         return M
     lifted = lifted_alg if lifted_alg is not None else mat_lift(M.alg, m)
-    mats = lifted._mat_basis
     c_out = np.zeros((lifted.dim, m * M.hdim, m * M.hdim), dtype=complex)
-    for a, B in enumerate(mats):
+    for a, B in enumerate(matrix_units(m)[0]):
         for i in range(M.alg.dim):
             c_out[a * M.alg.dim + i] = np.kron(B, M.c_mats[i])
     Q_out = np.kron(np.eye(m), M.Q)
@@ -405,7 +406,7 @@ def _half_frame_basis(M, sign_vec):
 
 def curvature(M: CqFredholmModule) -> OperatorBarCochain:
     """F as an even operator bar cochain with arities 0, 1, 2 only."""
-    cur = _curvature_tables(M)
+    cur = M.curvature
     comp = {0: M.Q2, 1: cur.F1, 2: cur.F2}
     return OperatorBarCochain.from_arity_maps(M.alg, M.hdim, 0, comp, label="curvature")
 
@@ -414,12 +415,6 @@ def omega_cochain(M) -> OperatorBarCochain:
     """Odd connection cochain: Q at arity 0, c at arity 1."""
     return OperatorBarCochain.from_arity_maps(M.alg, M.hdim, 1, {0: M.Q, 1: lambda v: M.c(v)},
                                               label="connection")
-
-
-def _curvature_tables(M) -> Curvature:
-    if getattr(M, "_curv", None) is None:
-        M._curv = Curvature(M)
-    return M._curv
 
 
 def _compositions(N, max_blocks=None):
@@ -465,7 +460,7 @@ def quantize(M: CqFredholmModule, T, word):
     key = (float(T), tuple(int(i) for i in word)) if _is_basis_word(word) else None
     out = M._phi_cache.get(key)
     if out is None:
-        frame = _curvature_tables(M).frame
+        frame = M.curvature.frame
         chain, n = frame.bands(T, word if key is None else key[1])
         out = frame.lift(chain_exp_topright(*chain), n[-1])
         if key is not None:
@@ -480,7 +475,7 @@ def quantize_partitions(M: CqFredholmModule, T, word, max_blocks=None):
     truncation-matched resummation checks."""
     _check_word(T, len(word))
     slots = _as_slot_vecs(M.alg, word)
-    cur = _curvature_tables(M)
+    cur = M.curvature
     Q2 = M.Q2
     out = np.zeros((M.hdim, M.hdim), dtype=complex)
     for comp in _compositions(len(slots), max_blocks):
@@ -568,17 +563,18 @@ def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, ext_alg=None) -> Valid
 # -- homotopies, the transgression and the Chern-Simons form ------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Homotopy:
     """The family Q_s = Q + sV with c fixed: the module M at s = 0 and an odd,
-    Hermitian, C_q-equivariant direction V, validated on construction."""
+    Hermitian, C_q-equivariant direction V, validated on construction and
+    stored as a read-only copy."""
 
     M: CqFredholmModule
     V: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.V = _frozen(self.V)
+        _set_frozen(self, V=_frozen(self.V))
         if self.V.shape != self.M.Q.shape:
             raise ModuleError("V has wrong shape")
         residuals = _odd_operator_residuals(self.M.cm, self.V)
@@ -593,9 +589,7 @@ class Homotopy:
     def module(self, s) -> CqFredholmModule:
         key = round(float(s), 14)
         if key not in self._cache:
-            M = self.M
-            self._cache[key] = CqFredholmModule(M.alg, M.cm, M.c_mats, M.Q + s * self.V, weak=M.weak,
-                                                name=f"{self.name}[s={key}]")
+            self._cache[key] = replace(self.M, Q=self.M.Q + s * self.V, name=f"{self.name}[s={key}]")
         return self._cache[key]
 
     def extended(self, ext_alg) -> "Homotopy":
@@ -613,7 +607,7 @@ def psi_eval(hom: Homotopy, s, T, word):
     """
     if len(word) + 1 > N_BRACKET_MAX:
         raise HilbertError("word too long for the bracket bound")
-    frame = _curvature_tables(hom.module(s)).frame
+    frame = hom.module(s).curvature.frame
     (diag, bands), n = frame.bands(T, word)
     V = frame.reduce(hom.V)
     marked = {0: {a: (-1.0) ** n[a] * (-T) * V for a in range(len(word) + 1)}}

@@ -3,7 +3,8 @@ brackets.
 
 Every Clifford module here comes from spinor_step, which tensors a C_q
 module with C^{1|1} to give a C_{q+1} or C_{q+2} module; the standard
-module S_q (x) C^{p_plus|p_minus} exists for every q.
+module S_q (x) C^{p_plus|p_minus} exists for every q.  Spaces and modules
+are frozen: their arrays are read-only copies taken on construction.
 
 The bracket {A_1, ..., A_N}_H is the integral of
 e^{-t1 H} A_1 e^{-(t2-t1) H} ... A_N e^{-(1-tN) H} over the ordered
@@ -36,14 +37,14 @@ def gauss_legendre_01(nodes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GradedHilbert:
     """Finite-dimensional Z2-graded Hilbert space."""
 
-    parity: np.ndarray  # +1 / -1 per basis vector
+    parity: np.ndarray  # +1 / -1 per basis vector, stored as a read-only copy
 
     def __post_init__(self):
-        self.parity = np.asarray(self.parity, dtype=int)
+        _set_frozen(self, parity=_frozen(self.parity, dtype=int))
         if not np.all(np.abs(self.parity) == 1):
             raise HilbertError("parity entries must be +1 or -1")
 
@@ -68,10 +69,16 @@ class GradedHilbert:
         return None
 
 
-def _frozen(m):
-    out = np.array(m, dtype=complex)
+def _frozen(m, dtype=complex):
+    out = np.array(m, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _set_frozen(obj, **values):
+    """Store fields of a frozen dataclass; called only from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 _EPS = (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 1j], [1j, 0]], dtype=complex))
@@ -104,7 +111,19 @@ def standard_clifford_module(q, p_plus, p_minus=0):
     return cm
 
 
-@dataclass
+def balanced_clifford_module(q, hdim):
+    """The standard C_q module of dimension hdim: multiplicity m = hdim / 2^ceil(q/2),
+    split (m // 2, m - m // 2) for even q and purely even for odd q, where S_q
+    is its own parity shift."""
+    spinor = standard_clifford_module(q, 1).dim
+    if not _is_count(hdim) or hdim == 0 or hdim % spinor:
+        raise HilbertError(f"hdim must be a positive multiple of 2^ceil(q/2) = {spinor}, got {hdim!r}")
+    m = hdim // spinor
+    p_minus = 0 if q % 2 else m - m // 2
+    return standard_clifford_module(q, m - p_minus, p_minus)
+
+
+@dataclass(frozen=True, eq=False)
 class CliffordModule:
     """Graded Hilbert space with an action of the complex Clifford algebra."""
 
@@ -114,7 +133,7 @@ class CliffordModule:
 
     def __post_init__(self):
         # read-only copies: the volume element below is built from them once
-        self.e = tuple(_frozen(m) for m in self.e)
+        _set_frozen(self, e=tuple(_frozen(m) for m in self.e))
         if len(self.e) != self.q:
             raise HilbertError("need exactly q generator matrices")
         for m in self.e:
@@ -123,7 +142,7 @@ class CliffordModule:
         out = np.eye(self.dim, dtype=complex)
         for m in self.e:
             out = out @ m
-        self._volume = _frozen(out)
+        _set_frozen(self, _volume=_frozen(out))
 
     @property
     def dim(self):

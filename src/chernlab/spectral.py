@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import erf
 
-from .algebra import DgAlgebra, MatrixElement, acyclic_extension, mat_lift, maurer_cartan
+from .algebra import DgAlgebra, MatrixElement, acyclic_extension, mat_lift, matrix_units, maurer_cartan
 from .chains import (
     CYCLIC,
     B_connes,
@@ -46,7 +46,6 @@ from .cochains import slot_degree
 from .fredholm import (
     CqFredholmModule,
     OddFredholmModule,
-    _curvature_tables,
     acyclic_extend_module,
     calibrate_nu,
     chern_eval,
@@ -108,20 +107,14 @@ def ab_matrix_slots(omega_T: MatrixElement, s: float):
     return a_s, b
 
 
-def lifted_coeffs(lifted: DgAlgebra, me: MatrixElement) -> np.ndarray:
-    """Coefficient vector of a MatrixElement over the lifted algebra."""
+def lifted_coeffs(me: MatrixElement) -> np.ndarray:
+    """Coefficient vector of a MatrixElement over mat_lift(me.alg, me.m), in
+    its basis B_a (x) e_i."""
     if me.m == 1:
         return me.entries[0, 0].copy()
-    flat_inv = lifted._mat_flat_inv
-    base_dim = me.alg.dim
-    mm = flat_inv.shape[0]
-    out = np.zeros(mm * base_dim, dtype=complex)
-    # entries[p, q, i]: coefficient of E_pq e_i; convert E_pq to the lifted basis
-    flat_entries = me.entries.reshape(me.m * me.m, base_dim)
-    coeff_in_basis = flat_inv @ flat_entries  # (mm, base_dim)
-    for a in range(mm):
-        out[a * base_dim : (a + 1) * base_dim] = coeff_in_basis[a]
-    return out
+    flat_inv = matrix_units(me.m)[1]
+    # entries[p, q, i]: coefficient of E_pq e_i; convert E_pq to the basis B_a
+    return (flat_inv @ me.entries.reshape(me.m * me.m, me.alg.dim)).reshape(-1)
 
 
 def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Chain:
@@ -129,7 +122,7 @@ def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Cha
     for m = 1, with lifted the target itself, the chain is returned as is."""
     if lifted is target:
         return chain
-    mats = lifted._mat_basis
+    mats = matrix_units(math.isqrt(lifted.dim // target.dim))[0]
     base_dim = target.dim
     out = Chain(target, chain.kind)
     for word, coeff in chain.terms.items():
@@ -192,7 +185,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         acc = _LayerSum(lifted)
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
-            a_vec, b_vec = lifted_coeffs(lifted, a_s), lifted_coeffs(lifted, b)
+            a_vec, b_vec = lifted_coeffs(a_s), lifted_coeffs(b)
             factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k), 0.0)
                        for k in range(1, N + 1)]
             if lifted is alg_T:
@@ -245,8 +238,8 @@ def _omega_and_dg_vectors(ch: OddChernChain):
 def _lambda_chain(ch: OddChernChain, N: int, lifted) -> Chain:
     """lambda_N = Tr(1 (x) omega^(N-2) (x) dg^{-1} (x) dg), N >= 2."""
     omega_T, dg, dginv, _, _ = _omega_and_dg_vectors(ch)
-    slots = [_unit_vec(lifted)] + [lifted_coeffs(lifted, omega_T)] * (N - 2) \
-        + [lifted_coeffs(lifted, dginv), lifted_coeffs(lifted, dg)]
+    slots = [_unit_vec(lifted)] + [lifted_coeffs(omega_T)] * (N - 2) \
+        + [lifted_coeffs(dginv), lifted_coeffs(dg)]
     return generalized_trace(Chain.from_elements(lifted, CYCLIC, slots), lifted, ch.alg_T)
 
 
@@ -255,10 +248,7 @@ def _chen_witness(ch: OddChernChain, N: int, lifted) -> Chain:
     witness_N = (D Ch(g))_N + lambda_N - lambda_{N+1} (exact identity)."""
     omega_T, dg, dginv, g_T, ginv_T = _omega_and_dg_vectors(ch)
     unit_vec = _unit_vec(lifted)
-
-    def vec(me):
-        return lifted_coeffs(lifted, me)
-
+    vec = lifted_coeffs
     if N >= 2:
         base = Chain.from_elements(lifted, CYCLIC,
                                    [unit_vec] + [vec(omega_T)] * (N - 1) + [vec(dg)])
@@ -372,7 +362,7 @@ class TwistedFamily:
     @cached_property
     def omega_vec(self):
         """omega as a coefficient vector over the lifted algebra."""
-        return lifted_coeffs(self.lifted, self.omega_T)
+        return lifted_coeffs(self.omega_T)
 
     @cached_property
     def c_omega_doubled(self):
@@ -386,7 +376,7 @@ class TwistedFamily:
 
     def ab_vectors(self, s):
         a_s, b = ab_matrix_slots(self.omega_T, s)
-        return lifted_coeffs(self.lifted, a_s), lifted_coeffs(self.lifted, b)
+        return lifted_coeffs(a_s), lifted_coeffs(b)
 
 
 def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
@@ -403,12 +393,12 @@ def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
     Mdt = double_odd(M_T_m)
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
-    c_omega = M_T_m.c(lifted_coeffs(lifted, omega_T))
+    c_omega = M_T_m.c(lifted_coeffs(omega_T))
     rep = ValidationReport(f"twisted-family:m={m}")
     g_T = lift_matrix_to_ext(g, alg_T)
     ginv_T = lift_matrix_to_ext(g.inverse_deg0(), alg_T)
-    cg = M_T_m.c(lifted_coeffs(lifted, g_T))
-    cginv = M_T_m.c(lifted_coeffs(lifted, ginv_T))
+    cg = M_T_m.c(lifted_coeffs(g_T))
+    cginv = M_T_m.c(lifted_coeffs(ginv_T))
     Qm = M_T_m.Q
     lhs = cginv @ (Qm @ cg - cg @ Qm)
     rep.add("c-omega-from-commutator", float(np.max(np.abs(lhs - c_omega))), 1e-10,
@@ -486,11 +476,11 @@ def sf_integral(tf: TwistedFamily, s_nodes=32, M_max=16):
     direct = 0.0 + 0.0j
     series = 0.0 + 0.0j
     Qd = tf.Qdot()
+    Q2 = tf.Q_m @ tf.Q_m
     for si, wi in zip(x, w):
         Qs = tf.Q_s(si)
         direct += wi * np.trace(Qd @ expm(-(Qs @ Qs)))
-        pses, _ = perturbation_series(tf, si, 1.0, M_max)
-        series += wi * np.trace(Qd @ pses)
+        series += wi * np.trace(Qd @ _heat_series(Q2, tf.X_s(si), 1.0, M_max))
     return {"direct": complex(direct), "series": complex(series)}
 
 
@@ -557,7 +547,7 @@ def pairing_term(tf: TwistedFamily, N, s):
     marked exponential of the full-size Curvature.F1 and F2 blocks (the B
     block replaces one A step)."""
     Mdt = tf.Mdt
-    cur = _curvature_tables(Mdt)
+    cur = Mdt.curvature
     a_vec, b_vec = tf.ab_vectors(s)
     if N == 0:
         return 0.0 + 0.0j
@@ -598,7 +588,7 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     back: an A step has parity |A| + 1 and the marked B step |B| + 1.
     """
     Mdt = tf.Mdt
-    frame = _curvature_tables(Mdt).frame
+    frame = Mdt.curvature.frame
     a_vec, b_vec = tf.ab_vectors(s)
     (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
     f1b, b_step = frame.f1(b_vec), slot_degree(Mdt.alg, b_vec) + 1
@@ -611,7 +601,7 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
 
 def _curvature_identities(tf: TwistedFamily, s):
     """F(A,B) = F(B,A) = 0 and F(A) + F(A,A) = X~_s as matrices."""
-    cur = _curvature_tables(tf.Mdt)
+    cur = tf.Mdt.curvature
     a_vec, b_vec = tf.ab_vectors(s)
     r1 = float(np.max(np.abs(cur.F2(a_vec, b_vec))))
     r2 = float(np.max(np.abs(cur.F2(b_vec, a_vec))))

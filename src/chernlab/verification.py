@@ -16,15 +16,14 @@ from .algebra import DgAlgebra
 from .chains import BAR, CYCLIC, Chain, random_basis_word
 from .cochains import OperatorBarCochain, delta
 from .hilbert import (
-    CliffordModule,
     GradedHilbert,
+    balanced_clifford_module,
     bracket_insert_unit,
     bracket_oracle,
     bracket_split_quadrature,
     cstr,
     cstr_cyclic_sum,
     heat_bracket,
-    standard_clifford_module,
     trace_norm,
 )
 from .report import ValidationReport, running_max
@@ -180,15 +179,19 @@ def bracket_kernel_report(n_instances=100, seed=0) -> ValidationReport:
 
 
 def supertrace_report(n_tuples=200, seed=0) -> ValidationReport:
-    """CStr kills supercommutators; the rotation identity holds, q in {0,1,2}."""
+    """CStr kills supercommutators; the rotation identity holds, q in {0,1,2}.
+
+    Each draw is on the standard C_q module of dimension 2p, p in {2, 3}
+    (balanced_clifford_module); the note nonzero_odd_draws counts the draws
+    with a nonzero odd operator among A, B and the bracket factors.
+    """
     rng = np.random.default_rng(seed)
     worst_comm, worst_cyc = 0.0, 0.0
+    nonzero_odd = 0
     for t in range(n_tuples):
         q = int(rng.integers(0, 3))
         p = int(rng.integers(2, 4))
-        # the standard C_2 module on C^{p|p}, restricted to its first q generators
-        cm2 = standard_clifford_module(2, p)
-        cm = CliffordModule(cm2.H, q, cm2.e[:q])
+        cm = balanced_clifford_module(q, 2 * p)
         d = cm.dim
         pa, pb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         A = cm.project_equivariant(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), pa)
@@ -207,11 +210,14 @@ def supertrace_report(n_tuples=200, seed=0) -> ValidationReport:
                                       int(rng.integers(0, 2))) for _ in range(n_ops)]
         res, _, rhs = cstr_cyclic_sum(cm, H, ops)
         worst_cyc = running_max(worst_cyc, res / max(1.0, abs(rhs)))
+        # operator_parity reads a zero operator as even
+        nonzero_odd += any(cm.H.operator_parity(X) == 1 for X in [A, B] + ops)
     rep = ValidationReport("clifford-supertrace")
     rep.add("kills-supercommutators", worst_comm, 1e-9, "CStr([A, B]) = 0 on equivariant pairs")
     rep.add("rotation-identity", worst_cyc, 1e-9,
             "signed rotations of the bracket sum to the out-front form")
     rep.notes["n_tuples"] = n_tuples
+    rep.notes["nonzero_odd_draws"] = nonzero_odd
     return rep
 
 

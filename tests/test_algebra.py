@@ -11,6 +11,7 @@ from chernlab.algebra import (
     acyclic_extension,
     dga_validate,
     mat_lift,
+    matrix_units,
     maurer_cartan,
     maurer_cartan_residual,
 )
@@ -122,6 +123,17 @@ def test_mat_lift_m2_ground_field():
     rep = dga_validate(lifted)
     assert rep.passed
     assert np.max(np.abs(lifted.diff)) == 0.0
+
+
+def test_matrix_units_2_is_the_basis_of_mat2c():
+    mats, flat_inv, cmat = matrix_units(2)
+    x, y = np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])
+    for got, want in zip(mats, [np.eye(2), x, y, np.diag([1, -1])]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(cmat, matrix2_algebra().mul)
+    assert np.array_equal(mat_lift(complex_line(), 2).mul, cmat)
+    for a, B in enumerate(mats):
+        assert np.array_equal(flat_inv @ B.reshape(-1), np.eye(4)[a])
 
 
 def test_mat_lift_leibniz_random_pairs():

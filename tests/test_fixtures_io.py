@@ -66,3 +66,16 @@ def test_odd_module_round_trip():
     assert np.array_equal(M.Q, M2.Q)
     assert module_validate(M2).passed
     assert not M2.weak
+
+
+def test_matrix_module_over_a_lift_read_back_from_json_is_bitwise_the_same():
+    from chernlab.algebra import DgAlgebra, mat_lift
+    from chernlab.fredholm import matrix_module
+
+    M = gen_fixture("discrete_circle", {"n": 3}, seed=1)
+    lifted = mat_lift(M.alg, 2)
+    read_back = DgAlgebra.from_json_dict(json.loads(dump_json(lifted.to_json_dict())))
+    assert np.array_equal(read_back.mul, lifted.mul)
+    a, b = matrix_module(M, 2, lifted_alg=lifted), matrix_module(M, 2, lifted_alg=read_back)
+    assert b.alg is read_back
+    assert np.array_equal(a.c_mats, b.c_mats) and np.array_equal(a.Q, b.Q)

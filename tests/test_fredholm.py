@@ -1,5 +1,6 @@
 """Fredholm modules, the quantization map and the Chern character."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -60,14 +61,13 @@ def test_module_validation_kinds(weak_q1, circle_doubled):
 
 def test_strong_failure_detected(circle_doubled):
     M = circle_doubled
-    bad = conjugate_module(M, np.eye(M.hdim))
-    bad.weak = False
     h = M.hdim // 2
     rng = np.random.default_rng(0)
     dense = rng.standard_normal((h, h))
     dense = 0.5 * (dense + dense.T)
     # odd Hermitian but not commuting with the multiplications: breaks [Q, c(f)] = c(df)
-    bad.Q = M.Q + 0.01 * np.kron(np.array([[0, 1], [1, 0]]), dense).astype(complex)
+    bad = dataclasses.replace(conjugate_module(M, np.eye(M.hdim)), weak=False,
+                              Q=M.Q + 0.01 * np.kron(np.array([[0, 1], [1, 0]]), dense).astype(complex))
     rep = module_validate(bad)
     assert not rep.passed
     assert rep.residual("commutator-rule") > 1e-4
@@ -563,11 +563,9 @@ def _homogeneous(alg, rng, parity):
 @pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~_T"])
 def test_f2_is_the_closed_form_in_both_frames(name):
     # F_2(u, v) = c(s(u) v) - c(s(u)) c(v), s(u) = (-1)^{|u|} u
-    from chernlab.fredholm import _curvature_tables
-
     M = _HALF_FRAME_MODULES[name]()
     alg = M.alg
-    cur = _curvature_tables(M)
+    cur = M.curvature
     rng = np.random.default_rng(41)
     for pu, pv in itertools.product((0, 1), repeat=2):
         u, v = _homogeneous(alg, rng, pu), _homogeneous(alg, rng, pv)
@@ -665,14 +663,27 @@ def test_module_operators_are_read_only_copies():
         odd.c_mats[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         odd.Q[0, 0] = 2.0
-    # reassignment stores a new frozen copy and drops what was built from the old one
+
+
+def test_replaced_module_quantizes_its_new_operator_with_a_fresh_cache():
+    M = random_weak_cq(hdim=6, q=1, seed=22, k=2)
     before = quantize(M, 1.0, (1,))
-    M.Q = 2.0 * Q
-    assert not M.Q.flags.writeable
-    after = quantize(M, 1.0, (1,))
-    vec = quantize(M, 1.0, word_to_vecs(M.alg, (1,)))
+    M2 = dataclasses.replace(M, Q=2.0 * M.Q)
+    assert not M2.Q.flags.writeable and M2._phi_cache == {} and M2.curvature is not M.curvature
+    after = quantize(M2, 1.0, (1,))
+    vec = quantize(M2, 1.0, word_to_vecs(M2.alg, (1,)))
     assert np.max(np.abs(after - vec)) <= 1e-13 * max(1.0, float(np.max(np.abs(vec))))
     assert np.max(np.abs(after - before)) > 1e-3
+    assert np.array_equal(quantize(M, 1.0, (1,)), before)
+
+
+def test_every_field_of_the_frozen_classes_refuses_reassignment():
+    M = random_weak_cq(hdim=6, q=1, seed=22, k=2)
+    V = M.cm.project_equivariant(np.ones((6, 6), dtype=complex), 1)
+    for obj in (M.cm.H, M.cm, M, discrete_circle(3, seed=0), Homotopy(M, 0.5 * (V + V.conj().T))):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
 
 
 def test_nan_coclosed_residual_fails_the_chern_group(monkeypatch):

@@ -1,5 +1,6 @@
 """The odd character chain, twisted families and the spectral-flow pairing."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from chernlab import chains, spectral
-from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, maurer_cartan
+from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, matrix_units, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
 from chernlab.cochains import CochainError
 from chernlab.fixtures import circle_function, circle_loop_element, discrete_circle, discrete_circle_algebra
-from chernlab.fredholm import ModuleError, _curvature_tables
+from chernlab.fredholm import ModuleError
 from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket
 from chernlab.spectral import (
     SpectralError,
@@ -144,8 +145,7 @@ def test_twisted_family_identities(tf6):
 
 
 def test_twisted_family_requires_strong(circle6):
-    weak = discrete_circle(4, seed=0)
-    weak.weak = True
+    weak = dataclasses.replace(discrete_circle(4, seed=0), weak=True)
     g = circle_loop_element(weak.alg, eps=0.2, seed=1)
     with pytest.raises(SpectralError):
         twisted_family(weak, g)
@@ -217,7 +217,7 @@ def test_term_sign_from_the_degree_one_terms(tf6, s):
     # spectral-flow term is +CStr(c~(omega) e^{-Q~^2}): TERM_SIGN = -1
     Mdt = tf6.Mdt
     _, b_vec = tf6.ab_vectors(s)
-    assert np.array_equal(_curvature_tables(Mdt).F1(b_vec), tf6.c_omega_doubled)
+    assert np.array_equal(Mdt.curvature.F1(b_vec), tf6.c_omega_doubled)
     heat_term = cstr(Mdt.cm, tf6.c_omega_doubled @ expm(-Mdt.Q2))
     p_row, sf_row = spectral._pairing_rows(tf6, s, 1)
     assert abs(p_row[0] + heat_term) <= 1e-12
@@ -272,7 +272,7 @@ def test_doubling_reshuffle_isomorphism():
                 U[row, col] = 1.0
     # right-hand side: Mat_m of the doubled module, built directly
     Mq = double_odd(M_T)
-    mats = lifted._mat_basis
+    mats = matrix_units(m)[0]
     c_right = np.stack([np.kron(B, Mq.c_mats[i]) for B in mats for i in range(ext.dim)])
     Q_right = np.kron(np.eye(m), Mq.Q)
     assert np.max(np.abs(U @ left.Q @ U.T - Q_right)) <= 1e-13
