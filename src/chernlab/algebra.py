@@ -14,6 +14,7 @@ fixture, matrix modules and the generalized trace all read it there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def _sparse_tables(arr):
 class DgAlgebra:
     """Associative unital Z-graded algebra with a degree +1 differential."""
 
-    def __init__(self, dim, degree, unit_index, mul, diff, name="algebra"):
+    def __init__(self, dim, degree, unit_index, mul, diff, name="algebra", sigma_index=None, base_dim=None):
         self.dim = int(dim)
         # private read-only copies: degree_tuple, parity_tuple, the sparse
         # tables below and the caches downstream assume the structure never changes
@@ -71,6 +72,15 @@ class DgAlgebra:
             raise AlgebraError("differential matrix has wrong shape")
         if not 0 <= self.unit_index < self.dim:
             raise AlgebraError("unit_index out of range")
+        # an acyclic extension (acyclic_extension) records the index of its odd
+        # variable sigma and the dimension of the algebra it extends
+        self.sigma_index = None if sigma_index is None else operator.index(sigma_index)
+        self.base_dim = None if base_dim is None else operator.index(base_dim)
+        if self.sigma_index is not None and not (0 <= self.sigma_index < self.dim
+                                                 and self.degree[self.sigma_index] == -1):
+            raise AlgebraError("sigma_index must name a basis element of degree -1")
+        if self.base_dim is not None and 2 * self.base_dim != self.dim:
+            raise AlgebraError("base_dim must be half the dimension of the extension")
         # plain-int degrees and the nonzero structure constants, a NaN included:
         # mul_table {(i, j): [(k, mul[i, j, k])]} and diff_table {j: [(i, diff[i, j])]}
         # for the dict kernels, and the same entries zero-padded for the word-layer
@@ -80,10 +90,6 @@ class DgAlgebra:
         self.mul_table, self.mul_tgt, self.mul_cf = _sparse_tables(self.mul)
         diff_table, self.diff_tgt, self.diff_cf = _sparse_tables(self.diff.T)
         self.diff_table = {j: entries for (j,), entries in diff_table.items()}
-        # set by acyclic_extension: index of the adjoined odd variable
-        self.sigma_index = None
-        # base_dim: dimension of the algebra this one extends (if any)
-        self.base_dim = None
 
     # -- element helpers -------------------------------------------------
 
@@ -120,7 +126,7 @@ class DgAlgebra:
         for j, entries in sorted(self.diff_table.items()):
             for i, v in entries:
                 diff_triplets.append([i, j, v.real, v.imag])
-        return {
+        out = {
             "name": self.name,
             "dim": self.dim,
             "degrees": [int(d) for d in self.degree],
@@ -128,6 +134,8 @@ class DgAlgebra:
             "mul": mul_triplets,
             "diff": diff_triplets,
         }
+        out.update({key: getattr(self, key) for key in ("sigma_index", "base_dim") if getattr(self, key) is not None})
+        return out
 
     @classmethod
     def from_json_dict(cls, data) -> "DgAlgebra":
@@ -138,7 +146,8 @@ class DgAlgebra:
         diff = np.zeros((dim, dim), dtype=complex)
         for i, j, re, im in data["diff"]:
             diff[int(i), int(j)] = re + 1j * im
-        return cls(dim, data["degrees"], data["unit_index"], mul, diff, name=data.get("name", "algebra"))
+        return cls(dim, data["degrees"], data["unit_index"], mul, diff, name=data.get("name", "algebra"),
+                   sigma_index=data.get("sigma_index"), base_dim=data.get("base_dim"))
 
     def __repr__(self):
         return f"DgAlgebra({self.name!r}, dim={self.dim})"
@@ -272,10 +281,8 @@ def acyclic_extension(alg: DgAlgebra) -> DgAlgebra:
     # d_T(s b) = -s db - b
     diff2[dim:, dim:] = -alg.diff
     diff2[:dim, dim:] = -np.eye(dim)
-    out = DgAlgebra(dim2, deg2, alg.unit_index, mul2, diff2, name=alg.name + "_T")
-    out.sigma_index = dim + alg.unit_index
-    out.base_dim = dim
-    return out
+    return DgAlgebra(dim2, deg2, alg.unit_index, mul2, diff2, name=alg.name + "_T",
+                     sigma_index=dim + alg.unit_index, base_dim=dim)
 
 
 def matrix_units(m):

@@ -19,19 +19,32 @@ m_{-1} = 1) and n_k = |theta_1| + ... + |theta_k| - k,
   b' (bar)     = - sum_{k<N} (-1)^{n_k} (..., theta_k theta_{k+1}, ...)
 
 plus the rotation operator N with signs (-1)^{n_k (n_N - n_k)} and the
-Chen normalization operators S, R, S_i^(f), T_i^(f).  Each sign is written
-once, below, from the prefix parities of a word; the dict kernels and the
-word-layer kernels both read it.
+Chen normalization operators S, R, S_i^(f), T_i^(f):
+
+  S        (theta_0, ...) -> sum_k (theta_0, ..., theta_k, sigma, ...)
+  R        (theta_0, ...) -> (sigma theta_0, ...)
+  S_i^(f)  (theta_0, ...) -> (-1)^{m_i} (..., theta_i, f, theta_{i+1}, ...)
+  T_i^(f)  (theta_0, ...) -> (..., theta_i, f theta_{i+1}, ...)
+                             - (..., theta_i f, theta_{i+1}, ...)
+                             - (..., theta_i, df, theta_{i+1}, ...)
+
+with theta_{N+1} read as theta_0 in T_N^(f), and the bar-side maps
+alpha = N (sigma theta_0, ...), h = N (theta_0, ...), S-bar (sigma after
+each bar slot) and S-bar' (sigma in every gap, the front one included).
+
+Each sign is written once, below, from the prefix parities of a word.
+Every operator runs on word layers; the dict kernels of d, b and B (and
+d-bar and b') stay for chains built word by word, where a layer pass
+costs more than the whole dict loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, DgAlgebra
+from .algebra import AlgebraElement, DgAlgebra, _sparse_tables
 
 CYCLIC = "cyclic"
 BAR = "bar"
@@ -51,13 +64,13 @@ class Chain:
     """Finite linear combination of basis words over one algebra.
 
     The terms live in one of two stores.  The dict store maps word tuples
-    to coefficients in insertion order and takes in-place edits; small
-    chains live there.  The columnar store holds, per word length, one
-    int64 word matrix and one complex coefficient vector, each in
-    first-occurrence order; the character chain and everything the
-    word-layer kernels return live there.  ``terms`` reads either store as
-    a word -> coefficient mapping; an in-place edit moves a columnar chain
-    to the dict store.
+    to coefficients in insertion order and takes in-place edits; chains
+    built word by word (``basis_word``, ``Chain(terms)``) live there.  The
+    columnar store holds, per word length, one int64 word matrix and one
+    complex coefficient vector, each in first-occurrence order;
+    ``from_elements`` and every word-layer kernel return it.  ``terms``
+    reads either store as a word -> coefficient mapping; an in-place edit
+    moves a columnar chain to the dict store.
     """
 
     __slots__ = ("alg", "kind", "_terms", "_layers")
@@ -144,14 +157,10 @@ class Chain:
     @classmethod
     def from_elements(cls, alg, kind, slots, coeff=1.0, tol=0.0):
         """Expand coeff * (slot_0 (x) slot_1 (x) ...), a tensor word of
-        AlgebraElements, into basis words in the nested-loop order of _kron."""
-        c = cls(alg, kind)
-        factors = _slot_factors(alg, kind, slots, tol)
-        acc = c._acc
-        for word, cf in zip(product(*[nz.tolist() for nz, _ in factors]), _kron(factors, coeff).tolist()):
-            if cf:  # add_term drops exact zeros
-                acc(word, cf)
-        return c
+        AlgebraElements, into basis words in the nested-loop order of _kron,
+        as one columnar layer."""
+        keys, coeffs = _kron_layer(_slot_factors(alg, kind, slots, tol), alg.dim, coeff)
+        return cls._from_layers(alg, kind, {len(slots): _Layer(alg.dim, len(slots), coeffs, keys=keys)})
 
     def copy(self):
         if self._layers is not None:
@@ -553,6 +562,11 @@ def _rotation_signs(parities):
     return [_SIGN[(v * (P[-1] - v)) % 2] for v in P]
 
 
+def _insert_signs(parities):
+    """Sign of a cyclic insertion at position p = 0..L (after slot p - 1): (-1)^{m_{p-1}} = (-1)^{x[p]}."""
+    return [_SIGN[v] for v in _koszul(parities, CYCLIC)]
+
+
 class _SignRows(dict):
     """One operator's sign rows by parity pattern, computed on first use."""
 
@@ -576,27 +590,15 @@ def _sign_rows(fn, *args):
     return rows
 
 
-def _left_mul_entries(alg, coeffs, j):
-    """Expansion of (sum_a coeffs_a e_a) * e_j as [(k, coeff)]."""
-    vec = np.einsum("a,ak->k", coeffs, alg.mul[:, j, :])
-    nz = np.nonzero(vec != 0)[0]  # a NaN stays
-    return [(int(k), complex(vec[k])) for k in nz]
-
-
-def _right_mul_entries(alg, j, coeffs):
-    vec = np.einsum("a,ak->k", coeffs, alg.mul[j, :, :])
-    nz = np.nonzero(vec != 0)[0]
-    return [(int(k), complex(vec[k])) for k in nz]
-
-
 # -- cyclic differentials ----------------------------------------------------
-# The dict kernels of d and b serve the bar complexes too.  Their unit rule:
-# a new slot k >= lo may not hold the unit, with lo = 1 on cyclic words and
-# lo = 0 on reduced bar words; the unreduced bar complex has none (u = None).
-# A columnar chain goes through the word-layer kernels (below) and comes back
-# columnar; a dict chain stays on the dict kernels, whose fixed cost per call
-# is about 40x lower (d_total of one 3-slot word: 0.6-0.85 ms on layers, 14-22 us
-# on dicts, on Circle2 and Circle6_T, one core of a shared 2-core VM).
+# The dict kernels of d, b and B serve chains built word by word, and those of
+# d and b the bar complexes too.  Their unit rule: a new slot k >= lo may not
+# hold the unit, with lo = 1 on cyclic words and lo = 0 on reduced bar words;
+# the unreduced bar complex has none (u = None).  A columnar chain goes
+# through the word-layer kernels (below) and comes back columnar; a dict chain
+# stays on the dict kernels, whose fixed cost per call is about 30x lower
+# (d_total of one word: 19-29 us on dicts, 0.63-0.70 ms on layers, over the
+# 5,848 coclosedness words of the benchmark, one core of a shared 2-core VM).
 
 _LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
 _MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
@@ -723,16 +725,7 @@ def cyclicize_N(c: Chain) -> Chain:
     """Signed sum of rotations; image spans the rotation-invariant part."""
     if c.kind != BAR_RED:
         raise ChainError("cyclicize_N expects a reduced bar chain")
-    alg = c.alg
-    par = alg.parity_tuple
-    signs_of = _sign_rows(_rotation_signs)
-    out = Chain(alg, BAR_RED)
-    acc = out._acc
-    for word, coeff in c.terms.items():
-        signs = signs_of[tuple([par[i] for i in word])]
-        for k in range(1, len(word) + 1):
-            acc(word[k:] + word[:k], coeff * signs[k])
-    return out
+    return _apply_layers(c, lambda alg, words, coeffs: _rotations(alg, words, coeffs, range(1, words.shape[1] + 1)))
 
 
 def _require_sigma(alg):
@@ -741,50 +734,52 @@ def _require_sigma(alg):
     return alg.sigma_index
 
 
+def _sigma_times(c: Chain, kind) -> Chain:
+    """(theta_0, ...) -> (sigma theta_0, ...), as a chain of the given kind."""
+    sigma = _require_sigma(c.alg)
+    table = c.alg.mul_tgt[sigma], c.alg.mul_cf[sigma]  # the rows of sigma e_j
+    return _apply_layers(c, lambda alg, words, coeffs: _slot_product(alg, kind, words, coeffs, 0, *table), kind)
+
+
+def _insert_sigma(c: Chain, first) -> Chain:
+    """sigma inserted at each position first..L of every word, unsigned."""
+    sigma = _require_sigma(c.alg)
+
+    def kernel(alg, words, coeffs):
+        return [chunk for p in range(first, words.shape[1] + 1)
+                for chunk in _gap_insert(alg, c.kind, words, coeffs, p, [sigma])]
+
+    return _apply_layers(c, kernel)
+
+
 def alpha_map(c: Chain) -> Chain:
     """Parity-preserving map (theta_0, ...) -> N(sigma theta_0, theta_1, ...)."""
     if c.kind != CYCLIC:
         raise ChainError("alpha_map expects a cyclic chain")
-    alg = c.alg
-    sigma = _require_sigma(alg)
-    pre = Chain(alg, BAR_RED)
-    for word, coeff in c.terms.items():
-        for l, cf in alg.mul_table.get((sigma, word[0]), []):
-            pre.add_term((l,) + word[1:], coeff * cf)
-    return cyclicize_N(pre)
+    return cyclicize_N(_sigma_times(c, BAR_RED))
 
 
 def h_map(c: Chain) -> Chain:
     """(theta_0, ..., theta_N) -> N(theta_0, ..., theta_N) as a bar word."""
     if c.kind != CYCLIC:
         raise ChainError("h_map expects a cyclic chain")
-    pre = Chain(c.alg, BAR_RED)
-    for word, coeff in c.terms.items():
-        pre.add_term(word, coeff)
-    return cyclicize_N(pre)
+    u = c.alg.unit_index  # a unit in slot 0 dies in the reduced bar complex
+    return cyclicize_N(Chain._from_layers(c.alg, BAR_RED, {L: layer.take(layer.words[:, 0] != u)
+                                                          for L, layer in c._columns().items()}))
 
 
 def bar_S(c: Chain) -> Chain:
     """Insert sigma after each bar slot (gaps 1..N, unsigned)."""
-    alg = c.alg
-    sigma = _require_sigma(alg)
     if c.kind != BAR_RED:
         raise ChainError("bar_S expects a reduced bar chain")
-    out = Chain(alg, BAR_RED)
-    for word, coeff in c.terms.items():
-        for k in range(1, len(word) + 1):
-            out.add_term(word[:k] + (sigma,) + word[k:], coeff)
-    return out
+    return _insert_sigma(c, 1)
 
 
 def bar_S_prime(c: Chain) -> Chain:
-    """bar_S plus the insertion in front: all N+1 gaps."""
-    alg = c.alg
-    sigma = _require_sigma(alg)
-    out = bar_S(c)
-    for word, coeff in c.terms.items():
-        out.add_term((sigma,) + word, coeff)
-    return out
+    """bar_S plus the insertion in front: all N+1 gaps, front first."""
+    if c.kind != BAR_RED:
+        raise ChainError("bar_S_prime expects a reduced bar chain")
+    return _insert_sigma(c, 0)
 
 
 # -- Chen normalization operators ---------------------------------------------
@@ -792,28 +787,16 @@ def bar_S_prime(c: Chain) -> Chain:
 
 def chen_S(c: Chain) -> Chain:
     """Insert sigma after each cyclic slot (gaps after slots 0..N)."""
-    alg = c.alg
-    sigma = _require_sigma(alg)
     if c.kind != CYCLIC:
         raise ChainError("chen_S expects a cyclic chain")
-    out = Chain(alg, CYCLIC)
-    for word, coeff in c.terms.items():
-        for k in range(len(word)):
-            out.add_term(word[: k + 1] + (sigma,) + word[k + 1 :], coeff)
-    return out
+    return _insert_sigma(c, 1)
 
 
 def chen_R(c: Chain) -> Chain:
     """(theta_0, ...) -> (sigma theta_0, ...)."""
-    alg = c.alg
-    sigma = _require_sigma(alg)
     if c.kind != CYCLIC:
         raise ChainError("chen_R expects a cyclic chain")
-    out = Chain(alg, CYCLIC)
-    for word, coeff in c.terms.items():
-        for l, cf in alg.mul_table.get((sigma, word[0]), []):
-            out.add_term((l,) + word[1:], coeff * cf)
-    return out
+    return _sigma_times(c, CYCLIC)
 
 
 def _check_chen_f(alg, f: AlgebraElement):
@@ -826,70 +809,51 @@ def _check_chen_f(alg, f: AlgebraElement):
 
 def chen_Si(f: AlgebraElement, i: int, c: Chain) -> Chain:
     """Signed insertion of a degree-0 base element after slot i."""
-    alg = c.alg
     if c.kind != CYCLIC:
         raise ChainError("chen_Si expects a cyclic chain")
-    _check_chen_f(alg, f)
-    nz = [(int(a), complex(f.coeffs[a])) for a in np.nonzero(f.coeffs != 0)[0]]  # a NaN stays
-    out = Chain(alg, CYCLIC)
-    for word, coeff in c.terms.items():
-        N = len(word) - 1
-        if i > N:
-            continue
-        sign = _SIGN[_koszul([alg.parity_tuple[j] for j in word], CYCLIC)[i + 1]]  # m_i
-        for a, fa in nz:
-            out.add_term(word[: i + 1] + (a,) + word[i + 1 :], coeff * sign * fa)
-    return out
+    _check_chen_f(c.alg, f)
+    f_nz = _nonzeros(f.coeffs)
+
+    def kernel(alg, words, coeffs):
+        if i >= words.shape[1]:
+            return []
+        sign = _layer_signs(alg, words, _insert_signs)[:, i + 1]  # (-1)^{m_i}
+        return _gap_insert(alg, CYCLIC, words, coeffs * sign, i + 1, *f_nz)
+
+    return _apply_layers(c, kernel)
 
 
 def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
-    """Move a degree-0 base element across the tensor sign at gap i."""
+    """Move a degree-0 base element across the tensor sign at gap i: per
+    word, the left product f theta_{i+1} (theta_0 at the wrap gap i = N),
+    then the right product theta_i f, then the insertion of df."""
     alg = c.alg
     if c.kind != CYCLIC:
         raise ChainError("chen_Ti expects a cyclic chain")
     _check_chen_f(alg, f)
-    df = alg.diff_coeffs(f.coeffs)
-    df_nz = [(int(a), complex(df[a])) for a in np.nonzero(df != 0)[0]]
-    left, right = {}, {}  # f * e_j and e_j * f, per basis index j met
+    f_times = _product_table(alg, f.coeffs, lambda j: alg.mul[:, j, :])  # f e_j
+    times_f = _product_table(alg, f.coeffs, lambda j: alg.mul[j, :, :])  # e_j f
+    df_nz = _nonzeros(alg.diff_coeffs(f.coeffs))
 
-    def f_times(j):
-        if j not in left:
-            left[j] = _left_mul_entries(alg, f.coeffs, j)
-        return left[j]
+    def kernel(alg, words, coeffs):
+        L = words.shape[1]
+        if i >= L:
+            return []
+        return (_slot_product(alg, CYCLIC, words, coeffs, (i + 1) % L, *f_times)
+                + _slot_product(alg, CYCLIC, words, -coeffs, i, *times_f)
+                + _gap_insert(alg, CYCLIC, words, -coeffs, i + 1, *df_nz))
 
-    def times_f(j):
-        if j not in right:
-            right[j] = _right_mul_entries(alg, j, f.coeffs)
-        return right[j]
-
-    out = Chain(alg, CYCLIC)
-    for word, coeff in c.terms.items():
-        N = len(word) - 1
-        if i > N:
-            continue
-        if i <= N - 1:
-            for l, cf in f_times(word[i + 1]):
-                out.add_term(word[: i + 1] + (l,) + word[i + 2 :], coeff * cf)
-            for l, cf in times_f(word[i]):
-                out.add_term(word[:i] + (l,) + word[i + 1 :], -coeff * cf)
-            for a, fa in df_nz:
-                out.add_term(word[: i + 1] + (a,) + word[i + 1 :], -coeff * fa)
-        else:  # i == N: wrap through slot 0
-            for l, cf in f_times(word[0]):
-                out.add_term((l,) + word[1:], coeff * cf)
-            for l, cf in times_f(word[N]):
-                out.add_term(word[:N] + (l,), -coeff * cf)
-            for a, fa in df_nz:
-                out.add_term(word + (a,), -coeff * fa)
-    return out
+    return _apply_layers(c, kernel)
 
 
 # -- word-layer kernels -------------------------------------------------------------
-# d, b and B on an int64 word matrix and a coefficient vector at once, with the
-# dict kernels' sign rows, reduced-slot tests and coefficient products, read
+# Every operator on an int64 word matrix and a coefficient vector at once, with
+# the dict kernels' sign rows, reduced-slot tests and coefficient products, read
 # off the algebra's padded tables.  Each kernel returns chunks (words, coeffs,
-# rows), rows being the source row of every output word; chunks come in the
-# dict kernels' (slot, entry) order.
+# rows), rows being the source row of every output word, and no row twice in a
+# chunk; chunks come in the order in which a per-word loop adds the terms
+# (slot, then entry).  Three primitives build them: a product of one slot with
+# a fixed element, an insertion at one position, and the signed rotations.
 
 
 def _layer_signs(alg, words, fn, *args):
@@ -901,24 +865,74 @@ def _layer_signs(alg, words, fn, *args):
     return np.array([rows[tuple(c >> j & 1 for j in range(L))] for c in codes.tolist()], dtype=float)[inv]
 
 
-def _layer_d(alg, words, coeffs):
+def _product_table(alg, coeffs, operand):
+    """The nonzero products of a fixed element with each basis element e_j as
+    a zero-padded (target, coefficient) table with one row per j; row j is
+    the einsum of coeffs with the structure constants operand(j), so every
+    coefficient has that einsum's bits (a NaN counts as nonzero)."""
+    rows = np.stack([np.einsum("a,ak->k", coeffs, operand(j)) for j in range(alg.dim)])
+    return _sparse_tables(rows)[1:]
+
+
+def _nonzeros(vec):
+    """The basis indices of vec's nonzero components (a NaN counts) and their values."""
+    idx = np.flatnonzero(vec != 0)
+    return idx, vec[idx]
+
+
+def _slot_product(alg, kind, words, coeffs, k, tgt, cf):
+    """Slot k of every word replaced by the product that row word[k] of a
+    (tgt, cf) table lists, one chunk per table column, with coefficient
+    coeffs * cf; a unit landing in a reduced slot dies."""
     out = []
-    u = alg.unit_index
-    sign = _layer_signs(alg, words, _d_signs, CYCLIC)
-    for k in range(words.shape[1]):
-        col = words[:, k]
-        for e in range(alg.diff_tgt.shape[1]):
-            cf = alg.diff_cf[col, e]
-            rows = np.flatnonzero(cf)
-            tgt = alg.diff_tgt[col[rows], e]
-            if k:  # slot k is the only new slot
-                rows, tgt = rows[tgt != u], tgt[tgt != u]
-            if not len(rows):
-                continue
-            new = words[rows]
-            new[:, k] = tgt
-            _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
+    u = alg.unit_index if k in _reduced_positions(kind, words.shape[1]) else None
+    col = words[:, k]
+    for e in range(tgt.shape[1]):
+        c = cf[col, e]
+        rows = np.flatnonzero(c)
+        new_k = tgt[col[rows], e]
+        if u is not None:
+            rows, new_k = rows[new_k != u], new_k[new_k != u]
+        if not len(rows):
+            continue
+        new = words[rows]
+        new[:, k] = new_k
+        _emit(out, new, _cmul(coeffs[rows], c[rows]), rows)
     return out
+
+
+def _gap_insert(alg, kind, words, coeffs, p, idx, vals=None):
+    """Each basis index idx[j] inserted at position p of every word, one chunk
+    per index, with coefficient coeffs * vals[j] (coeffs itself without vals);
+    a unit landing in a reduced slot dies."""
+    out = []
+    reduced = p in _reduced_positions(kind, words.shape[1] + 1)
+    rows = np.arange(len(words))
+    for j, a in enumerate(idx):
+        if not (reduced and a == alg.unit_index):
+            _emit(out, np.insert(words, p, a, axis=1), coeffs if vals is None else _cmul(coeffs, vals[j]), rows)
+    return out
+
+
+def _rotations(alg, words, coeffs, ks, head=None):
+    """The rotations word[k:] + word[:k] for k in ks, each behind head when
+    one is given, with the rotation sign; no slot changes its letter, so none
+    gains a unit."""
+    out = []
+    if not len(words):
+        return out
+    sign = _layer_signs(alg, words, _rotation_signs)
+    lead = [] if head is None else [np.full((len(words), 1), head, dtype=np.int64)]
+    rows = np.arange(len(words))
+    for k in ks:
+        _emit(out, np.concatenate(lead + [words[:, k:], words[:, :k]], axis=1), coeffs * sign[:, k], rows)
+    return out
+
+
+def _layer_d(alg, words, coeffs):
+    sign = _layer_signs(alg, words, _d_signs, CYCLIC)
+    return [chunk for k in range(words.shape[1])
+            for chunk in _slot_product(alg, CYCLIC, words, coeffs * sign[:, k], k, alg.diff_tgt, alg.diff_cf)]
 
 
 def _layer_b(alg, words, coeffs):
@@ -928,50 +942,37 @@ def _layer_b(alg, words, coeffs):
         return out
     u = alg.unit_index
     sign = _layer_signs(alg, words, _b_signs, CYCLIC)
-    for k in range(N):
-        a, b = words[:, k], words[:, k + 1]
+    # (slot pair, the slots before and after the product, sign): the faces
+    # theta_k theta_{k+1} at slot k, then the wrap face theta_N theta_0 at slot 0
+    faces = [((k, k + 1), slice(0, k), slice(k + 2, None), sign[:, k]) for k in range(N)]
+    faces.append(((N, 0), slice(0, 0), slice(1, N), _layer_signs(alg, words, _wrap_sign)))
+    for (i, j), head, tail, face_sign in faces:
+        a, b = words[:, i], words[:, j]
         for e in range(alg.mul_tgt.shape[2]):
             cf = alg.mul_cf[a, b, e]
             rows = np.flatnonzero(cf)
             tgt = alg.mul_tgt[a[rows], b[rows], e]
-            if k:  # slot k is the only new slot
+            if head.stop:  # the new slot is the only one to test; slot 0 is not reduced
                 rows, tgt = rows[tgt != u], tgt[tgt != u]
             if not len(rows):
                 continue
-            new = np.concatenate([words[rows, :k], tgt[:, None], words[rows, k + 2 :]], axis=1)
-            _emit(out, new, _cmul(coeffs[rows] * sign[rows, k], cf[rows]), rows)
-    a, b = words[:, N], words[:, 0]
-    wrap = _layer_signs(alg, words, _wrap_sign)
-    for e in range(alg.mul_tgt.shape[2]):
-        cf = alg.mul_cf[a, b, e]
-        rows = np.flatnonzero(cf)
-        if not len(rows):
-            continue
-        new = np.concatenate([alg.mul_tgt[a[rows], b[rows], e][:, None], words[rows, 1:N]], axis=1)
-        _emit(out, new, _cmul(coeffs[rows] * wrap[rows], cf[rows]), rows)
+            new = np.concatenate([words[rows, head], tgt[:, None], words[rows, tail]], axis=1)
+            _emit(out, new, _cmul(coeffs[rows] * face_sign[rows], cf[rows]), rows)
     return out
 
 
 def _layer_B(alg, words, coeffs):
-    out = []
-    u = alg.unit_index
-    rows = np.flatnonzero(words[:, 0] != u)  # every rotation moves a unit into a reduced slot
-    if not len(rows):
-        return out
-    words, coeffs = words[rows], coeffs[rows]
-    sign = _layer_signs(alg, words, _rotation_signs)
-    head = np.full((len(words), 1), u, dtype=np.int64)
-    for k in range(words.shape[1]):
-        new = np.concatenate([head, words[:, k:], words[:, :k]], axis=1)
-        _emit(out, new, coeffs * sign[:, k], rows)
-    return out
+    rows = np.flatnonzero(words[:, 0] != alg.unit_index)  # every rotation moves a unit into a reduced slot
+    return [(w, cf, rows[r]) for w, cf, r in _rotations(alg, words[rows], coeffs[rows], range(words.shape[1]),
+                                                        head=alg.unit_index)]
 
 
-def _apply_layers(c, kernel):
+def _apply_layers(c, kernel, kind=None):
     """A word-layer kernel on every layer of c, a batch of input rows at a
-    time.  Each output length merges its chunks by source row, stably, so
-    that every word adds its contributions in the dict kernel's order (source
-    word, then slot, then entry) and keeps its first position."""
+    time, into a chain of the given kind (c's own by default).  Each output
+    length merges its chunks by source row, stably, so that every word adds
+    its contributions in a per-word loop's order (source word, then slot,
+    then entry) and keeps its first position."""
     alg = c.alg
     out = _LayerSum(alg)
     for layer in c._columns().values():
@@ -984,7 +985,7 @@ def _apply_layers(c, kernel):
                 order = _row_major(min(_LAYER_BATCH, len(words) - lo), [rows for _, _, rows in parts])
                 out.add(L, np.concatenate([keys for keys, _, _ in parts])[order],
                         np.concatenate([cf for _, cf, _ in parts])[order])
-    return out.chain(alg, c.kind)
+    return out.chain(alg, kind or c.kind)
 
 
 def _row_major(n_rows, chunk_rows):
@@ -1050,14 +1051,7 @@ def entire_bound(c: Chain) -> float:
     """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term,
     in the designated max-coefficient norm (1 on every basis element)."""
     off = 1 if c.kind == CYCLIC else 0
-    if c._layers is not None:
-        parts = [_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._layers.items()]
-        return _ordered_sum(parts)
-    total = 0.0
-    for word, coeff in c.terms.items():
-        N = len(word) - off
-        total += abs(coeff) / _floor_half_factorial(N)
-    return float(total)
+    return _ordered_sum([_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._columns().items()])
 
 
 # -- test helpers ----------------------------------------------------------------

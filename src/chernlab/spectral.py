@@ -34,9 +34,12 @@ from .chains import (
     B_connes,
     Chain,
     _floor_half_factorial,
+    _cmul,
     _kron_layer,
     _LayerSum,
+    _reduced_positions,
     _slot_factors,
+    _word_keys,
     b_cyclic,
     chen_Ti,
     d_cyclic,
@@ -118,23 +121,25 @@ def lifted_coeffs(me: MatrixElement) -> np.ndarray:
 
 
 def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Chain:
-    """C(Mat_m(alg)) -> C(alg): trace the matrix factors around the loop;
-    for m = 1, with lifted the target itself, the chain is returned as is."""
+    """C(Mat_m(alg)) -> C(alg): trace the matrix factors around the loop, a
+    whole word layer at once; for m = 1, with lifted the target itself, the
+    chain is returned as is."""
     if lifted is target:
         return chain
-    mats = matrix_units(math.isqrt(lifted.dim // target.dim))[0]
-    base_dim = target.dim
-    out = Chain(target, chain.kind)
-    for word, coeff in chain.terms.items():
-        mat_idx = [i // base_dim for i in word]
-        alg_idx = [i % base_dim for i in word]
-        prod = mats[mat_idx[0]]
-        for a in mat_idx[1:]:
-            prod = prod @ mats[a]
-        tr = np.trace(prod)
-        if abs(tr) > 0:
-            out.add_term(tuple(alg_idx), coeff * tr)
-    return out
+    mats = np.array(matrix_units(math.isqrt(lifted.dim // target.dim))[0])
+    out = _LayerSum(target)
+    for L, layer in chain._columns().items():
+        mat_idx, alg_idx = np.divmod(layer.words, target.dim)
+        prod = mats[mat_idx[:, 0]]
+        for j in range(1, L):
+            prod = prod @ mats[mat_idx[:, j]]
+        tr = np.trace(prod, axis1=1, axis2=2)
+        coeffs = _cmul(layer.coeffs, tr)
+        # a zero trace, an exact zero product and a unit in a reduced slot drop out
+        reduced = alg_idx[:, list(_reduced_positions(chain.kind, L))]
+        keep = (tr != 0) & (coeffs != 0) & ~np.any(reduced == target.unit_index, axis=1)
+        out.add(L, _word_keys(alg_idx[keep], target.dim), coeffs[keep])
+    return out.chain(target, chain.kind)
 
 
 # -- the odd character chain -----------------------------------------------------
@@ -150,6 +155,7 @@ class OddChernChain:
     omega_T: MatrixElement
     N_max: int
     chains: dict  # N -> Chain over alg_T
+    lifted: DgAlgebra  # mat_lift(alg_T, g.m), the algebra the words are built over
     meta: dict = field(default_factory=dict)
 
     def component(self, N) -> Chain:
@@ -177,7 +183,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
     lifted = mat_lift(alg_T, g.m)
-    unit_vec = _unit_vec(lifted)
+    unit_vec = lifted.unit.coeffs
     chains = {0: Chain(alg_T, CYCLIC)}
     total_terms = 0
     for N in range(1, N_max + 1):
@@ -202,7 +208,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         total_terms += len(comp.terms)
         _check_ch_g_terms(total_terms, N)
         chains[N] = comp
-    out = OddChernChain(g, alg_T, omega_T, N_max, chains)
+    out = OddChernChain(g, alg_T, omega_T, N_max, chains, lifted)
     # parity bookkeeping: every component must be odd.  A NaN entry of g puts
     # NaN coefficients on words of either parity; the checks then read NaN.
     for N, c in chains.items():
@@ -217,14 +223,8 @@ def _check_ch_g_terms(count, N):
                             "reduce N_max or the algebra size")
 
 
-def _unit_vec(alg: DgAlgebra) -> np.ndarray:
-    out = np.zeros(alg.dim, dtype=complex)
-    out[alg.unit_index] = 1.0
-    return out
-
-
 def _omega_and_dg_vectors(ch: OddChernChain):
-    """omega, dg, dg^{-1} as entry matrices over the extension."""
+    """omega, dg, dg^{-1}, g and g^{-1} as entry matrices over the extension."""
     g = ch.g
     alg_T = ch.alg_T
     dg = lift_matrix_to_ext(g.d(), alg_T)
@@ -235,29 +235,27 @@ def _omega_and_dg_vectors(ch: OddChernChain):
     return ch.omega_T, dg, dginv, g_T, ginv_T
 
 
-def _lambda_chain(ch: OddChernChain, N: int, lifted) -> Chain:
-    """lambda_N = Tr(1 (x) omega^(N-2) (x) dg^{-1} (x) dg), N >= 2."""
-    omega_T, dg, dginv, _, _ = _omega_and_dg_vectors(ch)
-    slots = [_unit_vec(lifted)] + [lifted_coeffs(omega_T)] * (N - 2) \
-        + [lifted_coeffs(dginv), lifted_coeffs(dg)]
+def _lambda_chain(ch: OddChernChain, N: int, vecs) -> Chain:
+    """lambda_N = Tr(1 (x) omega^(N-2) (x) dg^{-1} (x) dg), N >= 2, from the
+    lifted coefficient vectors of _omega_and_dg_vectors."""
+    omega, dg, dginv, _, _ = vecs
+    lifted = ch.lifted
+    slots = [lifted.unit.coeffs] + [omega] * (N - 2) + [dginv, dg]
     return generalized_trace(Chain.from_elements(lifted, CYCLIC, slots), lifted, ch.alg_T)
 
 
-def _chen_witness(ch: OddChernChain, N: int, lifted) -> Chain:
+def _chen_witness(ch: OddChernChain, N: int, vecs) -> Chain:
     """Explicit Chen-subcomplex element with
     witness_N = (D Ch(g))_N + lambda_N - lambda_{N+1} (exact identity)."""
-    omega_T, dg, dginv, g_T, ginv_T = _omega_and_dg_vectors(ch)
-    unit_vec = _unit_vec(lifted)
-    vec = lifted_coeffs
+    omega, dg, _, g, ginv = vecs
+    lifted = ch.lifted
+    unit_vec = lifted.unit.coeffs
     if N >= 2:
-        base = Chain.from_elements(lifted, CYCLIC,
-                                   [unit_vec] + [vec(omega_T)] * (N - 1) + [vec(dg)])
-        witness = chen_Ti(lifted.element(vec(ginv_T)), N - 1, base)
+        base = Chain.from_elements(lifted, CYCLIC, [unit_vec] + [omega] * (N - 1) + [dg])
+        witness = chen_Ti(lifted.element(ginv), N - 1, base)
     else:
-        base1 = Chain.from_elements(lifted, CYCLIC, [unit_vec, vec(dg)])
-        t1 = chen_Ti(lifted.element(vec(ginv_T)), 0, base1)
-        base2 = Chain.from_elements(lifted, CYCLIC, [vec(ginv_T)])
-        t2 = chen_Ti(lifted.element(vec(g_T)), 0, base2)
+        t1 = chen_Ti(lifted.element(ginv), 0, Chain.from_elements(lifted, CYCLIC, [unit_vec, dg]))
+        t2 = chen_Ti(lifted.element(g), 0, Chain.from_elements(lifted, CYCLIC, [ginv]))
         witness = t1 - t2
     return generalized_trace(witness, lifted, ch.alg_T)
 
@@ -275,7 +273,8 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     """
     ch = ch_g(g, N_max)
     alg_T = ch.alg_T
-    lifted = mat_lift(alg_T, g.m)
+    mats = _omega_and_dg_vectors(ch)
+    vecs = [lifted_coeffs(me) for me in mats]
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
     total = ch.total()
     d_part = d_cyclic(total) + b_cyclic(total)
@@ -287,14 +286,14 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
             "B Ch(g) dies in the reduced complex (unit in a positive slot)")
     lambdas = {1: Chain(alg_T, CYCLIC)}
     for N in range(2, N_max + 1):
-        lambdas[N] = _lambda_chain(ch, N, lifted)
+        lambdas[N] = _lambda_chain(ch, N, vecs)
     scale = max(1.0, total_norm)
     absorbed = {}
     for N in range(1, N_max - 1 + 1):
         if N + 1 not in lambdas:
             continue
         c_N = d_part.component(N)
-        witness = _chen_witness(ch, N, lifted)
+        witness = _chen_witness(ch, N, vecs)
         resid = (c_N + lambdas[N] - lambdas[N + 1] - witness).norm()
         rep.add(f"telescoped-component-N={N}", resid / scale, tol,
                 "(D Ch)_N + lambda_N - lambda_{N+1} is an explicit T-operator image")
@@ -309,9 +308,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     def l1(me):
         return float(np.max(np.sum(np.abs(me.entries), axis=2)))
 
-    omega_l1 = l1(ch.omega_T)
-    vecs = _omega_and_dg_vectors(ch)
-    rho = max(omega_l1, l1(vecs[1]), l1(vecs[2]), 1e-30) * g.m
+    rho = max(l1(ch.omega_T), l1(mats[1]), l1(mats[2]), 1e-30) * g.m
     const = max((v * _floor_half_factorial(N) / (rho ** N) for N, v in bounds.items() if N <= 3),
                 default=1.0) * (1.0 + 1e-9)
     worst = 0.0
@@ -562,7 +559,7 @@ def pairing_term(tf: TwistedFamily, N, s):
 def pairing_term_direct(tf: TwistedFamily, N, s):
     """Same term by explicit words (cross-check for small N)."""
     a_vec, b_vec = tf.ab_vectors(s)
-    unit_vec = _unit_vec(tf.lifted)
+    unit_vec = tf.lifted.unit.coeffs
     total = 0.0 + 0.0j
     for k in range(1, N + 1):
         word = (unit_vec,) + (a_vec,) * (k - 1) + (b_vec,) + (a_vec,) * (N - k)

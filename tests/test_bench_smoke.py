@@ -1,6 +1,7 @@
 """The benchmark harness end to end: bench/run.py must exit 0 with every
-check passing on the chain_closedness and pairing workloads, untraced and
-traced, and on the word_checks workload untraced."""
+check passing on the chain_closedness and pairing workloads, untraced (for
+at least two measured repeats) and traced, and on the word_checks workload
+untraced."""
 
 import json
 import subprocess
@@ -12,25 +13,34 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_clean(workload, trace):
+def _run_clean(workload, trace, seconds="0.01"):
+    """Run one workload; returns how many measured repeats it made."""
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-           "--seconds", "0.01", "--trace", trace]
+           "--seconds", seconds, "--trace", trace]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True, proc.stderr[-2000:]
+    lines = proc.stdout.strip().splitlines()
+    assert json.loads(lines[-1])["correct"] is True, proc.stderr[-2000:]
+    return int(next(line for line in lines if line.startswith("repeats = ")).split()[2])
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_bench_chain_closedness_runs_clean(trace):
-    _run_clean("chain_closedness", trace)
+# (trace, --seconds, least measured repeats): untraced, chain_closedness and
+# pairing run for one second, so that each makes at least two measured
+# repeats; state that one repeat leaves behind for the next would fail
+# here, as it would in a full-length benchmark run
+RUNS = [("0", "1", 2), ("1", "0.01", 1)]
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_bench_pairing_runs_clean(trace):
+@pytest.mark.parametrize("trace, seconds, repeats", RUNS, ids=["0", "1"])
+def test_bench_chain_closedness_runs_clean(trace, seconds, repeats):
+    assert _run_clean("chain_closedness", trace, seconds) >= repeats
+
+
+@pytest.mark.parametrize("trace, seconds, repeats", RUNS, ids=["0", "1"])
+def test_bench_pairing_runs_clean(trace, seconds, repeats):
     # the pairing workload gates exact invariants (ten nonzero terms, a
     # certified tail), which a change of the last bits could break
-    _run_clean("pairing", trace)
+    assert _run_clean("pairing", trace, seconds) >= repeats
 
 
 def test_bench_word_checks_runs_clean():

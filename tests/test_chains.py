@@ -25,8 +25,10 @@ from chernlab.chains import (
     alpha_map,
     b_cyclic,
     b_prime,
+    bar_S,
     bar_S_prime,
     chen_R,
+    chen_S,
     chen_Si,
     chen_Ti,
     cyclicize_N,
@@ -705,3 +707,92 @@ def test_sign_rows_are_cached_across_calls(monkeypatch):
     monkeypatch.setattr(chains._SignRows, "__missing__", counting)
     assert d_total(word).terms == first.terms
     assert built == []  # the second call found every row it needed
+
+
+def _chen_reference(alg, f):
+    """S, R, S_i^(f), T_i^(f), alpha, h, N, S-bar and S-bar' on one basis
+    word, term by term from the formulas of the chains module docstring, on
+    the dense structure constants; words with a unit in a reduced slot are
+    dropped at the end."""
+    deg, u, sigma = [int(x) for x in alg.degree], alg.unit_index, alg.sigma_index
+    eye = np.eye(alg.dim)
+
+    def expand(vec):
+        return [(int(l), vec[l]) for l in np.nonzero(vec)[0]]
+
+    def times(x, y):  # x * y for coefficient vectors
+        return expand(np.einsum("i,j,ijk->k", x, y, alg.mul))
+
+    def rotations(word, coeff):  # N on a bar word: sum_k (-1)^{n_k (n_N - n_k)} (theta_{k+1}, ..., theta_k)
+        n = [sum(deg[i] for i in word[:k]) - k for k in range(len(word) + 1)]
+        return [(word[k:] + word[:k], coeff * (-1) ** (n[k] * (n[-1] - n[k]) % 2)) for k in range(1, len(word) + 1)]
+
+    def apply(op, word, i=None):
+        N = len(word) - 1
+        m = [sum(deg[j] for j in word[: k + 1]) - k for k in range(N + 1)]
+        if op == "S":
+            out = [(word[: k + 1] + (sigma,) + word[k + 1 :], 1.0) for k in range(N + 1)]
+        elif op in ("R", "alpha"):
+            out = [((l,) + word[1:], cf) for l, cf in times(eye[sigma], eye[word[0]])]
+            if op == "alpha":
+                out = [t for w, cf in out for t in rotations(w, cf)]
+        elif op == "h":
+            out = rotations(word, 1.0)
+        elif op == "Si":
+            out = [] if i > N else [(word[: i + 1] + (a,) + word[i + 1 :], (-1) ** (m[i] % 2) * fa)
+                                    for a, fa in expand(f)]
+        elif op == "Ti":
+            out = []
+            if i <= N:
+                nxt = (i + 1) % (N + 1)  # theta_{N+1} is theta_0
+                out += [(word[:nxt] + (l,) + word[nxt + 1 :], cf) for l, cf in times(f, eye[word[nxt]])]
+                out += [(word[:i] + (l,) + word[i + 1 :], -cf) for l, cf in times(eye[word[i]], f)]
+                out += [(word[: i + 1] + (a,) + word[i + 1 :], -cf) for a, cf in expand(alg.diff @ f)]
+        elif op == "N":
+            out = rotations(word, 1.0)
+        else:  # S-bar after slots 1..N; S-bar' also in front
+            first = 0 if op == "barSp" else 1
+            out = [(word[:k] + (sigma,) + word[k:], 1.0) for k in range(first, len(word) + 1)]
+        reduced = 1 if op in ("S", "R", "Si", "Ti") else 0  # cyclic or reduced bar output
+        return [(w, cf) for w, cf in out if u not in w[reduced:]]
+
+    return apply
+
+
+@pytest.mark.parametrize("alg_name", ["Ext2_T", "Circle3_T"])
+def test_chen_and_bar_operators_match_the_per_word_reference(alg_name):
+    # mixed chains of 1-4-slot words, each with its own seeded coefficient,
+    # from both stores; every gap i of S_i and T_i, the wrap gap i = N and a
+    # gap past the end of the shorter words included.  Every output is columnar.
+    alg = ALGS[alg_name]
+    rng = np.random.default_rng(73)
+    f = np.zeros(alg.dim, dtype=complex)
+    deg0 = [i for i in range(alg.base_dim) if alg.degree[i] == 0]
+    f[deg0] = rng.standard_normal(len(deg0)) + 1j * rng.standard_normal(len(deg0))  # the unit included
+    reference = _chen_reference(alg, f)
+    f_el = alg.element(f)
+    ops = {(CYCLIC, "S", None): chen_S, (CYCLIC, "R", None): chen_R, (CYCLIC, "alpha", None): alpha_map,
+           (CYCLIC, "h", None): h_map, (BAR_RED, "N", None): cyclicize_N, (BAR_RED, "barS", None): bar_S,
+           (BAR_RED, "barSp", None): bar_S_prime}
+    for i in range(5):
+        ops[(CYCLIC, "Si", i)] = lambda c, i=i: chen_Si(f_el, i, c)
+        ops[(CYCLIC, "Ti", i)] = lambda c, i=i: chen_Ti(f_el, i, c)
+    terms = {}
+    for kind in (CYCLIC, BAR_RED):
+        words = {random_basis_word(alg, kind, int(rng.integers(1, 5)) - (kind == CYCLIC), rng) for _ in range(80)}
+        coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+        terms[kind] = list(zip(sorted(words), coeffs.tolist()))
+    for (kind, name, i), op in ops.items():
+        ref = {}
+        for word, coeff in terms[kind]:
+            for w, cf in reference(name, word, i):
+                ref[w] = ref.get(w, 0.0) + coeff * cf
+        scale = max([1.0] + [abs(cf) for cf in ref.values()])
+        label = name if i is None else f"{name}_{i}"
+        on_dict = Chain(alg, kind, terms[kind])
+        for chain in (on_dict, _columnar(on_dict)):
+            got = op(chain)
+            assert got._layers is not None, label
+            got = dict(got.terms.items())
+            worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()), default=0.0)
+            assert worst <= 1e-14 * scale, f"{label} on {alg_name}: {worst}"

@@ -41,6 +41,30 @@ def test_validate_algebra_instance(tmp_path):
     assert run_cli(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize("key, value, message", [
+    (None, None, None),
+    ("sigma_index", 18, "bad input: sigma_index must name a basis element of degree -1"),
+    ("sigma_index", 0, "bad input: sigma_index must name a basis element of degree -1"),
+    ("sigma_index", 9.5, "bad input: 'float' object cannot be interpreted as an integer"),
+    ("base_dim", 6, "bad input: base_dim must be half the dimension of the extension"),
+], ids=["valid", "sigma-out-of-range", "sigma-of-degree-0", "sigma-not-an-integer", "base-dim-not-half"])
+def test_validate_an_acyclic_extension(tmp_path, capsys, key, value, message):
+    from chernlab.algebra import acyclic_extension
+    from chernlab.fixtures import discrete_circle_algebra
+
+    data = acyclic_extension(discrete_circle_algebra(3)).to_json_dict()
+    if key is not None:
+        data[key] = value
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(data))
+    code = run_cli(["validate", str(path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.count("\n") == 1 and err.startswith(message)
+
+
 def test_unknown_fixture_exit_code(tmp_path):
     assert run_cli(["fixture", "bogus"]) == 2
 

@@ -79,3 +79,29 @@ def test_matrix_module_over_a_lift_read_back_from_json_is_bitwise_the_same():
     a, b = matrix_module(M, 2, lifted_alg=lifted), matrix_module(M, 2, lifted_alg=read_back)
     assert b.alg is read_back
     assert np.array_equal(a.c_mats, b.c_mats) and np.array_equal(a.Q, b.Q)
+
+
+def test_acyclic_extension_survives_a_json_round_trip():
+    # sigma_index and base_dim are constructor fields written to JSON, so
+    # the read-back extension serves the module extension and the Chen
+    # operators with the in-memory bits; a base algebra's JSON has neither key
+    from chernlab.algebra import DgAlgebra, acyclic_extension
+    from chernlab.chains import CYCLIC, Chain, alpha_map, chen_R, chen_S, random_basis_word
+    from chernlab.fixtures import discrete_circle_algebra
+    from chernlab.fredholm import acyclic_extend_module
+
+    base = discrete_circle_algebra(3)
+    assert not {"sigma_index", "base_dim"} & set(base.to_json_dict())
+    ext = acyclic_extension(base)
+    read_back = DgAlgebra.from_json_dict(json.loads(dump_json(ext.to_json_dict())))
+    assert (read_back.sigma_index, read_back.base_dim) == (ext.sigma_index, ext.base_dim) == (9, 9)
+    M_T = acyclic_extend_module(gen_fixture("discrete_circle", {"n": 3}, seed=1), read_back)
+    assert M_T.alg is read_back
+    rng = np.random.default_rng(3)
+    for N in range(4):
+        word = random_basis_word(ext, CYCLIC, N, rng)
+        for op in (chen_R, chen_S, alpha_map):
+            a, b = op(Chain.basis_word(ext, CYCLIC, word)), op(Chain.basis_word(read_back, CYCLIC, word))
+            assert list(a.terms) == list(b.terms)
+            assert [(cf.real.hex(), cf.imag.hex()) for cf in a.terms.values()] == \
+                [(cf.real.hex(), cf.imag.hex()) for cf in b.terms.values()]

@@ -131,6 +131,26 @@ def test_ch_g_closed_frees_its_algebra(small_g, monkeypatch):
     assert len(built) == 1 and built[0]() is None
 
 
+def test_ch_g_closed_adds_no_term_by_term_and_its_witnesses_are_columnar(small_g, monkeypatch):
+    added, witnesses = [], []
+    inner_add, inner_witness = Chain.add_term, spectral._chen_witness
+
+    def counting(self, word, coeff):
+        added.append(word)
+        return inner_add(self, word, coeff)
+
+    def recording(ch, N, vecs):
+        out = inner_witness(ch, N, vecs)
+        witnesses.append(out)
+        return out
+
+    monkeypatch.setattr(Chain, "add_term", counting)
+    monkeypatch.setattr(spectral, "_chen_witness", recording)
+    assert ch_g_closed(small_g, 5).passed
+    assert added == []
+    assert len(witnesses) == 4 and all(w._layers is not None and w.terms for w in witnesses)
+
+
 def test_ch_g_closed_m2():
     g = _m2_element()
     rep = ch_g_closed(g, 3)
