@@ -6,20 +6,24 @@ degree per basis element, the index of the unit and the matrix of the
 differential.  Everything downstream (chains, Chern characters, the
 spectral-flow pairing) works in these coordinates.
 
-An algebra carries nothing else that computes, so one read back from its
-JSON behaves as the one it was written from.  The basis of Mat_m(C) that
-matrix lifts use belongs to matrix_units(m) alone: mat_lift, the Mat_2(C)
-fixture, matrix modules and the generalized trace all read it there.
+Algebras, their elements and matrices over them are frozen dataclasses:
+__post_init__ checks every field (integers through operator.index, so 0.7
+is refused, not read as 0), keeps read-only copies and builds what derives
+from them once, as the caches downstream assume.  An algebra carries
+nothing else that computes, so one read back from its JSON behaves as the
+one it was written from.  A lift mat_lift(alg, m) records m as matrix_size
+and builds its basis matrix_units(m) once; matrix modules, lifted
+coefficient vectors and the generalized trace read it from the lift.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import ValidationReport, running_max
+from .report import ValidationReport, _frozen, _set_frozen, running_max
 
 
 class AlgebraError(ValueError):
@@ -48,53 +52,71 @@ def _sparse_tables(arr):
     return table, tgt, cf
 
 
+@dataclass(frozen=True, eq=False)
 class DgAlgebra:
-    """Associative unital Z-graded algebra with a degree +1 differential."""
+    """Associative unital Z-graded algebra with a degree +1 differential;
+    frozen (see the module docstring) and compared by identity."""
 
-    def __init__(self, dim, degree, unit_index, mul, diff, name="algebra", sigma_index=None, base_dim=None):
-        self.dim = int(dim)
+    dim: int
+    degree: np.ndarray
+    unit_index: int
+    mul: np.ndarray
+    diff: np.ndarray
+    name: str = "algebra"
+    # an acyclic extension (acyclic_extension) records the index of its odd
+    # variable sigma and the dimension of the algebra it extends
+    sigma_index: int | None = None
+    base_dim: int | None = None
+    matrix_size: int = 1  # m for Mat_m of an algebra built by mat_lift
+    # a lift owns its basis of Mat_m(C), built on construction: the B_a of
+    # matrix_units(m) stacked, and the inverse of their flattening
+    matrix_basis = matrix_flat_inv = None
+
+    def __post_init__(self):
         # private read-only copies: degree_tuple, parity_tuple, the sparse
         # tables below and the caches downstream assume the structure never changes
-        self.degree = np.array(degree, dtype=int)
-        self.mul = np.array(mul, dtype=complex)
-        self.diff = np.array(diff, dtype=complex)
-        for arr in (self.degree, self.mul, self.diff):
-            arr.flags.writeable = False
-        self.unit_index = int(unit_index)
-        self.name = name
-        if self.dim < 1:
+        dim, m = operator.index(self.dim), operator.index(self.matrix_size)
+        _set_frozen(self, dim=dim, degree=_frozen([operator.index(d) for d in self.degree], dtype=int),
+                    unit_index=operator.index(self.unit_index), mul=_frozen(self.mul), diff=_frozen(self.diff),
+                    sigma_index=None if self.sigma_index is None else operator.index(self.sigma_index),
+                    base_dim=None if self.base_dim is None else operator.index(self.base_dim), matrix_size=m)
+        if not isinstance(self.name, str):
+            raise AlgebraError("name must be a string")
+        if dim < 1:
             raise AlgebraError("dim must be >= 1")
-        if self.degree.shape != (self.dim,):
+        if self.degree.shape != (dim,):
             raise AlgebraError("degree vector has wrong shape")
-        if self.mul.shape != (self.dim, self.dim, self.dim):
+        if self.mul.shape != (dim, dim, dim):
             raise AlgebraError("structure constants have wrong shape")
-        if self.diff.shape != (self.dim, self.dim):
+        if self.diff.shape != (dim, dim):
             raise AlgebraError("differential matrix has wrong shape")
-        if not 0 <= self.unit_index < self.dim:
+        if not 0 <= self.unit_index < dim:
             raise AlgebraError("unit_index out of range")
-        # an acyclic extension (acyclic_extension) records the index of its odd
-        # variable sigma and the dimension of the algebra it extends
-        self.sigma_index = None if sigma_index is None else operator.index(sigma_index)
-        self.base_dim = None if base_dim is None else operator.index(base_dim)
-        if self.sigma_index is not None and not (0 <= self.sigma_index < self.dim
-                                                 and self.degree[self.sigma_index] == -1):
+        if self.sigma_index is not None and not (0 <= self.sigma_index < dim and self.degree[self.sigma_index] == -1):
             raise AlgebraError("sigma_index must name a basis element of degree -1")
-        if self.base_dim is not None and 2 * self.base_dim != self.dim:
+        if self.base_dim is not None and 2 * self.base_dim != dim:
             raise AlgebraError("base_dim must be half the dimension of the extension")
+        if m < 1 or dim % (m * m):
+            raise AlgebraError("matrix_size must be >= 1 and its square must divide dim")
         # plain-int degrees and the nonzero structure constants, a NaN included:
         # mul_table {(i, j): [(k, mul[i, j, k])]} and diff_table {j: [(i, diff[i, j])]}
         # for the dict kernels, and the same entries zero-padded for the word-layer
         # kernels, mul_tgt/mul_cf[i, j, e] and diff_tgt/diff_cf[j, e]
-        self.degree_tuple = tuple(int(d) for d in self.degree)
-        self.parity_tuple = tuple(d % 2 for d in self.degree_tuple)
-        self.mul_table, self.mul_tgt, self.mul_cf = _sparse_tables(self.mul)
-        diff_table, self.diff_tgt, self.diff_cf = _sparse_tables(self.diff.T)
-        self.diff_table = {j: entries for (j,), entries in diff_table.items()}
+        degree_tuple = tuple(self.degree.tolist())
+        mul_table, mul_tgt, mul_cf = _sparse_tables(self.mul)
+        diff_table, diff_tgt, diff_cf = _sparse_tables(self.diff.T)
+        _set_frozen(self, degree_tuple=degree_tuple, parity_tuple=tuple(d % 2 for d in degree_tuple),
+                    mul_table=mul_table, mul_tgt=mul_tgt, mul_cf=mul_cf,
+                    diff_table={j: entries for (j,), entries in diff_table.items()},
+                    diff_tgt=diff_tgt, diff_cf=diff_cf)
+        if m > 1:
+            mats, flat_inv, _ = matrix_units(m)
+            _set_frozen(self, matrix_basis=_frozen(mats), matrix_flat_inv=_frozen(flat_inv))
 
     # -- element helpers -------------------------------------------------
 
     def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(np.asarray(coeffs, dtype=complex), self)
+        return AlgebraElement(coeffs, self)
 
     def basis_element(self, i) -> "AlgebraElement":
         coeffs = np.zeros(self.dim, dtype=complex)
@@ -129,39 +151,49 @@ class DgAlgebra:
         out = {
             "name": self.name,
             "dim": self.dim,
-            "degrees": [int(d) for d in self.degree],
+            "degrees": list(self.degree_tuple),
             "unit_index": self.unit_index,
             "mul": mul_triplets,
             "diff": diff_triplets,
         }
         out.update({key: getattr(self, key) for key in ("sigma_index", "base_dim") if getattr(self, key) is not None})
+        if self.matrix_size > 1:
+            out["matrix_size"] = self.matrix_size
         return out
 
     @classmethod
     def from_json_dict(cls, data) -> "DgAlgebra":
-        dim = int(data["dim"])
+        dim = operator.index(data["dim"])
+
+        def index(i):
+            i = operator.index(i)
+            if not 0 <= i < dim:
+                raise AlgebraError(f"triplet index {i} out of range")
+            return i
+
         mul = np.zeros((dim, dim, dim), dtype=complex)
         for i, j, k, re, im in data["mul"]:
-            mul[int(i), int(j), int(k)] = re + 1j * im
+            mul[index(i), index(j), index(k)] = complex(re, im)
         diff = np.zeros((dim, dim), dtype=complex)
         for i, j, re, im in data["diff"]:
-            diff[int(i), int(j)] = re + 1j * im
+            diff[index(i), index(j)] = complex(re, im)
         return cls(dim, data["degrees"], data["unit_index"], mul, diff, name=data.get("name", "algebra"),
-                   sigma_index=data.get("sigma_index"), base_dim=data.get("base_dim"))
+                   sigma_index=data.get("sigma_index"), base_dim=data.get("base_dim"),
+                   matrix_size=data.get("matrix_size", 1))
 
     def __repr__(self):
         return f"DgAlgebra({self.name!r}, dim={self.dim})"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Element of a DgAlgebra, stored as a coefficient vector."""
+    """Element of a DgAlgebra, stored as a read-only copy of its coefficient vector."""
 
     coeffs: np.ndarray
     parent: DgAlgebra
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        _set_frozen(self, coeffs=_frozen(self.coeffs))
         if self.coeffs.shape != (self.parent.dim,):
             raise AlgebraError("coefficient vector has wrong length")
 
@@ -325,20 +357,24 @@ def mat_lift(alg: DgAlgebra, m: int) -> DgAlgebra:
     mul_out = np.einsum("abc,ijk->aibjck", cmat, alg.mul).reshape(dim_out, dim_out, dim_out)
     deg_out = np.tile(alg.degree, mm)
     diff_out = np.kron(np.eye(mm), alg.diff)
-    return DgAlgebra(dim_out, deg_out, alg.unit_index, mul_out, diff_out, name=f"Mat{m}({alg.name})")
+    return DgAlgebra(dim_out, deg_out, alg.unit_index, mul_out, diff_out, name=f"Mat{m}({alg.name})", matrix_size=m)
 
 
+@dataclass(frozen=True, eq=False)
 class MatrixElement:
-    """m x m matrix with entries in a common DgAlgebra."""
+    """m x m matrix with entries in a common DgAlgebra, stored as a read-only copy."""
 
-    def __init__(self, entries, alg: DgAlgebra):
-        self.entries = np.asarray(entries, dtype=complex)
+    entries: np.ndarray
+    alg: DgAlgebra
+    m: int = field(init=False)
+
+    def __post_init__(self):
+        _set_frozen(self, entries=_frozen(self.entries))
         if self.entries.ndim != 3 or self.entries.shape[0] != self.entries.shape[1]:
             raise AlgebraError("entries must have shape (m, m, dim)")
-        if self.entries.shape[2] != alg.dim:
+        if self.entries.shape[2] != self.alg.dim:
             raise AlgebraError("entry length does not match the algebra dimension")
-        self.alg = alg
-        self.m = self.entries.shape[0]
+        _set_frozen(self, m=self.entries.shape[0])
 
     @classmethod
     def from_scalar_matrix(cls, mat, alg: DgAlgebra):

@@ -103,7 +103,7 @@ def cmd_pair(args) -> int:
         module = module_from_json(_load(args.module))
         entries = np.stack([
             np.stack([matrix_from_json(cell).reshape(-1) if isinstance(cell, dict) else
-                      np.array([re + 1j * im for re, im in cell]) for cell in row])
+                      np.array([complex(re, im) for re, im in cell]) for cell in row])
             for row in _load(args.g)["entries"]
         ])
     except _MALFORMED as exc:

@@ -39,8 +39,6 @@ from .hilbert import (
     GradedHilbert,
     HilbertError,
     N_BRACKET_MAX,
-    _frozen,
-    _set_frozen,
     chain_exp_topright,
     cstr,
     gauss_legendre_01,
@@ -49,7 +47,7 @@ from .hilbert import (
     spinor_step,
     trace_norm,
 )
-from .report import ValidationReport, running_max
+from .report import ValidationReport, _frozen, _set_frozen, running_max
 
 
 MODULE_TOL = 1e-12  # module_validate and the half-frame guard of quantize
@@ -235,14 +233,16 @@ def double_odd(M: OddFredholmModule) -> CqFredholmModule:
 
 def matrix_module(M: OddFredholmModule, m: int, lifted_alg=None) -> OddFredholmModule:
     """M^(m) on H^m over Mat_m of the algebra: c(B_a (x) e_i) = B_a (x) c(e_i)
-    with B_a from matrix_units(m), the basis of mat_lift; M^(1) is M itself."""
-    from .algebra import mat_lift, matrix_units
+    with B_a from the basis that the lift mat_lift(M.alg, m) owns; M^(1) is M itself."""
+    from .algebra import mat_lift
 
     if m == 1:
         return M
     lifted = lifted_alg if lifted_alg is not None else mat_lift(M.alg, m)
+    if lifted.matrix_size != m or lifted.dim != m * m * M.alg.dim:
+        raise ModuleError(f"{lifted!r} is not Mat_{m} of the module's algebra")
     c_out = np.zeros((lifted.dim, m * M.hdim, m * M.hdim), dtype=complex)
-    for a, B in enumerate(matrix_units(m)[0]):
+    for a, B in enumerate(lifted.matrix_basis):
         for i in range(M.alg.dim):
             c_out[a * M.alg.dim + i] = np.kron(B, M.c_mats[i])
     Q_out = np.kron(np.eye(m), M.Q)

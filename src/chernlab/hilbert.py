@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, expm_frechet
 
-from .report import ValidationReport, running_max
+from .report import ValidationReport, _frozen, _set_frozen, running_max
 
 N_BRACKET_MAX = 12
 
@@ -67,18 +67,6 @@ class GradedHilbert:
         if odd_res <= tol * scale:
             return 1
         return None
-
-
-def _frozen(m, dtype=complex):
-    out = np.array(m, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
-def _set_frozen(obj, **values):
-    """Store fields of a frozen dataclass; called only from its __post_init__."""
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
 
 
 _EPS = (np.array([[0, 1], [-1, 0]], dtype=complex), np.array([[0, 1j], [1j, 0]], dtype=complex))

@@ -1,9 +1,24 @@
-"""Small result containers shared by all validation routines."""
+"""Small result containers shared by all validation routines, and the two
+helpers with which every frozen dataclass stores its read-only arrays."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def _frozen(m, dtype=complex):
+    out = np.array(m, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _set_frozen(obj, **values):
+    """Store fields of a frozen dataclass; called only from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def running_max(worst: float, value: float) -> float:

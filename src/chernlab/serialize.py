@@ -33,7 +33,7 @@ def matrix_to_json(mat) -> dict:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    flat = np.array([re + 1j * im for re, im in data["data"]], dtype=complex)
+    flat = np.array([complex(re, im) for re, im in data["data"]], dtype=complex)
     return flat.reshape(data["shape"])
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import erf
 
-from .algebra import DgAlgebra, MatrixElement, acyclic_extension, mat_lift, matrix_units, maurer_cartan
+from .algebra import DgAlgebra, MatrixElement, acyclic_extension, mat_lift, maurer_cartan
 from .chains import (
     CYCLIC,
     B_connes,
@@ -110,14 +110,15 @@ def ab_matrix_slots(omega_T: MatrixElement, s: float):
     return a_s, b
 
 
-def lifted_coeffs(me: MatrixElement) -> np.ndarray:
-    """Coefficient vector of a MatrixElement over mat_lift(me.alg, me.m), in
-    its basis B_a (x) e_i."""
+def lifted_coeffs(me: MatrixElement, lifted: DgAlgebra) -> np.ndarray:
+    """Coefficient vector of a MatrixElement over lifted = mat_lift(me.alg,
+    me.m), in its basis B_a (x) e_i."""
+    if lifted.matrix_size != me.m or lifted.dim != me.m * me.m * me.alg.dim:
+        raise SpectralError(f"{lifted!r} is not Mat_{me.m} of the matrix's algebra")
     if me.m == 1:
         return me.entries[0, 0].copy()
-    flat_inv = matrix_units(me.m)[1]
     # entries[p, q, i]: coefficient of E_pq e_i; convert E_pq to the basis B_a
-    return (flat_inv @ me.entries.reshape(me.m * me.m, me.alg.dim)).reshape(-1)
+    return (lifted.matrix_flat_inv @ me.entries.reshape(me.m * me.m, me.alg.dim)).reshape(-1)
 
 
 def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Chain:
@@ -126,7 +127,9 @@ def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Cha
     chain is returned as is."""
     if lifted is target:
         return chain
-    mats = np.array(matrix_units(math.isqrt(lifted.dim // target.dim))[0])
+    if chain.alg is not lifted or lifted.matrix_size == 1 or lifted.dim != lifted.matrix_size ** 2 * target.dim:
+        raise SpectralError(f"the chain is not over a matrix lift of {target!r}")
+    mats = lifted.matrix_basis
     out = _LayerSum(target)
     for L, layer in chain._columns().items():
         mat_idx, alg_idx = np.divmod(layer.words, target.dim)
@@ -145,7 +148,7 @@ def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Cha
 # -- the odd character chain -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OddChernChain:
     """Degree-indexed components of the odd character of g, over the
     acyclic extension; component 0 is zero by definition."""
@@ -191,7 +194,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         acc = _LayerSum(lifted)
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
-            a_vec, b_vec = lifted_coeffs(a_s), lifted_coeffs(b)
+            a_vec, b_vec = lifted_coeffs(a_s, lifted), lifted_coeffs(b, lifted)
             factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k), 0.0)
                        for k in range(1, N + 1)]
             if lifted is alg_T:
@@ -274,7 +277,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     ch = ch_g(g, N_max)
     alg_T = ch.alg_T
     mats = _omega_and_dg_vectors(ch)
-    vecs = [lifted_coeffs(me) for me in mats]
+    vecs = [lifted_coeffs(me, ch.lifted) for me in mats]
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
     total = ch.total()
     d_part = d_cyclic(total) + b_cyclic(total)
@@ -324,7 +327,7 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
 # -- twisted families -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TwistedFamily:
     """Q_{g,s} = Q_m + s c(omega) on H^m, with X_s = Q_{g,s}^2 - Q_m^2."""
 
@@ -359,7 +362,7 @@ class TwistedFamily:
     @cached_property
     def omega_vec(self):
         """omega as a coefficient vector over the lifted algebra."""
-        return lifted_coeffs(self.omega_T)
+        return lifted_coeffs(self.omega_T, self.lifted)
 
     @cached_property
     def c_omega_doubled(self):
@@ -373,7 +376,7 @@ class TwistedFamily:
 
     def ab_vectors(self, s):
         a_s, b = ab_matrix_slots(self.omega_T, s)
-        return lifted_coeffs(a_s), lifted_coeffs(b)
+        return lifted_coeffs(a_s, self.lifted), lifted_coeffs(b, self.lifted)
 
 
 def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
@@ -390,12 +393,12 @@ def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
     Mdt = double_odd(M_T_m)
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
-    c_omega = M_T_m.c(lifted_coeffs(omega_T))
+    c_omega = M_T_m.c(lifted_coeffs(omega_T, lifted))
     rep = ValidationReport(f"twisted-family:m={m}")
     g_T = lift_matrix_to_ext(g, alg_T)
     ginv_T = lift_matrix_to_ext(g.inverse_deg0(), alg_T)
-    cg = M_T_m.c(lifted_coeffs(g_T))
-    cginv = M_T_m.c(lifted_coeffs(ginv_T))
+    cg = M_T_m.c(lifted_coeffs(g_T, lifted))
+    cginv = M_T_m.c(lifted_coeffs(ginv_T, lifted))
     Qm = M_T_m.Q
     lhs = cginv @ (Qm @ cg - cg @ Qm)
     rep.add("c-omega-from-commutator", float(np.max(np.abs(lhs - c_omega))), 1e-10,

@@ -66,7 +66,7 @@ GROUPS = ("algebra", "complexes", "brackets", "chern", "transgression", "pairing
 CIRCLE_N = 6  # discrete circle size for the module-level groups
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
     groups: tuple = GROUPS

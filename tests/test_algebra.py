@@ -268,10 +268,18 @@ def test_sparse_tables_hold_every_nonzero_entry_and_a_nan(make):
 def test_degree_is_frozen_after_construction():
     degree = np.array([0, 1, 1, 2])
     alg = exterior_algebra(2)
-    own = DgAlgebra(alg.dim, degree, alg.unit_index, alg.mul, alg.diff)
-    with pytest.raises(ValueError):
-        own.degree[1] = 3
-    degree[1] = 3  # the caller's array stays writable and is not shared
+    mul, diff = np.array(alg.mul), np.array(alg.diff)
+    own = DgAlgebra(alg.dim, degree, alg.unit_index, mul, diff)
+    coeffs, entries = np.arange(4, dtype=complex), np.ones((2, 2, 4), dtype=complex)
+    el, me = own.element(coeffs), MatrixElement(entries, own)
+    for given, stored in ((degree, own.degree), (mul, own.mul), (diff, own.diff),
+                          (coeffs, el.coeffs), (entries, me.entries)):
+        at = (1,) * given.ndim
+        before = stored[at]
+        with pytest.raises(ValueError):
+            stored[at] = 3
+        given[at] = 3  # the caller's array stays writable and is not shared
+        assert stored[at] == before != 3
     assert own.degree[1] == 1
     assert own.degree_tuple == (0, 1, 1, 2)
     assert all(type(d) is int for d in own.degree_tuple)

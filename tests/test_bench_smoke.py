@@ -3,6 +3,8 @@ check passing on the chain_closedness and pairing workloads, untraced (for
 at least two measured repeats) and traced, and on the word_checks workload
 untraced."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -47,3 +49,17 @@ def test_bench_word_checks_runs_clean():
     # the one workload that runs basis-word quantize at scale (5,848
     # coclosedness words)
     _run_clean("word_checks", "0")
+
+
+def test_every_traced_method_is_defined_on_its_class(monkeypatch):
+    # the traced runs rebind these methods in the class's own __dict__ (a
+    # dataclass's generated __init__ included); a method moved to a base
+    # class or renamed would break every --trace 1 run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for path, attr, _ in tracer.METHODS:
+        mod_name, cls_name = path.split(".")
+        cls = getattr(importlib.import_module(f"chernlab.{mod_name}"), cls_name)
+        assert attr in cls.__dict__, f"{path}.{attr}"

@@ -41,20 +41,30 @@ def test_validate_algebra_instance(tmp_path):
     assert run_cli(["validate", str(path)]) == 0
 
 
+NOT_AN_INTEGER = "bad input: 'float' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize("key, value, message", [
     (None, None, None),
     ("sigma_index", 18, "bad input: sigma_index must name a basis element of degree -1"),
     ("sigma_index", 0, "bad input: sigma_index must name a basis element of degree -1"),
-    ("sigma_index", 9.5, "bad input: 'float' object cannot be interpreted as an integer"),
+    ("sigma_index", 9.5, NOT_AN_INTEGER),
     ("base_dim", 6, "bad input: base_dim must be half the dimension of the extension"),
-], ids=["valid", "sigma-out-of-range", "sigma-of-degree-0", "sigma-not-an-integer", "base-dim-not-half"])
+    ("unit_index", 0.7, NOT_AN_INTEGER),
+    ("dim", 18.5, NOT_AN_INTEGER),
+    ("degrees", lambda degrees: [0.5] + degrees[1:], NOT_AN_INTEGER),
+    ("mul", lambda mul: [[1.5] + mul[0][1:]] + mul[1:], NOT_AN_INTEGER),
+    ("mul", lambda mul: [[-1] + mul[0][1:]] + mul[1:], "bad input: triplet index -1 out of range"),
+], ids=["valid", "sigma-out-of-range", "sigma-of-degree-0", "sigma-not-an-integer", "base-dim-not-half",
+        "unit-index-not-an-integer", "dim-not-an-integer", "degree-not-an-integer", "mul-index-not-an-integer",
+        "mul-index-negative"])
 def test_validate_an_acyclic_extension(tmp_path, capsys, key, value, message):
     from chernlab.algebra import acyclic_extension
     from chernlab.fixtures import discrete_circle_algebra
 
     data = acyclic_extension(discrete_circle_algebra(3)).to_json_dict()
     if key is not None:
-        data[key] = value
+        data[key] = value(data[key]) if callable(value) else value
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(data))
     code = run_cli(["validate", str(path)])

@@ -5,9 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from chernlab.algebra import AlgebraError
-from chernlab.fixtures import gen_fixture, gen_fixture_json
-from chernlab.fredholm import module_validate
+from chernlab.algebra import AlgebraError, DgAlgebra, acyclic_extension, mat_lift
+from chernlab.chains import BAR_RED, random_basis_word
+from chernlab.fixtures import (
+    complex_line,
+    discrete_circle_algebra,
+    exterior_algebra,
+    gen_fixture,
+    gen_fixture_json,
+    matrix2_algebra,
+)
+from chernlab.fredholm import (
+    OddFredholmModule,
+    acyclic_extend_module,
+    double_odd,
+    matrix_module,
+    module_validate,
+    quantize,
+)
 from chernlab.serialize import (
     dump_json,
     matrix_from_json,
@@ -105,3 +120,46 @@ def test_acyclic_extension_survives_a_json_round_trip():
             assert list(a.terms) == list(b.terms)
             assert [(cf.real.hex(), cf.imag.hex()) for cf in a.terms.values()] == \
                 [(cf.real.hex(), cf.imag.hex()) for cf in b.terms.values()]
+
+
+def _suite_algebras():
+    """Every algebra the suite builds: the base algebras, their acyclic
+    extensions, and matrix lifts over a base algebra and over an extension."""
+    base = [complex_line(), exterior_algebra(1), exterior_algebra(2), discrete_circle_algebra(3),
+            discrete_circle_algebra(6), matrix2_algebra()]
+    return base + [acyclic_extension(a) for a in base] + [
+        mat_lift(exterior_algebra(1), 2), mat_lift(acyclic_extension(discrete_circle_algebra(2)), 2)]
+
+
+@pytest.mark.parametrize("alg", _suite_algebras(), ids=lambda alg: alg.name)
+def test_every_algebra_the_suite_builds_survives_a_json_round_trip(alg):
+    text = dump_json(alg.to_json_dict())
+    back = DgAlgebra.from_json_dict(json.loads(text))
+    assert dump_json(back.to_json_dict()) == text
+    assert (back.sigma_index, back.base_dim, back.matrix_size) == (alg.sigma_index, alg.base_dim, alg.matrix_size)
+    assert ("matrix_size" in alg.to_json_dict()) == (alg.matrix_size > 1)
+    for key in ("mul_tgt", "mul_cf", "diff_tgt", "diff_cf", "matrix_basis", "matrix_flat_inv"):
+        assert np.array_equal(getattr(back, key), getattr(alg, key)), key
+
+
+def _fixture_modules():
+    """A module of every fixture generator, its extension over the acyclic
+    extension, and the circle's matrix module over Mat_2 (a lift)."""
+    mods = [gen_fixture(name, seed=5) for name in ("random_weak_cq", "exterior_strong", "getzler_trivial")]
+    mods.append(gen_fixture("discrete_circle", {"n": 3}, seed=5))
+    return mods + [acyclic_extend_module(M) for M in mods] + [matrix_module(mods[-1], 2)]
+
+
+@pytest.mark.parametrize("M", _fixture_modules(), ids=lambda M: M.name)
+def test_a_fixture_module_read_back_from_json_validates_and_quantizes_to_the_same_bits(M):
+    text = dump_json(module_to_json(M))
+    back = module_from_json(json.loads(text))
+    assert dump_json(module_to_json(back)) == text
+
+    def bits(rep):
+        return [(c.check_id, float(c.residual).hex()) for c in rep.checks]
+
+    assert bits(module_validate(back)) == bits(module_validate(M))
+    word = random_basis_word(M.alg, BAR_RED, 2, np.random.default_rng(0))
+    a, b = (double_odd(X) if isinstance(X, OddFredholmModule) else X for X in (M, back))
+    assert quantize(b, 1.0, word).tobytes() == quantize(a, 1.0, word).tobytes()

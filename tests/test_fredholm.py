@@ -678,12 +678,25 @@ def test_replaced_module_quantizes_its_new_operator_with_a_fresh_cache():
 
 
 def test_every_field_of_the_frozen_classes_refuses_reassignment():
+    from chernlab.algebra import mat_lift
+    from chernlab.fixtures import circle_loop_element, exterior_algebra
+    from chernlab.spectral import ch_g, twisted_family
+    from chernlab.suite import SuiteConfig
+
     M = random_weak_cq(hdim=6, q=1, seed=22, k=2)
     V = M.cm.project_equivariant(np.ones((6, 6), dtype=complex), 1)
-    for obj in (M.cm.H, M.cm, M, discrete_circle(3, seed=0), Homotopy(M, 0.5 * (V + V.conj().T))):
+    circle = discrete_circle(3, seed=0)
+    g = circle_loop_element(circle.alg, eps=0.1, seed=1)
+    lift = mat_lift(exterior_algebra(1), 2)
+    for obj in (M.cm.H, M.cm, M, circle, Homotopy(M, 0.5 * (V + V.conj().T)), lift, lift.unit, g,
+                ch_g(g, 2), twisted_family(circle, g), SuiteConfig()):
         for f in dataclasses.fields(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, f.name, getattr(obj, f.name))
+    # what an algebra derives on construction is frozen as well
+    for name in ("degree_tuple", "mul_table", "mul_cf", "diff_table", "matrix_basis", "matrix_flat_inv"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lift, name, getattr(lift, name))
 
 
 def test_nan_coclosed_residual_fails_the_chern_group(monkeypatch):

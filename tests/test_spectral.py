@@ -416,8 +416,10 @@ def test_ch_g_closed_nan_bound_fails(small_g, monkeypatch):
 
 def test_nan_loop_entry_fails_the_telescoped_components():
     # the NaN reaches every chain component, and no tensor expansion may drop it
-    g = circle_loop_element(discrete_circle_algebra(2), eps=0.5, seed=3)
-    g.entries[0, 0, 1] = np.nan
+    clean = circle_loop_element(discrete_circle_algebra(2), eps=0.5, seed=3)
+    entries = np.array(clean.entries)
+    entries[0, 0, 1] = np.nan
+    g = MatrixElement(entries, clean.alg)
     with np.errstate(invalid="ignore"):
         ch = ch_g(g, 3)
         rep = ch_g_closed(g, 4)
@@ -466,7 +468,7 @@ def test_pairing_rows_refuse_a_mixed_degree_slot(tf6, monkeypatch):
     even = next(i for i in range(alg.dim) if alg.degree[i] % 2 == 0 and a_vec[i] == 0)
     mixed = a_vec.copy()
     mixed[even] = 0.25
-    monkeypatch.setattr(tf6, "ab_vectors", lambda s: (mixed, b_vec))
+    monkeypatch.setattr(spectral.TwistedFamily, "ab_vectors", lambda self, s: (mixed, b_vec))
     with pytest.raises(CochainError):
         spectral._pairing_rows(tf6, 0.4, 4)
 
@@ -533,3 +535,25 @@ def test_pairing_of_a_constant_loop_is_zero(circle6):
     rep = pairing(circle6, g, N_max=4)
     assert rep.verdict, rep.checks.summary()
     assert rep.pairing_total == 0.0 and rep.sf_direct == 0.0 and rep.sf_series == 0.0
+
+
+def test_a_lift_of_another_size_is_refused():
+    # lifted coefficients, the generalized trace and matrix modules read the
+    # basis of Mat_m(C) from the lift, so a lift must match m and the dimension
+    from chernlab.algebra import mat_lift
+    from chernlab.fredholm import matrix_module
+
+    M = discrete_circle(3, seed=2)
+    g = MatrixElement.identity(2, M.alg)
+    lift2, lift3 = mat_lift(M.alg, 2), mat_lift(M.alg, 3)
+    assert (lift2.matrix_size, lift2.matrix_basis.shape) == (2, (4, 2, 2))
+    assert np.array_equal(spectral.lifted_coeffs(g, lift2), lift2.unit.coeffs)
+    for wrong in (lift3, M.alg, mat_lift(discrete_circle_algebra(2), 2)):
+        with pytest.raises(SpectralError):
+            spectral.lifted_coeffs(g, wrong)
+    chain = Chain.from_elements(lift2, CYCLIC, [lift2.unit.coeffs])
+    for wrong_lift, target in ((lift3, M.alg), (lift2, discrete_circle_algebra(2)), (acyclic_extension(M.alg), M.alg)):
+        with pytest.raises(SpectralError):
+            spectral.generalized_trace(chain, wrong_lift, target)
+    with pytest.raises(ModuleError):
+        matrix_module(M, 2, lifted_alg=lift3)
