@@ -39,6 +39,7 @@ from .chains import (
     d_bar,
     d_cyclic,
     d_total,
+    d_total_terms,
     entire_bound,
 )
 from .cochains import OperatorBarCochain, delta, dual_eval

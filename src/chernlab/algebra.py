@@ -100,7 +100,7 @@ class DgAlgebra:
             raise AlgebraError("matrix_size must be >= 1 and its square must divide dim")
         # plain-int degrees and the nonzero structure constants, a NaN included:
         # mul_table {(i, j): [(k, mul[i, j, k])]} and diff_table {j: [(i, diff[i, j])]}
-        # for the dict kernels, and the same entries zero-padded for the word-layer
+        # for the per-word faces, and the same entries zero-padded for the word-layer
         # kernels, mul_tgt/mul_cf[i, j, e] and diff_tgt/diff_cf[j, e]
         degree_tuple = tuple(self.degree.tolist())
         mul_table, mul_tgt, mul_cf = _sparse_tables(self.mul)

@@ -33,9 +33,12 @@ alpha = N (sigma theta_0, ...), h = N (theta_0, ...), S-bar (sigma after
 each bar slot) and S-bar' (sigma in every gap, the front one included).
 
 Each sign is written once, below, from the prefix parities of a word.
-Every operator runs on word layers; the dict kernels of d, b and B (and
-d-bar and b') stay for chains built word by word, where a layer pass
-costs more than the whole dict loop.
+A chain holds its terms in one store, a word layer per word length, and
+every operator on a chain runs on those layers, d-bar and b' excepted.
+The per-word faces of d, b and B run on a {word: coeff} dict instead:
+d_total_terms applies d + b - B to one basis word with them, where a
+layer pass costs more than the whole loop, and d-bar and b' run them on
+a chain's terms.
 """
 
 from __future__ import annotations
@@ -61,209 +64,145 @@ _NEG_SIGN = (-1.0, 1.0)
 
 
 class Chain:
-    """Finite linear combination of basis words over one algebra.
+    """Finite linear combination of basis words over one algebra, set at
+    construction.
 
-    The terms live in one of two stores.  The dict store maps word tuples
-    to coefficients in insertion order and takes in-place edits; chains
-    built word by word (``basis_word``, ``Chain(terms)``) live there.  The
-    columnar store holds, per word length, one int64 word matrix and one
-    complex coefficient vector, each in first-occurrence order;
-    ``from_elements`` and every word-layer kernel return it.  ``terms``
-    reads either store as a word -> coefficient mapping; an in-place edit
-    moves a columnar chain to the dict store.
+    The terms live per word length, shortest words first, as one _Layer
+    each: an int64 word matrix and a complex coefficient vector, in
+    first-occurrence order.  ``Chain(alg, kind, pairs)`` and ``basis_word``
+    add their (word, coefficient) pairs one after the other under the rules
+    of _add_terms; every operator returns a new chain on the layers it
+    built.  ``terms`` reads the layers as a word -> coefficient mapping.
     """
 
-    __slots__ = ("alg", "kind", "_terms", "_layers")
+    __slots__ = ("alg", "kind", "_layers")
 
     def __init__(self, alg: DgAlgebra, kind: str, terms=None):
         if kind not in (CYCLIC, BAR, BAR_RED):
             raise ChainError(f"unknown chain kind {kind!r}")
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         self.alg = alg
         self.kind = kind
-        self._terms: dict[tuple, complex] = {}
-        self._layers = None  # {length: _Layer} in the columnar store
-        if terms:
-            for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-                self.add_term(word, coeff)
-
-    # -- the two stores ----------------------------------------------------
+        self._layers = _dict_layers(alg.dim, _add_terms(alg, kind, pairs))  # {length: _Layer}
 
     @property
     def terms(self):
-        """Word -> coefficient; a read-only view on a columnar chain."""
-        return self._terms if self._layers is None else _LayerTerms(self._layers)
-
-    @terms.setter
-    def terms(self, value):
-        self._terms, self._layers = value, None
+        """Word -> coefficient, a read-only view, shortest words first."""
+        return _LayerTerms(self._layers)
 
     @classmethod
     def _from_layers(cls, alg, kind, layers):
-        """A columnar chain on {length: _Layer}; each layer holds distinct
-        admissible words and no exact zero."""
-        out = cls(alg, kind)
-        out._terms = None
+        """A chain on {length: _Layer}; each layer holds distinct admissible
+        words and no exact zero."""
+        out = cls.__new__(cls)
+        out.alg, out.kind = alg, kind
         out._layers = {L: layers[L] for L in sorted(layers) if len(layers[L].coeffs)}
         return out
 
-    def _columns(self):
-        """The terms as {length: _Layer}, shortest words first."""
-        if self._layers is not None:
-            return self._layers
-        by_len = {}
-        for word, coeff in self._terms.items():
-            by_len.setdefault(len(word), []).append((word, coeff))
-        dim = self.alg.dim
-        return {L: _Layer(dim, L, np.array([cf for _, cf in pairs], dtype=complex),
-                          words=np.array([w for w, _ in pairs], dtype=np.int64).reshape(len(pairs), L))
-                for L, pairs in sorted(by_len.items())}
-
-    def _to_dict(self):
-        """Move a columnar chain to the dict store, for in-place edits."""
-        if self._layers is not None:
-            self.terms = dict(_LayerTerms(self._layers).items())
-
-    # -- construction ------------------------------------------------------
-
-    def add_term(self, word, coeff):
-        """Insert one word; components on the unit in reduced slots die."""
-        word = tuple(int(i) for i in word)
-        u = self.alg.unit_index
-        for p in _reduced_positions(self.kind, len(word)):
-            if word[p] == u:
-                return
-        if coeff == 0:
-            return
-        self._to_dict()
-        self._acc(word, coeff)
-
-    def _acc(self, word, coeff):
-        """add_term for a word already known to be an int tuple with no
-        unit in a reduced slot, on the dict store; an exact zero sum removes
-        the word."""
-        terms = self._terms
-        new = terms.get(word, 0.0) + coeff
-        if new == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = new
-
     @classmethod
     def basis_word(cls, alg, kind, word, coeff=1.0):
-        c = cls(alg, kind)
-        c.add_term(word, coeff)
-        return c
+        return cls(alg, kind, [(word, coeff)])
 
     @classmethod
-    def from_elements(cls, alg, kind, slots, coeff=1.0, tol=0.0):
-        """Expand coeff * (slot_0 (x) slot_1 (x) ...), a tensor word of
-        AlgebraElements, into basis words in the nested-loop order of _kron,
-        as one columnar layer."""
-        keys, coeffs = _kron_layer(_slot_factors(alg, kind, slots, tol), alg.dim, coeff)
+    def from_elements(cls, alg, kind, slots):
+        """Expand slot_0 (x) slot_1 (x) ..., a tensor word of AlgebraElements,
+        into basis words in the nested-loop order of _kron, as one layer."""
+        keys, coeffs = _kron_layer(_slot_factors(alg, kind, slots), alg.dim, 1.0)
         return cls._from_layers(alg, kind, {len(slots): _Layer(alg.dim, len(slots), coeffs, keys=keys)})
-
-    def copy(self):
-        if self._layers is not None:
-            return Chain._from_layers(self.alg, self.kind, self._layers)
-        out = Chain(self.alg, self.kind)
-        out.terms = dict(self.terms)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
-        if self._layers is not None or other._layers is not None:
-            return _merged(self, other, 1.0)
-        out = self.copy()
-        acc = out._acc
-        for w, cf in other.terms.items():
-            acc(w, cf)
-        return out
+        return _merged(self, other, 1.0)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        if self._layers is not None or other._layers is not None:
-            return _merged(self, other, -1.0)
-        out = self.copy()
-        acc = out._acc
-        for w, cf in other.terms.items():
-            acc(w, -cf)
-        return out
+        return _merged(self, other, -1.0)
 
     def scale(self, scalar):
-        out = Chain(self.alg, self.kind)
         scalar = complex(scalar)
         if scalar == 0:
-            return out
-        if self._layers is not None:
-            return Chain._from_layers(self.alg, self.kind, {L: layer.with_coeffs(_cmul(layer.coeffs, scalar))
-                                                            for L, layer in self._layers.items()})
-        out.terms = {w: cf * scalar for w, cf in self.terms.items()}
-        return out
+            return Chain(self.alg, self.kind)
+        return Chain._from_layers(self.alg, self.kind, {L: layer.with_coeffs(_cmul(layer.coeffs, scalar))
+                                                        for L, layer in self._layers.items()})
 
     def _check_compatible(self, other):
         if self.alg is not other.alg or self.kind != other.kind:
             raise ChainError("chains live over different algebras or kinds")
 
-    def _coeff_columns(self):
-        """The coefficients as arrays in store order."""
-        if self._layers is not None:
-            return [layer.coeffs for layer in self._layers.values()]
-        return [np.fromiter(self._terms.values(), complex, len(self._terms))]
-
     def norm(self) -> float:
         """Euclidean norm in word coordinates, summed one term after the other
-        in store order."""
-        return float(np.sqrt(_ordered_sum([np.float_power(_abs(cf), 2) for cf in self._coeff_columns()])))
+        in layer order."""
+        return float(np.sqrt(_ordered_sum([np.float_power(_abs(layer.coeffs), 2)
+                                           for layer in self._layers.values()])))
 
     def max_coeff(self) -> float:
         """Largest |coefficient|, 0.0 on the zero chain; a NaN coefficient gives NaN."""
-        cols = self._coeff_columns()
+        cols = [layer.coeffs for layer in self._layers.values()]
         return float(np.max(_abs(np.concatenate(cols)), initial=0.0)) if cols else 0.0
 
     def prune(self, tol=0.0):
-        if self._layers is not None:
-            return Chain._from_layers(self.alg, self.kind, {L: layer.take(_abs(layer.coeffs) > tol)
-                                                            for L, layer in self._layers.items()})
-        out = Chain(self.alg, self.kind)
-        out.terms = {w: c for w, c in self.terms.items() if abs(c) > tol}
-        return out
+        return Chain._from_layers(self.alg, self.kind, {L: layer.take(_abs(layer.coeffs) > tol)
+                                                        for L, layer in self._layers.items()})
 
     def component(self, N) -> "Chain":
         """Sub-chain of words with N slots beyond slot 0 (or N bar slots)."""
         length = N + 1 if self.kind == CYCLIC else N
-        if self._layers is not None:
-            layer = self._layers.get(length)
-            return Chain._from_layers(self.alg, self.kind, {} if layer is None else {length: layer})
-        out = Chain(self.alg, self.kind)
-        out.terms = {w: c for w, c in self.terms.items() if len(w) == length}
-        return out
+        layer = self._layers.get(length)
+        return Chain._from_layers(self.alg, self.kind, {} if layer is None else {length: layer})
 
     # -- grading ------------------------------------------------------------
 
-    def word_parity(self, word) -> int:
-        deg = self.alg.degree_tuple
-        n_slots = len(word) - 1 if self.kind == CYCLIC else len(word)
-        return (sum(map(deg.__getitem__, word)) - n_slots) % 2
-
     def parity(self):
         """0 or 1 when homogeneous, raises otherwise."""
-        if self._layers is not None:
-            par = np.array(self.alg.parity_tuple, dtype=np.int8)
-            parities = set()
-            for L, layer in self._layers.items():
-                n_slots = L - 1 if self.kind == CYCLIC else L
-                word_par = np.bitwise_xor.reduce(par[layer.words], axis=1) ^ (n_slots % 2)
-                parities.update(np.unique(word_par).tolist())
-        else:
-            parities = {self.word_parity(w) for w in self.terms}
+        par = np.array(self.alg.parity_tuple, dtype=np.int8)
+        parities = set()
+        for L, layer in self._layers.items():
+            n_slots = L - 1 if self.kind == CYCLIC else L
+            word_par = np.bitwise_xor.reduce(par[layer.words], axis=1) ^ (n_slots % 2)
+            parities.update(np.unique(word_par).tolist())
         if len(parities) > 1:
             raise ChainError("chain is not Z2-homogeneous")
         return parities.pop() if parities else 0
 
     def __repr__(self):
         return f"Chain({self.kind}, {len(self.terms)} terms over {self.alg.name!r})"
+
+
+def _add(terms, word, coeff):
+    """terms[word] += coeff on an insertion-ordered dict; an exact zero sum
+    removes the word, so that a word added again comes back last."""
+    new = terms.get(word, 0.0) + coeff
+    if new == 0:
+        terms.pop(word, None)
+    else:
+        terms[word] = new
+
+
+def _add_terms(alg, kind, pairs):
+    """(word, coefficient) pairs added one after the other into a dict: each
+    word becomes a tuple of ints, a word with the unit in a reduced slot and
+    an exact zero coefficient are skipped, and _add sums the rest."""
+    u = alg.unit_index
+    terms = {}
+    for word, coeff in pairs:
+        word = tuple(int(i) for i in word)
+        if coeff == 0 or any(word[p] == u for p in _reduced_positions(kind, len(word))):
+            continue
+        _add(terms, word, coeff)
+    return terms
+
+
+def _dict_layers(dim, terms):
+    """The words and coefficients of a dict as {length: _Layer}, shortest
+    words first, each layer in the dict's order."""
+    by_len = {}
+    for word, coeff in terms.items():
+        by_len.setdefault(len(word), []).append((word, coeff))
+    return {L: _Layer(dim, L, np.array([cf for _, cf in pairs], dtype=complex),
+                      words=np.array([w for w, _ in pairs], dtype=np.int64).reshape(len(pairs), L))
+            for L, pairs in sorted(by_len.items())}
 
 
 def _reduced_positions(kind, length):
@@ -276,7 +215,7 @@ def _reduced_positions(kind, length):
 
 
 class _LayerTerms(Mapping):
-    """Read-only word -> coefficient view of a columnar store, shortest
+    """Read-only word -> coefficient view of a chain's layers, shortest
     words first; len is O(1) and iteration converts a block of rows at a time."""
 
     __slots__ = ("_layers", "_index")
@@ -309,7 +248,7 @@ class _LayerTerms(Mapping):
 
 
 class _Layer:
-    """One word length of a columnar chain: the coefficients, and the words
+    """One word length of a chain: the coefficients, and the words
     as an int64 matrix and as base-dim int64 keys.  Either word form is
     derived from the other on first use, and none of the arrays is edited."""
 
@@ -339,19 +278,19 @@ class _Layer:
                       None if keys is None else keys[index])
 
 
-# -- the columnar store: word keys, tensor blocks and first-occurrence merges --------
+# -- word layers: word keys, tensor blocks and first-occurrence merges --------
 
 
-def _slot_factors(alg, kind, slots, tol):
-    """Per slot, the kept basis indices and their coefficients.  Components
-    with |v_i| <= tol are skipped (a NaN stays), and so are unit components
-    of reduced slots, whose words add_term would drop."""
+def _slot_factors(alg, kind, slots):
+    """Per slot, the basis indices of its nonzero components (a NaN counts,
+    a signed zero does not) and their coefficients; unit components of
+    reduced slots are skipped, as the words they give die."""
     u = alg.unit_index
     reduced = _reduced_positions(kind, len(slots))
     out = []
     for p, el in enumerate(slots):
         vec = el.coeffs if isinstance(el, AlgebraElement) else np.asarray(el, dtype=complex)
-        keep = ~(np.abs(vec) <= tol)
+        keep = vec != 0
         if p in reduced:
             keep[u] = False
         nz = np.nonzero(keep)[0]
@@ -432,7 +371,7 @@ def _key_words(keys, dim, L):
 
 def _merge(keys, coeffs):
     """Distinct keys in first-occurrence order, each with the sum of its
-    coefficients taken in input order (as the dict store adds them); exact
+    coefficients taken in input order (as _add adds them); exact
     zero sums drop out, a NaN stays.  Also returns each input row's index
     among the distinct keys, or None when a zero sum dropped out."""
     if not len(keys):
@@ -514,10 +453,10 @@ class _LayerSum:
 
 
 def _merged(a, b, sign):
-    """a + sign * b on the columnar store: a's words first, then b's new ones."""
+    """a + sign * b: a's words first, then b's new ones."""
     out = _LayerSum(a.alg)
-    out.sums = {L: (layer.keys, layer.coeffs) for L, layer in a._columns().items()}
-    for L, layer in b._columns().items():
+    out.sums = {L: (layer.keys, layer.coeffs) for L, layer in a._layers.items()}
+    for L, layer in b._layers.items():
         out.add(L, layer.keys, layer.coeffs if sign > 0 else -layer.coeffs)
     return out.chain(a.alg, a.kind)
 
@@ -579,7 +518,7 @@ class _SignRows(dict):
 
 
 # (sign function, args) -> its rows; a row depends on the parity pattern
-# alone, so the dict and the word-layer kernels share them across calls
+# alone, so the per-word faces and the word-layer kernels share them across calls
 _SIGN_ROWS = {}
 
 
@@ -590,31 +529,27 @@ def _sign_rows(fn, *args):
     return rows
 
 
-# -- cyclic differentials ----------------------------------------------------
-# The dict kernels of d, b and B serve chains built word by word, and those of
-# d and b the bar complexes too.  Their unit rule: a new slot k >= lo may not
-# hold the unit, with lo = 1 on cyclic words and lo = 0 on reduced bar words;
-# the unreduced bar complex has none (u = None).  A columnar chain goes
-# through the word-layer kernels (below) and comes back columnar; a dict chain
-# stays on the dict kernels, whose fixed cost per call is about 30x lower
-# (d_total of one word: 19-29 us on dicts, 0.63-0.70 ms on layers, over the
-# 5,848 coclosedness words of the benchmark, one core of a shared 2-core VM).
-
-_LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
-_MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
+# -- per-word faces of d, b and B --------------------------------------------
+# d, b and B on an insertion-ordered {word: coeff} dict, one word after the
+# other, into a new dict that _add builds.  They serve d_total_terms, the
+# coclosedness residual of one basis word, whose fixed cost is far below a
+# word-layer pass (one-word d + b - B: 10.6-18.5 us on the faces against
+# 531-757 us on word layers, over the 5,848 coclosedness words of the
+# benchmark, one core of a shared 2-core VM), and d-bar and b' on every
+# bar chain.  Their unit rule: a new slot k >= lo may not hold the unit,
+# with lo = 1 on cyclic words and lo = 0 on reduced bar words; the
+# unreduced bar complex has none (u = None).
 
 
-def _d_faces(c: Chain) -> Chain:
-    """d on every slot of every word, on the dict store."""
-    alg = c.alg
-    u = None if c.kind == BAR else alg.unit_index
-    lo = 1 if c.kind == CYCLIC else 0
+def _d_faces(alg, kind, terms):
+    """d on every slot of every word."""
+    u = None if kind == BAR else alg.unit_index
+    lo = 1 if kind == CYCLIC else 0
     diff = alg.diff_table
     par = alg.parity_tuple
-    signs_of = _sign_rows(_d_signs, c.kind)
-    out = Chain(alg, c.kind)
-    acc = out._acc
-    for word, coeff in c.terms.items():
+    signs_of = _sign_rows(_d_signs, kind)
+    out = {}
+    for word, coeff in terms.items():
         signs = signs_of[tuple([par[i] for i in word])]
         for k, idx in enumerate(word):
             entries = diff.get(idx)
@@ -624,23 +559,21 @@ def _d_faces(c: Chain) -> Chain:
             head, tail = word[:k], word[k + 1 :]
             for l, cf in entries:
                 if l != u or k < lo:  # slot k is the only new slot
-                    acc(head + (l,) + tail, coeff * sign * cf)
+                    _add(out, head + (l,) + tail, coeff * sign * cf)
     return out
 
 
-def _b_faces(c: Chain) -> Chain:
+def _b_faces(alg, kind, terms):
     """The products of neighbouring slots of every word, plus the wrap face
-    (theta_N theta_0, ...) on cyclic words, on the dict store."""
-    alg = c.alg
-    u = None if c.kind == BAR else alg.unit_index
-    lo = 1 if c.kind == CYCLIC else 0
+    (theta_N theta_0, ...) on cyclic words."""
+    u = None if kind == BAR else alg.unit_index
+    lo = 1 if kind == CYCLIC else 0
     mul = alg.mul_table
     par = alg.parity_tuple
-    signs_of = _sign_rows(_b_signs, c.kind)
-    wrap_of = _sign_rows(_wrap_sign) if c.kind == CYCLIC else None
-    out = Chain(alg, c.kind)
-    acc = out._acc
-    for word, coeff in c.terms.items():
+    signs_of = _sign_rows(_b_signs, kind)
+    wrap_of = _sign_rows(_wrap_sign) if kind == CYCLIC else None
+    out = {}
+    for word, coeff in terms.items():
         N = len(word) - 1
         if N < 1:
             continue
@@ -654,51 +587,68 @@ def _b_faces(c: Chain) -> Chain:
             head, tail = word[:k], word[k + 2 :]
             for l, cf in entries:
                 if l != u or k < lo:  # slot k is the only new slot
-                    acc(head + (l,) + tail, coeff * sign * cf)
+                    _add(out, head + (l,) + tail, coeff * sign * cf)
         if wrap_of is not None:
             entries = mul.get((word[N], word[0]))
             if entries:
                 sign = wrap_of[pattern]
                 mid = word[1:N]
                 for l, cf in entries:
-                    acc((l,) + mid, coeff * sign * cf)
+                    _add(out, (l,) + mid, coeff * sign * cf)
     return out
+
+
+def _B_faces(alg, terms):
+    """The unit in slot 0 and every signed rotation of every cyclic word."""
+    u = alg.unit_index
+    head = (u,)
+    par = alg.parity_tuple
+    signs_of = _sign_rows(_rotation_signs)
+    out = {}
+    for word, coeff in terms.items():
+        if word[0] == u:
+            continue  # every rotation moves this unit into a reduced slot
+        signs = signs_of[tuple([par[i] for i in word])]
+        for k in range(len(word)):
+            _add(out, head + word[k:] + word[:k], coeff * signs[k])
+    return out
+
+
+def d_total_terms(alg, word):
+    """(d + b - B) of one cyclic basis word as an insertion-ordered
+    {word: coeff} dict, on the per-word faces, each term added in
+    d_total's order: d, then b, then -B."""
+    terms = _add_terms(alg, CYCLIC, [(word, 1.0)])
+    out = _d_faces(alg, CYCLIC, terms)
+    for w, cf in _b_faces(alg, CYCLIC, terms).items():
+        _add(out, w, cf)
+    for w, cf in _B_faces(alg, terms).items():
+        _add(out, w, -cf)
+    return out
+
+
+# -- cyclic differentials ----------------------------------------------------
 
 
 def d_cyclic(c: Chain) -> Chain:
     """Differential induced by d, on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("d_cyclic expects a cyclic chain")
-    return _apply_layers(c, _layer_d) if c._layers is not None else _d_faces(c)
+    return _apply_layers(c, _layer_d)
 
 
 def b_cyclic(c: Chain) -> Chain:
     """Hochschild-type differential on cyclic words."""
     if c.kind != CYCLIC:
         raise ChainError("b_cyclic expects a cyclic chain")
-    return _apply_layers(c, _layer_b) if c._layers is not None else _b_faces(c)
+    return _apply_layers(c, _layer_b)
 
 
 def B_connes(c: Chain) -> Chain:
     """Connes operator: insert the unit in slot 0 and cyclically rotate."""
     if c.kind != CYCLIC:
         raise ChainError("B_connes expects a cyclic chain")
-    if c._layers is not None:
-        return _apply_layers(c, _layer_B)
-    alg = c.alg
-    u = alg.unit_index
-    head = (u,)
-    par = alg.parity_tuple
-    signs_of = _sign_rows(_rotation_signs)
-    out = Chain(alg, CYCLIC)
-    acc = out._acc
-    for word, coeff in c.terms.items():
-        if word[0] == u:
-            continue  # every rotation moves this unit into a reduced slot
-        signs = signs_of[tuple([par[i] for i in word])]
-        for k in range(len(word)):
-            acc(head + word[k:] + word[:k], coeff * signs[k])
-    return out
+    return _apply_layers(c, _layer_B)
 
 
 def d_total(c: Chain) -> Chain:
@@ -712,13 +662,13 @@ def d_total(c: Chain) -> Chain:
 def d_bar(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("d_bar expects a bar chain")
-    return _d_faces(c)
+    return Chain(c.alg, c.kind, _d_faces(c.alg, c.kind, c.terms))
 
 
 def b_prime(c: Chain) -> Chain:
     if c.kind not in (BAR, BAR_RED):
         raise ChainError("b_prime expects a bar chain")
-    return _b_faces(c)
+    return Chain(c.alg, c.kind, _b_faces(c.alg, c.kind, c.terms))
 
 
 def cyclicize_N(c: Chain) -> Chain:
@@ -765,7 +715,7 @@ def h_map(c: Chain) -> Chain:
         raise ChainError("h_map expects a cyclic chain")
     u = c.alg.unit_index  # a unit in slot 0 dies in the reduced bar complex
     return cyclicize_N(Chain._from_layers(c.alg, BAR_RED, {L: layer.take(layer.words[:, 0] != u)
-                                                          for L, layer in c._columns().items()}))
+                                                          for L, layer in c._layers.items()}))
 
 
 def bar_S(c: Chain) -> Chain:
@@ -848,12 +798,15 @@ def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
 
 # -- word-layer kernels -------------------------------------------------------------
 # Every operator on an int64 word matrix and a coefficient vector at once, with
-# the dict kernels' sign rows, reduced-slot tests and coefficient products, read
+# the per-word faces' sign rows, reduced-slot tests and coefficient products, read
 # off the algebra's padded tables.  Each kernel returns chunks (words, coeffs,
 # rows), rows being the source row of every output word, and no row twice in a
 # chunk; chunks come in the order in which a per-word loop adds the terms
 # (slot, then entry).  Three primitives build them: a product of one slot with
 # a fixed element, an insertion at one position, and the signed rotations.
+
+_LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
+_MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
 
 
 def _layer_signs(alg, words, fn, *args):
@@ -975,7 +928,7 @@ def _apply_layers(c, kernel, kind=None):
     then entry) and keeps its first position."""
     alg = c.alg
     out = _LayerSum(alg)
-    for layer in c._columns().values():
+    for layer in c._layers.values():
         words, coeffs = layer.words, layer.coeffs
         for lo in range(0, len(words), _LAYER_BATCH):
             by_len = {}
@@ -1021,8 +974,8 @@ def _layer_words(alg, N, sample=None, rng=None):
 
 
 def basis_layer(alg, N, sample=None, rng=None):
-    """The reduced cyclic basis words with N slots beyond slot 0 as one
-    columnar chain, each word with coefficient 1, or a seeded sample of them
+    """The reduced cyclic basis words with N slots beyond slot 0 as a
+    one-layer chain, each word with coefficient 1, or a seeded sample of them
     (drawn with rng when the layer holds more than sample words), in which a
     word drawn twice carries coefficient 2.  Returns (chain, words drawn,
     whether the layer was sampled)."""
@@ -1051,7 +1004,7 @@ def entire_bound(c: Chain) -> float:
     """Upper bound sum_N pi_hat(c_N) / floor(N/2)! computed term by term,
     in the designated max-coefficient norm (1 on every basis element)."""
     off = 1 if c.kind == CYCLIC else 0
-    return _ordered_sum([_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._columns().items()])
+    return _ordered_sum([_abs(layer.coeffs) / _floor_half_factorial(L - off) for L, layer in c._layers.items()])
 
 
 # -- test helpers ----------------------------------------------------------------

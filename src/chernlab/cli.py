@@ -87,9 +87,6 @@ def cmd_suite(args) -> int:
         print(f"wrote {args.output}")
     summary = summarize(report) if not args.stable else json.dumps({"passed": report["passed"]})
     print(summary)
-    if args.summary_file:
-        with open(args.summary_file, "w") as fh:
-            fh.write(summary + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -176,7 +173,6 @@ def build_parser():
     p.add_argument("--group", action="append", choices=GROUPS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--summary-file", default=None)
     p.add_argument("--fast", action="store_true", help="trimmed sample counts")
     p.add_argument("--stable", action="store_true", help="omit timings for byte-stable output")
     p.set_defaults(func=cmd_suite)

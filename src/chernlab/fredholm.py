@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from .algebra import DgAlgebra
 from .chains import BAR_RED, CYCLIC, Chain, _floor_half_factorial, alpha_map, b_prime, d_bar, d_total
-from .chains import _prefix_parities, chen_R, chen_S, chen_Si, chen_Ti, random_basis_word
+from .chains import _prefix_parities, chen_R, chen_S, chen_Si, chen_Ti, d_total_terms, random_basis_word
 from .cochains import OperatorBarCochain, slot_degree, word_to_vecs
 from .hilbert import (
     CliffordModule,
@@ -495,16 +495,23 @@ def chern_eval(M: CqFredholmModule, item, T=1.0):
     if isinstance(item, Chain):
         if item.kind != CYCLIC:
             raise ModuleError("chern_eval expects a cyclic chain")
-        return complex(sum(coeff * chern_eval(M, w, T) for w, coeff in item.terms.items()))
+        return _chern_sum(M, item.terms, T)
     phi = quantize(M, T, tuple(item[1:]))
     return complex(cstr(M.cm, M.c(item[0]) @ phi))
 
 
+def _chern_sum(M, terms, T):
+    """Ch of a {word: coeff} mapping, summed in its order."""
+    return complex(sum(coeff * chern_eval(M, w, T) for w, coeff in terms.items()))
+
+
 def coclosed_residual(M: CqFredholmModule, chain):
-    """((d + b - B)^dual Ch)(chain) = (-1)^q Ch((d + b - B) chain), at T = 1."""
-    if not isinstance(chain, Chain):
-        chain = Chain.basis_word(M.alg, CYCLIC, chain)
-    return (-1.0) ** M.q * chern_eval(M, d_total(chain))
+    """((d + b - B)^dual Ch)(chain) = (-1)^q Ch((d + b - B) chain), at T = 1.
+
+    A basis-word tuple runs d + b - B on the per-word faces
+    (d_total_terms), a chain on its word layers (d_total)."""
+    image = d_total(chain).terms if isinstance(chain, Chain) else d_total_terms(M.alg, chain)
+    return (-1.0) ** M.q * _chern_sum(M, image, 1.0)
 
 
 def chern_scale(M: CqFredholmModule) -> float:

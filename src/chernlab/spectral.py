@@ -131,7 +131,7 @@ def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Cha
         raise SpectralError(f"the chain is not over a matrix lift of {target!r}")
     mats = lifted.matrix_basis
     out = _LayerSum(target)
-    for L, layer in chain._columns().items():
+    for L, layer in chain._layers.items():
         mat_idx, alg_idx = np.divmod(layer.words, target.dim)
         prod = mats[mat_idx[:, 0]]
         for j in range(1, L):
@@ -159,7 +159,6 @@ class OddChernChain:
     N_max: int
     chains: dict  # N -> Chain over alg_T
     lifted: DgAlgebra  # mat_lift(alg_T, g.m), the algebra the words are built over
-    meta: dict = field(default_factory=dict)
 
     def component(self, N) -> Chain:
         if N in self.chains:
@@ -169,7 +168,7 @@ class OddChernChain:
     def total(self) -> Chain:
         """Sum of the components; their word lengths differ, so it is a union of layers."""
         return Chain._from_layers(self.alg_T, CYCLIC,
-                                  {L: layer for c in self.chains.values() for L, layer in c._columns().items()})
+                                  {L: layer for c in self.chains.values() for L, layer in c._layers.items()})
 
 
 def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
@@ -177,7 +176,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
 
     The s-integrand has polynomial degree <= 2N per component, so
     Gauss-Legendre with N + 1 nodes per degree is exact.  Each degree is
-    built in the columnar store: every (s-node, position k) pair gives one
+    built as one word layer: every (s-node, position k) pair gives one
     Kronecker block of word keys, and the blocks of an s-node merge behind
     the words already held, so the words, their order and every coefficient
     bit are those of adding the blocks term by term into a dict.
@@ -195,7 +194,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         for s, w in zip(nodes, weights):
             a_s, b = ab_matrix_slots(omega_T, s)
             a_vec, b_vec = lifted_coeffs(a_s, lifted), lifted_coeffs(b, lifted)
-            factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k), 0.0)
+            factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k))
                        for k in range(1, N + 1)]
             if lifted is alg_T:
                 # the words of one block are distinct, so the degree holds at

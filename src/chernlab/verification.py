@@ -1,7 +1,7 @@
 """Suite-grade verification routines behind the acceptance criteria.
 
 The differential-axiom checks compose the public d_cyclic, b_cyclic and
-B_connes of chains.py (which holds every sign convention) on columnar
+B_connes of chains.py (which holds every sign convention) on one-layer
 chains of basis words, one chain per word layer up to a slot budget, and
 read each residual as the largest coefficient of the merged image; the
 remaining routines quantify the operator identities on seeded random data.

@@ -2,6 +2,7 @@
 alpha intertwining identity and the Chen normalization operators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -50,11 +51,8 @@ ALGS = {
 
 
 def _random_chain(alg, kind, N, rng, n_words=3):
-    c = Chain(alg, kind)
-    for _ in range(n_words):
-        w = random_basis_word(alg, kind, N, rng)
-        c.add_term(w, complex(rng.standard_normal(), rng.standard_normal()))
-    return c
+    return Chain(alg, kind, [(random_basis_word(alg, kind, N, rng), complex(rng.standard_normal(), rng.standard_normal()))
+                             for _ in range(n_words)])
 
 
 @pytest.mark.parametrize("alg_name", list(ALGS))
@@ -230,9 +228,7 @@ def test_chen_R_matches_sigma_multiplication():
     c = Chain.basis_word(alg, CYCLIC, w)
     out = chen_R(c)
     sigma = alg.sigma_index
-    expect = Chain(alg, CYCLIC)
-    for l, cf in alg.mul_table.get((sigma, w[0]), []):
-        expect.add_term((l,) + w[1:], cf)
+    expect = Chain(alg, CYCLIC, [((l,) + w[1:], cf) for l, cf in alg.mul_table.get((sigma, w[0]), [])])
     assert (out - expect).norm() == 0.0
 
 
@@ -250,14 +246,10 @@ def test_chen_Ti_last_gap_formula():
     f = alg.basis_element(1)  # u^1
     w = (n + 1, 2)
     out = chen_Ti(f, 1, Chain.basis_word(alg, CYCLIC, w))
-    expect = Chain(alg, CYCLIC)
-    for l, cf in alg.mul_table[(1, w[0])]:
-        expect.add_term((l,) + w[1:], cf)
-    for l, cf in alg.mul_table[(w[1], 1)]:
-        expect.add_term((w[0], l), -cf)
     df = alg.diff_coeffs(f.coeffs)
-    for a in np.nonzero(np.abs(df))[0]:
-        expect.add_term(w + (int(a),), -df[a])
+    expect = Chain(alg, CYCLIC, [((l,) + w[1:], cf) for l, cf in alg.mul_table[(1, w[0])]]
+                   + [((w[0], l), -cf) for l, cf in alg.mul_table[(w[1], 1)]]
+                   + [(w + (int(a),), -df[a]) for a in np.nonzero(np.abs(df))[0]])
     assert (out - expect).norm() == 0.0
 
 
@@ -292,22 +284,21 @@ def test_basis_layer_merges_repeated_draws():
     counts = {}
     for w in map(tuple, words.tolist()):
         counts[w] = counts.get(w, 0) + 1
-    assert layer._layers is not None and 2 in counts.values()
+    assert 2 in counts.values()
     assert list(layer.terms.items()) == list(counts.items())  # first-occurrence order, counts as coefficients
     full, draws, was_sampled = chains.basis_layer(alg, 1)
     assert not was_sampled and draws == alg.dim * (alg.dim - 1) == len(full.terms)
     assert set(full.terms.values()) == {1.0}
 
 
-def test_max_coeff_reads_either_store_and_keeps_a_nan():
+def test_max_coeff_keeps_a_nan():
     alg = ALGS["Ext2_T"]
     terms = _random_terms(alg, 40, np.random.default_rng(67))
     c = Chain(alg, CYCLIC, terms)
     want = max(abs(cf) for _, cf in terms)
-    assert c.max_coeff() == want == _columnar(c).max_coeff()
-    assert Chain(alg, CYCLIC).max_coeff() == 0.0 == _columnar(Chain(alg, CYCLIC)).max_coeff()
-    c.add_term(terms[-1][0], complex(np.nan, 0.0))
-    assert np.isnan(c.max_coeff()) and np.isnan(_columnar(c).max_coeff())
+    assert c.max_coeff() == want
+    assert Chain(alg, CYCLIC).max_coeff() == 0.0
+    assert np.isnan(Chain(alg, CYCLIC, terms + [(terms[-1][0], complex(np.nan, 0.0))]).max_coeff())
 
 
 def test_from_elements_keeps_a_nan_slot_entry():
@@ -331,6 +322,36 @@ def test_entire_bound_values():
     c2 = Chain.basis_word(alg, CYCLIC, (0, 1), 0.25)
     whole = c1 + c2
     assert entire_bound(whole) <= entire_bound(c1) + entire_bound(c2) + 1e-15
+
+
+def test_constructor_adds_terms_under_the_add_rules():
+    alg = ALGS["Circle3_T"]
+    u = alg.unit_index
+    # words become integer tuples; a mapping adds in its own order
+    c = Chain(alg, CYCLIC, [(np.array([2, 4]), 1.5), ([np.int64(1), 2], 2.0)])
+    assert list(c.terms.items()) == [((2, 4), 1.5), ((1, 2), 2.0)]
+    assert all(type(i) is int for w in c.terms for i in w)
+    assert list(Chain(alg, CYCLIC, {(2, 4): 1.5, (1, 2): 2.0}).terms) == [(2, 4), (1, 2)]
+    # a unit in a reduced slot dies: slots >= 1 of a cyclic word, every reduced
+    # bar slot, no unreduced bar slot
+    assert list(Chain(alg, CYCLIC, [((2, u), 1.0), ((u, 2), 1.0), ((2, 4, u), 1.0)]).terms) == [(u, 2)]
+    assert not Chain(alg, BAR_RED, [((u,), 1.0), ((2, u), 1.0)]).terms
+    assert list(Chain(alg, BAR, [((u,), 1.0), ((2, u), 1.0)]).terms) == [(u,), (2, u)]
+    assert not Chain.basis_word(alg, CYCLIC, (2, u)).terms
+    # an exact zero is skipped, and adds no position
+    assert list(Chain(alg, CYCLIC, [((2, 4), 0.0), ((1, 2), 1.0), ((2, 4), 1.0)]).terms) == [(1, 2), (2, 4)]
+    assert not Chain(alg, CYCLIC, [((2, 4), 0j)]).terms
+    # a running sum of exactly zero drops the word; added again, it comes back last
+    c = Chain(alg, CYCLIC, [((2, 4), 1.0), ((1, 2), 2.0), ((2, 4), -1.0), ((3, 4), 1.0)])
+    assert list(c.terms.items()) == [((1, 2), 2.0), ((3, 4), 1.0)]
+    c = Chain(alg, CYCLIC, [((2, 4), 1.0), ((1, 2), 2.0), ((2, 4), -1.0), ((3, 4), 1.0), ((2, 4), 0.5)])
+    assert list(c.terms.items()) == [((1, 2), 2.0), ((3, 4), 1.0), ((2, 4), 0.5)]
+    # mixed lengths iterate shortest first, each length in first-occurrence order
+    c = Chain(alg, CYCLIC, [((2, 4, 5), 1.0), ((2,), 2.0), ((1, 4), 3.0), ((1,), 4.0), ((0, 4), 5.0)])
+    assert list(c.terms) == [(2,), (1,), (1, 4), (0, 4), (2, 4, 5)]
+    # a chain is set at construction
+    with pytest.raises(AttributeError):
+        c.terms = {}
 
 
 def test_dtotal_squares_to_zero():
@@ -394,8 +415,7 @@ def test_both_kernel_paths_match_the_per_word_reference(alg_name):
         words, _ = _layer_words(alg, N, sample=4000, rng=rng)
         coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
         terms = list(zip(map(tuple, words.tolist()), coeffs.tolist()))
-        on_dict = Chain(alg, CYCLIC, terms)
-        on_layers = _columnar(on_dict)
+        chain, summed = Chain(alg, CYCLIC, terms), chains._add_terms(alg, CYCLIC, terms)
         for name, op in (("d", d_cyclic), ("b", b_cyclic), ("B", B_connes)):
             ref = {}
             for word, coeff in terms:
@@ -403,10 +423,7 @@ def test_both_kernel_paths_match_the_per_word_reference(alg_name):
                     ref[w] = ref.get(w, 0.0) + coeff * cf
             # the sums run in different orders: compare relative to the largest coefficient
             scale = max([1.0] + [abs(cf) for cf in ref.values()])
-            for path, chain in (("dict", on_dict), ("layer", on_layers)):
-                got = op(chain)
-                assert (got._layers is not None) == (path == "layer")
-                got = dict(got.terms.items())
+            for path, got in (("faces", _faces(alg, name, summed)), ("layer", dict(op(chain).terms.items()))):
                 worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()),
                             default=0.0)
                 assert worst <= 1e-14 * scale, f"{path} {name} on {alg_name}, N={N}: {worst}"
@@ -500,38 +517,34 @@ def test_B_connes_kills_unit_led_words(alg_name):
     assert B_connes(c).terms == {}
 
 
-def _reference_expansion(alg, kind, slots, coeff, tol):
+def _reference_expansion(alg, kind, slots):
     """The tensor expansion as a product loop over the slots."""
-    words = [((), coeff)]
+    words = [((), 1.0)]
     for vec in slots:
-        nz = np.nonzero(np.abs(vec) > tol)[0]
+        nz = np.nonzero(vec)[0]
         words = [(w + (int(i),), cf * vec[i]) for w, cf in words for i in nz]
-    out = Chain(alg, kind)
-    for w, cf in words:
-        out.add_term(w, cf)
-    return out
+    return Chain(alg, kind, words)
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, BAR_RED, BAR])
 def test_from_elements_matches_product_loop(kind):
     alg = ALGS["Circle3_T"]
     rng = np.random.default_rng(29)
-    tol = 0.3
     for n_slots in range(4):
         slots = []
         for _ in range(n_slots):
             vec = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
             vec[rng.random(alg.dim) < 0.4] = 0.0
-            vec[alg.unit_index] = 1.0 + 0.5j  # a unit component above tol
-            vec[int(rng.integers(0, alg.dim))] = 0.1  # one component under tol
+            vec[alg.unit_index] = 1.0 + 0.5j  # a unit component
+            vec[int(rng.integers(0, alg.dim))] = complex(-0.0, -0.0)  # a signed zero, skipped as a zero
             slots.append(vec)
-        got = Chain.from_elements(alg, kind, slots, coeff=0.7 - 0.2j, tol=tol)
-        ref = _reference_expansion(alg, kind, slots, 0.7 - 0.2j, tol)
+        got = Chain.from_elements(alg, kind, slots)
+        ref = _reference_expansion(alg, kind, slots)
         assert list(got.terms) == list(ref.terms)  # same words, same order
         assert all(got.terms[w] == cf for w, cf in ref.terms.items())
 
 
-# -- the columnar store and the two kernel paths --------------------------------------
+# -- word layers and the per-word faces --------------------------------------------------
 
 
 def _random_terms(alg, n, rng, slots=(1, 2, 3)):
@@ -543,9 +556,11 @@ def _random_terms(alg, n, rng, slots=(1, 2, 3)):
     return list(terms.items())
 
 
-def _columnar(c):
-    """The terms of a dict chain, in the columnar store."""
-    return Chain._from_layers(c.alg, c.kind, c._columns())
+def _faces(alg, name, terms):
+    """d, b or B on the per-word faces of a {word: coeff} dict."""
+    if name == "B":
+        return chains._B_faces(alg, terms)
+    return (chains._d_faces if name == "d" else chains._b_faces)(alg, CYCLIC, terms)
 
 
 def _bits(cf):
@@ -562,20 +577,19 @@ def _by_length(terms):
 @pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
 @pytest.mark.parametrize("n_terms", [30, 300])
 def test_kernel_paths_agree(alg_name, n_terms):
-    # the same terms in the dict store run the dict kernels, in the columnar
-    # store the layer kernels; both give the same words of each length with
-    # the same coefficient bits, and both match the per-word reference.  The
-    # order within a length may differ where a running sum hits exactly zero
-    # and the word comes back: the dict store moves it to the end, the
-    # columnar store keeps its first position.
+    # the same terms as a dict run the per-word faces, as a chain the layer
+    # kernels; both give the same words of each length with the same
+    # coefficient bits, and both match the per-word reference.  The order
+    # within a length may differ where a running sum hits exactly zero and
+    # the word comes back: the faces move it to the end, the layer kernels
+    # keep its first position.
     alg = SIGN_ALGS[alg_name]
     reference = _reference(alg)
     terms = _random_terms(alg, n_terms, np.random.default_rng(31 + n_terms), slots=(2, 3, 4))
     c = Chain(alg, CYCLIC, terms)
     for name, op in (("d", d_cyclic), ("b", b_cyclic), ("B", B_connes)):
-        on_dict, on_layers = op(c), op(_columnar(c))
-        assert on_dict._layers is None and on_layers._layers is not None
-        dict_rows, layer_rows = _by_length(on_dict.terms), _by_length(on_layers.terms)
+        on_faces, on_layers = _faces(alg, name, dict(terms)), op(c)
+        dict_rows, layer_rows = _by_length(on_faces), _by_length(on_layers.terms)
         assert sorted(dict_rows) == list(layer_rows)
         for L, rows in dict_rows.items():
             on_layer = dict(layer_rows[L])
@@ -586,21 +600,20 @@ def test_kernel_paths_agree(alg_name, n_terms):
             for w, cf in reference(name, word):
                 ref[w] = ref.get(w, 0.0) + coeff * cf
         scale = max([1.0] + [abs(cf) for cf in ref.values()])
-        for got in (on_dict, on_layers):
-            got_terms = dict(got.terms.items())
+        for got_terms in (on_faces, dict(on_layers.terms.items())):
             worst = max((abs(got_terms.get(w, 0.0) - ref.get(w, 0.0)) for w in got_terms.keys() | ref.keys()),
                         default=0.0)
             assert worst <= 1e-14 * scale, f"{name} on {alg_name}: {worst}"
 
 
-def test_norm_adds_term_by_term_in_either_store():
+def test_norm_adds_term_by_term():
     # 1 + ten terms of 1e-16 is 1.0 when added one after the other; a
     # compensated sum (Python's sum from 3.12 on) would give 1 + 1e-15
     alg = SIGN_ALGS["Ext2_T"]
     words = _all_basis_words(alg, 2)[:11]
     c = Chain(alg, CYCLIC, [(words[0], 1.0)] + [(w, 1e-8) for w in words[1:]])
     assert len(c.terms) == 11
-    assert c.norm() == 1.0 == _columnar(c).norm()
+    assert c.norm() == 1.0
 
 
 def test_layer_merge_keeps_a_nan():
@@ -613,13 +626,14 @@ def test_layer_merge_keeps_a_nan():
     terms = _random_terms(alg, 50, np.random.default_rng(37), slots=(2,))
     terms[0] = (terms[0][0], complex(np.nan, 0.0))
     with np.errstate(invalid="ignore"):
-        out = b_cyclic(_columnar(Chain(alg, CYCLIC, terms)))
-        assert out._layers is not None
+        out = b_cyclic(Chain(alg, CYCLIC, terms))
         assert any(np.isnan(cf) for cf in out.terms.values())
         assert np.isnan(out.norm())
+        # and through the per-word faces
+        assert any(np.isnan(cf) for cf in _faces(alg, "b", dict(terms)).values())
 
 
-def test_layer_sum_adds_repeated_batches_as_the_dict_store(monkeypatch):
+def test_layer_sum_adds_repeated_batches_as_a_dict(monkeypatch):
     # every add merges at once (_MERGE_ROWS = 1); a batch with the last
     # batch's keys adds at the rows found then, until a sum hits exactly zero
     monkeypatch.setattr(chains, "_MERGE_ROWS", 1)
@@ -635,19 +649,19 @@ def test_layer_sum_adds_repeated_batches_as_the_dict_store(monkeypatch):
     words = [w for w, _ in _random_terms(alg, 6, np.random.default_rng(53), slots=(2,))]
     keys = chains._word_keys(np.array(words, dtype=np.int64), alg.dim)
     rng = np.random.default_rng(59)
-    acc, ref = chains._LayerSum(alg), Chain(alg, CYCLIC)
+    acc, ref = chains._LayerSum(alg), {}
     for step in range(5):
         batch = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         if step == 2:
-            batch[2] = -ref.terms[words[2]]  # word 2 sums to exactly zero and drops
+            batch[2] = -ref[words[2]]  # word 2 sums to exactly zero and drops
         if step == 4:
             batch[0] = complex(np.nan, 0.0)
         acc.add(3, keys, batch)
         for w, cf in zip(words, batch.tolist()):
-            ref.add_term(w, cf)
+            chains._add(ref, w, cf)
         got = acc.chain(alg, CYCLIC).terms
-        assert list(got) == list(ref.terms), f"step {step}"  # word 2 comes back last
-        assert [_bits(cf) for cf in got.values()] == [_bits(cf) for cf in ref.terms.values()], f"step {step}"
+        assert list(got) == list(ref), f"step {step}"  # word 2 comes back last
+        assert [_bits(cf) for cf in got.values()] == [_bits(cf) for cf in ref.values()], f"step {step}"
     # steps 1 and 4 add at the rows found before; step 2 falls back on a
     # zero sum, and step 3 merges since that fallback found no rows
     assert merges == [6, 12, 11]
@@ -658,44 +672,52 @@ def test_columnar_path_refuses_an_overflowing_word_key():
     # them must raise rather than merge wrapped keys
     alg = acyclic_extension(mat_lift(exterior_algebra(1), 2))
     terms = _random_terms(alg, 50, np.random.default_rng(41), slots=(16,))
-    c = _columnar(Chain(alg, CYCLIC, terms))
+    c = Chain(alg, CYCLIC, terms)
     for op in (d_cyclic, b_cyclic, B_connes):
         with pytest.raises(ChainError, match="over a 16-dimensional algebra overflow the int64 word key"):
             op(c)
 
 
-def test_columnar_chain_reads_like_a_dict_chain():
-    # every read of a columnar chain agrees with the same terms in the dict store
+def test_chain_reads_like_a_dict():
+    # every read of a chain agrees with the same terms in a plain dict
     alg = SIGN_ALGS["Ext2_T"]
     terms = _random_terms(alg, 400, np.random.default_rng(43))
-    c = d_cyclic(_columnar(Chain(alg, CYCLIC, terms)))
-    assert c._layers is not None
-    ref = Chain(alg, CYCLIC)
-    ref.terms = dict(c.terms.items())
-    assert len(c.terms) == len(ref.terms) and c.terms == ref.terms
-    assert c.norm() == ref.norm()  # both sum in term order
-    assert entire_bound(c) == entire_bound(ref)
+    c = d_cyclic(Chain(alg, CYCLIC, terms))
+    ref = dict(c.terms.items())
+    assert len(c.terms) == len(ref) and c.terms == ref and list(c.terms) == list(ref)
+    total = bound = 0.0
+    for w, cf in ref.items():  # both sum in term order
+        total += abs(cf) ** 2
+        bound += abs(cf) / chains._floor_half_factorial(len(w) - 1)
+    assert c.norm() == math.sqrt(total)
+    assert entire_bound(c) == bound
     for N in range(5):
-        assert c.component(N).terms == ref.component(N).terms
+        assert c.component(N).terms == {w: cf for w, cf in ref.items() if len(w) == N + 1}
     with pytest.raises(ChainError, match="not Z2-homogeneous"):
         c.parity()
-    odd = [(w, cf) for w, cf in _random_terms(alg, 900, np.random.default_rng(44)) if c.word_parity(w) == 1]
-    even = d_cyclic(_columnar(Chain(alg, CYCLIC, odd)))
-    assert even._layers is not None and even.parity() == 0 == Chain(alg, CYCLIC, even.terms).parity()
-    assert c.prune(1.0).terms == ref.prune(1.0).terms
-    assert c.scale(0.5 - 2j).terms == ref.scale(0.5 - 2j).terms
+    odd = [(w, cf) for w, cf in _random_terms(alg, 900, np.random.default_rng(44)) if _word_parity(alg, w) == 1]
+    even = d_cyclic(Chain(alg, CYCLIC, odd))
+    assert even.parity() == 0 and {_word_parity(alg, w) for w in even.terms} == {0}
+    assert c.prune(1.0).terms == {w: cf for w, cf in ref.items() if abs(cf) > 1.0}
+    assert c.scale(0.5 - 2j).terms == {w: cf * (0.5 - 2j) for w, cf in ref.items()}
     other = Chain(alg, CYCLIC, terms[:10])
-    for got, want in ((c + other, ref + other), (c - other, ref - other), (other - c, other - ref)):
-        assert got._layers is not None
-        assert dict(got.terms.items()) == want.terms
-    c.add_term(terms[0][0], 1.0)  # an in-place edit moves it to the dict store
-    ref.add_term(terms[0][0], 1.0)
-    assert c._layers is None and c.terms == ref.terms
+    for got, parts in ((c + other, [(c, 1), (other, 1)]), (c - other, [(c, 1), (other, -1)]),
+                       (other - c, [(other, 1), (c, -1)])):
+        want = {}
+        for chain, sign in parts:
+            for w, cf in chain.terms.items():
+                chains._add(want, w, cf if sign > 0 else -cf)
+        assert dict(got.terms.items()) == want
+
+
+def _word_parity(alg, word):
+    return (sum(alg.degree_tuple[i] for i in word) - (len(word) - 1)) % 2
 
 
 def test_sign_rows_are_cached_across_calls(monkeypatch):
     alg = SIGN_ALGS["Circle3_T"]
-    word = Chain.basis_word(alg, CYCLIC, random_basis_word(alg, CYCLIC, 3, np.random.default_rng(47)))
+    w = random_basis_word(alg, CYCLIC, 3, np.random.default_rng(47))
+    word = Chain.basis_word(alg, CYCLIC, w)
     first = d_total(word)
     built = []
     inner = chains._SignRows.__missing__
@@ -706,6 +728,7 @@ def test_sign_rows_are_cached_across_calls(monkeypatch):
 
     monkeypatch.setattr(chains._SignRows, "__missing__", counting)
     assert d_total(word).terms == first.terms
+    assert chains.d_total_terms(alg, w) == first.terms  # the per-word faces read the same rows
     assert built == []  # the second call found every row it needed
 
 
@@ -761,9 +784,9 @@ def _chen_reference(alg, f):
 
 @pytest.mark.parametrize("alg_name", ["Ext2_T", "Circle3_T"])
 def test_chen_and_bar_operators_match_the_per_word_reference(alg_name):
-    # mixed chains of 1-4-slot words, each with its own seeded coefficient,
-    # from both stores; every gap i of S_i and T_i, the wrap gap i = N and a
-    # gap past the end of the shorter words included.  Every output is columnar.
+    # mixed chains of 1-4-slot words, each with its own seeded coefficient;
+    # every gap i of S_i and T_i, the wrap gap i = N and a gap past the end
+    # of the shorter words included
     alg = ALGS[alg_name]
     rng = np.random.default_rng(73)
     f = np.zeros(alg.dim, dtype=complex)
@@ -789,10 +812,6 @@ def test_chen_and_bar_operators_match_the_per_word_reference(alg_name):
                 ref[w] = ref.get(w, 0.0) + coeff * cf
         scale = max([1.0] + [abs(cf) for cf in ref.values()])
         label = name if i is None else f"{name}_{i}"
-        on_dict = Chain(alg, kind, terms[kind])
-        for chain in (on_dict, _columnar(on_dict)):
-            got = op(chain)
-            assert got._layers is not None, label
-            got = dict(got.terms.items())
-            worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()), default=0.0)
-            assert worst <= 1e-14 * scale, f"{label} on {alg_name}: {worst}"
+        got = dict(op(Chain(alg, kind, terms[kind])).terms.items())
+        worst = max((abs(got.get(w, 0.0) - ref.get(w, 0.0)) for w in got.keys() | ref.keys()), default=0.0)
+        assert worst <= 1e-14 * scale, f"{label} on {alg_name}: {worst}"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from chernlab.algebra import acyclic_extension
-from chernlab.chains import BAR_RED, CYCLIC, Chain, random_basis_word
+from chernlab import chains
+from chernlab.chains import BAR_RED, CYCLIC, Chain, _all_basis_words, d_total, random_basis_word
 from chernlab.fixtures import (
     discrete_circle,
     exterior_strong,
@@ -226,6 +227,40 @@ def test_coclosedness_and_pullback(circle_doubled):
         w = random_basis_word(ext, CYCLIC, N, rng)
         assert abs(coclosed_residual(M_T, w)) <= 1e-9 * scale
         assert chern_pullback_residual(M_T, w) <= 1e-9 * scale
+
+
+def test_coclosed_residual_of_a_basis_word_builds_no_chain(monkeypatch):
+    # criterion 05's fixtures, each with a spread of its words (every word of
+    # up to 4 slots on a small algebra, of up to 2 on a large one).  A basis
+    # word runs d + b - B on the per-word faces: no chain is built and no
+    # word layer runs, since a layer pass costs about 30x the whole per-word
+    # loop on this one-word traffic.  The value has the bits of
+    # Ch(d_total(basis_word)) summed in d, b, -B order: for one word the
+    # three images have distinct lengths, so d_total's layers are exactly them.
+    seed = 20260809
+    modules = []
+    for M in (random_weak_cq(hdim=4, q=0, seed=seed + 1, k=1), random_weak_cq(hdim=6, q=1, seed=seed + 2, k=2),
+              double_odd(discrete_circle(6, seed=seed))):
+        modules += [M, acyclic_extend_module(M, acyclic_extension(M.alg))]
+    cases = []
+    for M in modules:
+        words = _all_basis_words(M.alg, 3 if M.alg.dim <= 8 else 1)
+        for w in words[:: max(1, len(words) // 60)]:
+            image = d_total(Chain.basis_word(M.alg, CYCLIC, w))
+            N = len(w) - 1
+            terms = [t for n in (N, N - 1, N + 1) for t in image.component(n).terms.items()]
+            cases.append((M, w, (-1.0) ** M.q * complex(sum(cf * chern_eval(M, t) for t, cf in terms))))
+    assert len(cases) > 300 and sum(v != 0 for _, _, v in cases) > 100
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-word coclosed_residual reached a chain")
+
+    monkeypatch.setattr(Chain, "__init__", refuse)
+    monkeypatch.setattr(Chain, "_from_layers", classmethod(refuse))
+    monkeypatch.setattr(chains, "_apply_layers", refuse)
+    for M, w, want in cases:
+        got = coclosed_residual(M, w)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (M.name, w)
 
 
 def test_chen_vanish_requires_strong(weak_q1):

@@ -25,11 +25,8 @@ def test_nan_product_entry_fails_the_axiom_checks():
     assert np.isnan(alg.mul_table[(1, 2)][0][1])
     with np.errstate(invalid="ignore"):
         rep = verification.complex_axiom_residuals(alg, max_slots=4)
-        word = Chain.basis_word(alg, CYCLIC, (0, 1, 2))
-        for c in (word, Chain._from_layers(alg, CYCLIC, word._columns())):
-            out = chains.b_cyclic(c)
-            assert (out._layers is None) == (c._layers is None)
-            assert np.isnan(out.terms[(0, 3)])
+        assert np.isnan(chains.b_cyclic(Chain.basis_word(alg, CYCLIC, (0, 1, 2))).terms[(0, 3)])
+        assert np.isnan(chains.d_total_terms(alg, (0, 1, 2))[(0, 3)])
     assert not rep.passed
     bad = {c.check_id for c in rep.failing()}
     assert "bb" in bad
