@@ -12,12 +12,14 @@ is refused, not read as 0), keeps read-only copies and builds what derives
 from them once, as the caches downstream assume.  An algebra carries
 nothing else that computes, so one read back from its JSON behaves as the
 one it was written from.  A lift mat_lift(alg, m) records m as matrix_size
-and builds its basis matrix_units(m) once; matrix modules, lifted
+and keeps the basis of matrix_units(m), which is built once per m and
+also gives mat_lift its structure constants; matrix modules, lifted
 coefficient vectors and the generalized trace read it from the lift.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -68,8 +70,9 @@ class DgAlgebra:
     sigma_index: int | None = None
     base_dim: int | None = None
     matrix_size: int = 1  # m for Mat_m of an algebra built by mat_lift
-    # a lift owns its basis of Mat_m(C), built on construction: the B_a of
-    # matrix_units(m) stacked, and the inverse of their flattening
+    # a lift keeps its basis of Mat_m(C), set on construction: the B_a of
+    # matrix_units(m) stacked, and the inverse of their flattening (read-only,
+    # built once per m and shared by every lift of that size)
     matrix_basis = matrix_flat_inv = None
 
     def __post_init__(self):
@@ -111,7 +114,7 @@ class DgAlgebra:
                     diff_tgt=diff_tgt, diff_cf=diff_cf)
         if m > 1:
             mats, flat_inv, _ = matrix_units(m)
-            _set_frozen(self, matrix_basis=_frozen(mats), matrix_flat_inv=_frozen(flat_inv))
+            _set_frozen(self, matrix_basis=mats, matrix_flat_inv=flat_inv)
 
     # -- element helpers -------------------------------------------------
 
@@ -317,11 +320,13 @@ def acyclic_extension(alg: DgAlgebra) -> DgAlgebra:
                      sigma_index=dim + alg.unit_index, base_dim=dim)
 
 
+@functools.cache
 def matrix_units(m):
     """The basis of Mat_m(C) used by mat_lift, the inverse of its flattening
     and its structure constants: the identity, the E_pq with p != q in row
     order, then E_00 - E_pp for p = 1..m-1.  For m = 2 this is
-    {1, E_01, E_10, E_00 - E_11}."""
+    {1, E_01, E_10, E_00 - E_11}.  Built once per m, as read-only arrays
+    (the basis stacked on axis 0) that every lift of size m shares."""
     mats = [np.eye(m, dtype=complex)]
     for p in range(m):
         for q in range(m):
@@ -340,7 +345,7 @@ def matrix_units(m):
     for a in range(mm):
         for b in range(mm):
             cmat[a, b] = flat_inv @ (mats[a] @ mats[b]).reshape(-1)
-    return mats, flat_inv, cmat
+    return _frozen(mats), _frozen(flat_inv), _frozen(cmat)
 
 
 def mat_lift(alg: DgAlgebra, m: int) -> DgAlgebra:
@@ -351,7 +356,7 @@ def mat_lift(alg: DgAlgebra, m: int) -> DgAlgebra:
         raise AlgebraError("matrix size must be >= 1")
     if m == 1:
         return alg
-    cmat = matrix_units(m)[2]
+    cmat = matrix_units(m)[2]  # the build whose basis the lift keeps
     mm, dim = m * m, alg.dim
     dim_out = mm * dim
     mul_out = np.einsum("abc,ijk->aibjck", cmat, alg.mul).reshape(dim_out, dim_out, dim_out)

@@ -20,6 +20,13 @@ over ordered partitions.  _HalfFrame.bands builds that chain for every
 word, in the Clifford half-frame, for quantize, psi_eval and the pairing
 rows.  The full-size Curvature.F1 and F2 and the explicit partition
 enumeration, quantize_partitions, are kept as independent cross-checks.
+
+M._phi_cache holds, per (T, basis word), a read-only copy of that reduced
+top-right block and its parity p, never the lifted matrix or a view into
+the exponential.  quantize lifts the block on return.  chern_eval reads
+CStr(c(theta_0) Phi) as one row of the frame's CStr table (theta_0 . W_p)
+times the flattened block, with no lift and no supertrace per term;
+cstr(c(theta_0) @ quantize(...)) remains as the cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -318,7 +325,7 @@ class _HalfFrame:
 
     def __init__(self, cur: Curvature):
         M = cur.M
-        self.alg = M.alg
+        self.M, self.alg = M, M.alg
         self.sign_vec = cur.sign_vec
         self.U = None if M.q == 0 else _half_frame_basis(M, cur.sign_vec)
         self.Uh = None if M.q == 0 else self.U.conj().T
@@ -365,6 +372,21 @@ class _HalfFrame:
             one, degrees = zip(*(f1[id(v)] for v in word))
             two = [f2[id(u), id(v)] for u, v in zip(word, word[1:])]
         return (diag, {1: dict(enumerate(one)), 2: dict(enumerate(two))}), _prefix_parities(degrees)
+
+    @cached_property
+    def cstr_table(self):
+        """(W_0, W_1) with CStr(c_i lift(phi, p)) = W_p[i] . vec(phi), built once:
+        W_p[i] = (U_+* X_i U_+ + (-1)^p U_-* X_i U_-)^T flattened, with
+        X_i = 2^-q Gamma gamma c_i; for q = 0 both are the rows of X_i^T."""
+        M = self.M
+        G = M.cm.H.parity.astype(float)
+        X = 2.0 ** (-M.q) * ((G[:, None] * M.cm.volume_element()) @ M.c_mats)
+        if self.U is None:
+            W = X.transpose(0, 2, 1).reshape(len(X), -1)
+            return W, W
+        h2 = self.U.shape[0] // 2
+        upper, lower = (self.Uh[:h2] @ X @ self.U[:, :h2], self.Uh[h2:] @ X @ self.U[:, h2:])
+        return tuple((upper + sign * lower).transpose(0, 2, 1).reshape(len(X), -1) for sign in (1.0, -1.0))
 
     def lift(self, phi, p):
         """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the reduced block."""
@@ -449,23 +471,31 @@ def _check_word(T, N):
         raise HilbertError(f"word length {N} exceeds the bracket bound {N_BRACKET_MAX}")
 
 
+def _reduced_phi(M: CqFredholmModule, T, word):
+    """(phi, p): the top-right block of the word's chain in the half-frame and
+    its parity.  Basis words are cached per (T, word) as a read-only copy, so
+    an entry holds its own h/2 x h/2 block (h x h for q = 0) and not the
+    whole exponential."""
+    _check_word(T, len(word))
+    key = (float(T), tuple(int(i) for i in word)) if _is_basis_word(word) else None
+    out = M._phi_cache.get(key)
+    if out is None:
+        chain, n = M.curvature.frame.bands(T, word if key is None else key[1])
+        out = (chain_exp_topright(*chain), n[-1])
+        if key is not None:
+            out = M._phi_cache[key] = (_frozen(out[0]), out[1])
+    return out
+
+
 def quantize(M: CqFredholmModule, T, word):
     """Heat-kernel quantization of the curvature on one bar word.
 
     word: tuple of basis indices or homogeneous coefficient vectors (N
     slots).  The chain runs in the half-frame, on half-size blocks when
-    q >= 1; basis words are cached per (T, word).
+    q >= 1; basis words cache that reduced block and its parity per
+    (T, word), and every call lifts it back to the full space.
     """
-    _check_word(T, len(word))
-    key = (float(T), tuple(int(i) for i in word)) if _is_basis_word(word) else None
-    out = M._phi_cache.get(key)
-    if out is None:
-        frame = M.curvature.frame
-        chain, n = frame.bands(T, word if key is None else key[1])
-        out = frame.lift(chain_exp_topright(*chain), n[-1])
-        if key is not None:
-            M._phi_cache[key] = out
-    return out
+    return M.curvature.frame.lift(*_reduced_phi(M, T, word))
 
 
 def quantize_partitions(M: CqFredholmModule, T, word, max_blocks=None):
@@ -496,8 +526,15 @@ def chern_eval(M: CqFredholmModule, item, T=1.0):
         if item.kind != CYCLIC:
             raise ModuleError("chern_eval expects a cyclic chain")
         return _chern_sum(M, item.terms, T)
-    phi = quantize(M, T, tuple(item[1:]))
-    return complex(cstr(M.cm, M.c(item[0]) @ phi))
+    return _cstr_of_block(M, item[0], *_reduced_phi(M, T, tuple(item[1:])))
+
+
+def _cstr_of_block(M, theta, phi, p):
+    """CStr(c(theta) lift(phi, p)) as one row of the frame's CStr table times vec(phi);
+    theta is a basis index or a coefficient vector."""
+    W = M.curvature.frame.cstr_table[p]
+    row = W[int(theta)] if isinstance(theta, (int, np.integer)) else np.asarray(theta, dtype=complex) @ W
+    return complex(row @ phi.reshape(-1))
 
 
 def _chern_sum(M, terms, T):
@@ -528,7 +565,7 @@ def chern_pullback_residual(M_T: CqFredholmModule, chain) -> float:
     rhs = 0.0 + 0.0j
     bar = alpha_map(chain)
     for word, coeff in bar.terms.items():
-        rhs += coeff * cstr(M_T.cm, quantize(M_T, 1.0, word))
+        rhs += coeff * _cstr_of_block(M_T, M_T.alg.unit_index, *_reduced_phi(M_T, 1.0, word))
     return abs(lhs + rhs)
 
 

@@ -136,6 +136,17 @@ def test_matrix_units_2_is_the_basis_of_mat2c():
         assert np.array_equal(flat_inv @ B.reshape(-1), np.eye(4)[a])
 
 
+def test_matrix_units_is_built_once_and_shared_by_every_lift():
+    # the lift keeps the basis whose build gave mat_lift its structure constants
+    mats, flat_inv, cmat = matrix_units(3)
+    assert matrix_units(3) is matrix_units(3)
+    assert not (mats.flags.writeable or flat_inv.flags.writeable or cmat.flags.writeable)
+    for alg in (complex_line(), exterior_algebra(1)):
+        lift = mat_lift(alg, 3)
+        assert lift.matrix_basis is mats and lift.matrix_flat_inv is flat_inv
+        assert np.array_equal(lift.mul, np.einsum("abc,ijk->aibjck", cmat, alg.mul).reshape((lift.dim,) * 3))
+
+
 def test_mat_lift_leibniz_random_pairs():
     alg = exterior_algebra(1)
     lifted = mat_lift(alg, 2)

@@ -39,7 +39,7 @@ from chernlab.fredholm import (
     quantize_partitions,
     transgression_check,
 )
-from chernlab.hilbert import clifford_validate, spinor_step
+from chernlab.hilbert import clifford_validate, cstr, spinor_step
 from scipy.linalg import expm
 
 
@@ -778,3 +778,48 @@ def test_phi_estimate_ratio_uses_the_basis_word_cache():
         ratio = phi_estimate_ratio(M, w, 0.5)
         assert (0.5, w) in M._phi_cache
         assert abs(ratio - phi_estimate_ratio(M, word_to_vecs(M.alg, w), 0.5)) <= 1e-13
+
+
+def test_cached_blocks_own_their_memory():
+    # an entry of _phi_cache holds a copy of its reduced block, not a view that
+    # pins the whole (K+1)h x (K+1)h exponential
+    for M in (acyclic_extend_module(random_weak_cq(hdim=4, q=0, seed=5, k=1)),
+              random_weak_cq(hdim=6, q=1, seed=22, k=2)):
+        for w in [(), (1,), (1, 2, 1), (2, 1, 3), (1, 1, 2, 3)]:
+            quantize(M, 1.0, w)
+            chern_eval(M, (0,) + w, 0.5)
+        h2 = M.hdim // 2 if M.q >= 1 else M.hdim
+        assert len(M._phi_cache) >= 8
+        for key, (phi, p) in M._phi_cache.items():
+            assert phi.base is None and phi.flags.owndata and not phi.flags.writeable, key
+            assert phi.shape == (h2, h2) and p in (0, 1), key
+    M_T = acyclic_extend_module(random_weak_cq(hdim=4, q=0, k=1))
+    assert quantize(M_T, 1.0, (1, 2, 1)).base is None
+
+
+_ORACLE_BASES = {
+    # every fixture generator, at each q it builds (odd modules are doubled to q = 1)
+    **{f"weak-q{q}": lambda q=q: random_weak_cq(hdim=4, q=q, seed=30 + q, k=2) for q in range(4)},
+    **{f"strong-q{q}": lambda q=q: exterior_strong(hdim=4, q=q, seed=40 + q, k=2) for q in range(4)},
+    "circle~": lambda: double_odd(discrete_circle(3, seed=5)),
+    "getzler~": lambda: double_odd(getzler_trivial(4, seed=6)),
+}
+
+
+@pytest.mark.parametrize("name", [n + ext for n in _ORACLE_BASES for ext in ("", "_T")])
+def test_chern_eval_matches_the_cstr_oracle(name):
+    # the CStr table row against the supertrace of c(theta_0) times the lifted Phi
+    base = name.removesuffix("_T")
+    M = _ORACLE_BASES[base]()
+    if name != base:
+        M = acyclic_extend_module(M)
+    rng = np.random.default_rng(sorted(_ORACLE_BASES).index(base))
+    words = [random_basis_word(M.alg, CYCLIC, N, rng) for N in range(4) for _ in range(4)]
+    degrees = sorted(set(M.alg.degree_tuple))
+    words += [tuple(_of_degree(M.alg, rng, degrees[rng.integers(len(degrees))]) for _ in range(N + 1))
+              for N in range(4)]
+    for T in (0.5, 1.0, 2.0):
+        for w in words:
+            value = chern_eval(M, w, T)
+            oracle = cstr(M.cm, M.c(w[0]) @ quantize(M, T, tuple(w[1:])))
+            assert abs(value - oracle) <= 1e-13 * max(1.0, abs(oracle)), (T, w)

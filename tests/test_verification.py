@@ -86,3 +86,17 @@ def test_checks_take_no_tolerance():
               verification.supertrace_report, dga_validate, module_validate, clifford_validate)
     for fn in checks:
         assert not [p for p in inspect.signature(fn).parameters if "tol" in p], fn.__name__
+
+
+@pytest.mark.parametrize("alg", [exterior_algebra(2), acyclic_extension(discrete_circle_algebra(2))],
+                         ids=["Ext2", "Circle2_T"])
+def test_codifferential_square_on_faces_matches_word_layers(alg):
+    # the report squares d + b - B on per-word faces; the word-layer d_total of
+    # the same 50 words gives the same worst norm up to rounding
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(50):
+        w = chains.random_basis_word(alg, CYCLIC, int(rng.integers(0, 4)), rng)
+        worst = max(worst, chains.d_total(chains.d_total(Chain.basis_word(alg, CYCLIC, w))).norm())
+    rep = verification.codifferential_squares_report(alg, seed=3)
+    assert rep.passed and abs(rep.residual("dual-differential-squares-to-zero") - worst) <= 1e-15
