@@ -37,8 +37,8 @@ A chain holds its terms in one store, a word layer per word length, and
 every operator on a chain runs on those layers, d-bar and b' excepted.
 The per-word faces of d, b and B run on a {word: coeff} dict instead:
 d_total_terms applies d + b - B to one basis word with them, where a
-layer pass costs more than the whole loop, and d-bar and b' run them on
-a chain's terms.
+layer pass costs more than the whole loop, bar_differential_terms applies
+d-bar + b' to one tensor word, and d-bar and b' run them on chain terms.
 """
 
 from __future__ import annotations
@@ -624,6 +624,16 @@ def d_total_terms(alg, word):
         _add(out, w, cf)
     for w, cf in _B_faces(alg, terms).items():
         _add(out, w, -cf)
+    return out
+
+
+def bar_differential_terms(alg, kind, slots):
+    """(d-bar + b') of a bar kind's tensor word slot_0 (x) slot_1 (x) ... as an
+    insertion-ordered {word: coeff} dict on the faces: d-bar's, then b''s."""
+    terms = Chain.from_elements(alg, kind, slots).terms
+    out = _d_faces(alg, kind, terms)
+    for w, cf in _b_faces(alg, kind, terms).items():
+        _add(out, w, cf)
     return out
 
 

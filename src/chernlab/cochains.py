@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import DgAlgebra
-from .chains import BAR, BAR_RED, Chain, _prefix_parities, b_prime, d_bar
+from .chains import BAR, BAR_RED, Chain, _prefix_parities, bar_differential_terms
 
 
 class CochainError(ValueError):
@@ -82,8 +82,11 @@ class OperatorBarCochain:
     def eval_chain(self, chain: Chain):
         if chain.kind not in (BAR, BAR_RED):
             raise CochainError("cochains evaluate on bar chains")
+        return self.eval_terms(chain.terms)
+
+    def eval_terms(self, terms):  # a {bar word: coeff} mapping, summed in its order
         out = np.zeros((self.hdim, self.hdim), dtype=complex)
-        for word, coeff in chain.terms.items():
+        for word, coeff in terms.items():
             out += coeff * self.eval_word(word)
         return out
 
@@ -151,12 +154,9 @@ def delta(l: OperatorBarCochain) -> OperatorBarCochain:
     """Codifferential -(d + b')^dual on bar chains; raises the parity by one."""
 
     def component(slots):
-        alg = l.alg
         # slots are coefficient vectors; expand to basis words, apply d + b'
-        chain = Chain.from_elements(alg, BAR, slots)
-        image = d_bar(chain) + b_prime(chain)
         sign = -((-1.0) ** l.parity)
-        return sign * l.eval_chain(image)
+        return sign * l.eval_terms(bar_differential_terms(l.alg, BAR, slots))
 
     max_arity = None if l.max_arity is None else l.max_arity + 1
     return OperatorBarCochain(l.alg, l.hdim, (l.parity + 1) % 2, component,

@@ -23,10 +23,10 @@ enumeration, quantize_partitions, are kept as independent cross-checks.
 
 M._phi_cache holds, per (T, basis word), a read-only copy of that reduced
 top-right block and its parity p, never the lifted matrix or a view into
-the exponential.  quantize lifts the block on return.  chern_eval reads
-CStr(c(theta_0) Phi) as one row of the frame's CStr table (theta_0 . W_p)
-times the flattened block, with no lift and no supertrace per term;
-cstr(c(theta_0) @ quantize(...)) remains as the cross-check in the tests.
+the exponential.  quantize lifts the block on return.  Every CStr(c(theta_0)
+lift(phi, p)) (chern_eval, the Chern-Simons form, the pairing rows) is one
+row of the frame's CStr table (theta_0 . W_p) times the flattened block,
+with no lift and no supertrace; hilbert.cstr remains the tests' oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import DgAlgebra
-from .chains import BAR_RED, CYCLIC, Chain, _floor_half_factorial, alpha_map, b_prime, d_bar, d_total
+from .chains import BAR_RED, CYCLIC, Chain, _floor_half_factorial, alpha_map, bar_differential_terms, d_total
 from .chains import _prefix_parities, chen_R, chen_S, chen_Si, chen_Ti, d_total_terms, random_basis_word
 from .cochains import OperatorBarCochain, slot_degree, word_to_vecs
 from .hilbert import (
@@ -47,7 +47,6 @@ from .hilbert import (
     HilbertError,
     N_BRACKET_MAX,
     chain_exp_topright,
-    cstr,
     gauss_legendre_01,
     heat_bracket,
     marked_chain_exp_topright,
@@ -542,13 +541,10 @@ def _chern_sum(M, terms, T):
     return complex(sum(coeff * chern_eval(M, w, T) for w, coeff in terms.items()))
 
 
-def coclosed_residual(M: CqFredholmModule, chain):
-    """((d + b - B)^dual Ch)(chain) = (-1)^q Ch((d + b - B) chain), at T = 1.
-
-    A basis-word tuple runs d + b - B on the per-word faces
-    (d_total_terms), a chain on its word layers (d_total)."""
-    image = d_total(chain).terms if isinstance(chain, Chain) else d_total_terms(M.alg, chain)
-    return (-1.0) ** M.q * _chern_sum(M, image, 1.0)
+def coclosed_residual(M: CqFredholmModule, word):
+    """((d + b - B)^dual Ch)(word) = (-1)^q Ch((d + b - B) word) of one cyclic
+    basis word, at T = 1, with d + b - B on the per-word faces (d_total_terms)."""
+    return (-1.0) ** M.q * _chern_sum(M, d_total_terms(M.alg, word), 1.0)
 
 
 def chern_scale(M: CqFredholmModule) -> float:
@@ -556,17 +552,13 @@ def chern_scale(M: CqFredholmModule) -> float:
     return trace_norm(expm(-M.Q2))
 
 
-def chern_pullback_residual(M_T: CqFredholmModule, chain) -> float:
-    """|Ch_{M_T}(c) + alpha^* CStr(Phi_1)(c)|: the pullback identity states
-    Ch_{M_T} = - alpha^* CStr(Phi_1 quotient)."""
-    if not isinstance(chain, Chain):
-        chain = Chain.basis_word(M_T.alg, CYCLIC, chain)
-    lhs = chern_eval(M_T, chain)
-    rhs = 0.0 + 0.0j
-    bar = alpha_map(chain)
-    for word, coeff in bar.terms.items():
-        rhs += coeff * _cstr_of_block(M_T, M_T.alg.unit_index, *_reduced_phi(M_T, 1.0, word))
-    return abs(lhs + rhs)
+def chern_pullback_residual(M_T: CqFredholmModule, word) -> float:
+    """|Ch_{M_T}(c) + alpha^* CStr(Phi_1)(c)| on the cyclic basis word c: the
+    pullback identity states Ch_{M_T} = - alpha^* CStr(Phi_1 quotient)."""
+    chain = Chain.basis_word(M_T.alg, CYCLIC, word)
+    rhs = sum(coeff * _cstr_of_block(M_T, M_T.alg.unit_index, *_reduced_phi(M_T, 1.0, w))
+              for w, coeff in alpha_map(chain).terms.items())
+    return abs(chern_eval(M_T, chain) + rhs)
 
 
 def chen_vanish(M: CqFredholmModule, seed=0, n_words=100, ext_alg=None) -> ValidationReport:
@@ -641,21 +633,23 @@ class Homotopy:
         return Homotopy(acyclic_extend_module(self.M, ext_alg), self.V)
 
 
-def psi_eval(hom: Homotopy, s, T, word):
-    """Psi_T = -T int_0^1 Phi_uT V Phi_(1-u)T du on one bar word at M_s.
-
-    Evaluated exactly through a marked block exponential in the half-frame:
-    the insertion of the velocity V at prefix length a carries the Koszul
-    sign (-1)^{n_a} from the bar-cochain product (V is odd), so the marked
-    block has parity n_N + 1.  c is fixed, so V is the only velocity.
-    """
+def _reduced_psi(hom: Homotopy, s, T, word):
+    """(psi, p): Psi_T of one bar word at M_s in the half-frame and its parity,
+    exactly, from a marked block exponential.  V inserted at prefix length a
+    carries the Koszul sign (-1)^{n_a} (V is odd; c is fixed, so V is the
+    only velocity), and the marked block has parity n_N + 1 mod 2."""
     if len(word) + 1 > N_BRACKET_MAX:
         raise HilbertError("word too long for the bracket bound")
     frame = hom.module(s).curvature.frame
     (diag, bands), n = frame.bands(T, word)
     V = frame.reduce(hom.V)
     marked = {0: {a: (-1.0) ** n[a] * (-T) * V for a in range(len(word) + 1)}}
-    return frame.lift(marked_chain_exp_topright(diag, bands, marked), n[-1] + 1)
+    return marked_chain_exp_topright(diag, bands, marked), (n[-1] + 1) % 2
+
+
+def psi_eval(hom: Homotopy, s, T, word):
+    """Psi_T = -T int_0^1 Phi_uT V Phi_(1-u)T du on one bar word at M_s."""
+    return hom.module(s).curvature.frame.lift(*_reduced_psi(hom, s, T, word))
 
 
 def psi_quadrature(hom: Homotopy, s, T, word, nodes=48):
@@ -686,37 +680,34 @@ def bianchi_residual(hom: Homotopy, s, T, word):
     """|d/ds Phi_T^s - delta Psi_T^s - [omega_s, Psi_T^s]| on one bar word."""
     fd_step = 1e-4
     alg = hom.M.alg
-    word_chain = Chain.from_elements(alg, BAR_RED, _as_slot_vecs(alg, word))
+    slots = _as_slot_vecs(alg, word)
     lhs = (quantize(hom.module(s + fd_step), T, word) - quantize(hom.module(s - fd_step), T, word)) / (2 * fd_step)
     psi = psi_cochain(hom, s, T)
     # delta psi: -(d + b')^dual, psi odd
-    image = d_bar(word_chain) + b_prime(word_chain)
-    delta_psi = psi.eval_chain(image)
+    delta_psi = psi.eval_terms(bar_differential_terms(alg, BAR_RED, slots))
     om = omega_cochain(hom.module(s))
     commutator = om.supercommutator(psi)
-    rhs = delta_psi + commutator.eval_slots(_as_slot_vecs(alg, word))
+    rhs = delta_psi + commutator.eval_slots(slots)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def chern_simons_eval(hom_T: Homotopy, chain, s_nodes=32):
-    """CS(chain) = (-1)^q int_0^1 (alpha^* CStr Psi_1^s)(chain) ds."""
-    if not isinstance(chain, Chain):
-        chain = Chain.basis_word(hom_T.M.alg, CYCLIC, chain)
+def chern_simons_eval(hom_T: Homotopy, chain: Chain, s_nodes=32):
+    """CS(chain) = (-1)^q int_0^1 (alpha^* CStr Psi_1^s)(chain) ds on a cyclic
+    chain; each CStr reads the unit's row of the CStr table of M_s."""
     bar = alpha_map(chain)
     if not bar.terms:
         return 0.0 + 0.0j
     s_x, s_w = gauss_legendre_01(s_nodes)
     total = 0.0 + 0.0j
     for si, wi in zip(s_x, s_w):
-        val = 0.0 + 0.0j
-        for word, coeff in bar.terms.items():
-            val += coeff * cstr(hom_T.M.cm, psi_eval(hom_T, si, 1.0, word))
-        total += wi * val
+        M_s = hom_T.module(si)
+        total += wi * sum(coeff * _cstr_of_block(M_s, M_s.alg.unit_index, *_reduced_psi(hom_T, si, 1.0, word))
+                          for word, coeff in bar.terms.items())
     return (-1.0) ** hom_T.M.q * total
 
 
 def transgression_check(hom: Homotopy, words, s_nodes=32, ext_alg=None) -> ValidationReport:
-    """Ch(1) - Ch(0) = (d + b - B)^dual CS on the supplied cyclic words.
+    """Ch(1) - Ch(0) = (d + b - B)^dual CS on the supplied cyclic basis words.
 
     Words live over the acyclic extension of the homotopy's algebra.  The
     note nonzero_lhs_words counts the words with |Ch(1) - Ch(0)| > 1e-8,
@@ -733,7 +724,7 @@ def transgression_check(hom: Homotopy, words, s_nodes=32, ext_alg=None) -> Valid
     worst = 0.0
     n_words = nonzero = 0
     for w in words:
-        chain = w if isinstance(w, Chain) else Chain.basis_word(alg_T, CYCLIC, w)
+        chain = Chain.basis_word(alg_T, CYCLIC, w)
         lhs = chern_eval(M1, chain) - chern_eval(M0, chain)
         rhs = sign * chern_simons_eval(hom_T, d_total(chain), s_nodes=s_nodes)
         worst = running_max(worst, abs(lhs - rhs))
@@ -774,10 +765,11 @@ def getzler_closed_form(M: OddFredholmModule, word):
 
 
 def phi_estimate_ratio(M: CqFredholmModule, word, T, kappa=1.0):
-    """||Phi_T(word)||_1 divided by the calibrated bound."""
+    """||Phi_T(word)||_1 divided by the calibrated bound.  For q >= 1 Phi is
+    U diag(phi, +-phi) U* with U unitary: twice the trace norm of phi."""
     slots = _as_slot_vecs(M.alg, word)
     N = len(slots)
-    lhs = trace_norm(quantize(M, T, word))
+    lhs = (2.0 if M.q else 1.0) * trace_norm(_reduced_phi(M, T, word)[0])
     nu_prod = 1.0
     for v in slots:
         nu_prod *= kappa * float(np.max(np.abs(v)))

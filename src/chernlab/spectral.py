@@ -49,6 +49,7 @@ from .cochains import slot_degree
 from .fredholm import (
     CqFredholmModule,
     OddFredholmModule,
+    _cstr_of_block,
     acyclic_extend_module,
     calibrate_nu,
     chern_eval,
@@ -583,8 +584,9 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     Block (0, N) of the marked row is the B-insertion sum of degree N,
     and block (0, N - 1) of the plain row is Phi_1(A^(N-1)).  Every block
     of the chain is C_q-equivariant, so the chain runs on the half-size
-    blocks of the Clifford half-frame and only the blocks read are lifted
-    back: an A step has parity |A| + 1 and the marked B step |B| + 1.
+    blocks of the Clifford half-frame; an A step has parity |A| + 1 and
+    the marked B step |B| + 1.  No block is lifted: CStr reads the unit's
+    row of the frame's CStr table, and CStr(c(omega) .) the row omega . W_p.
     """
     Mdt = tf.Mdt
     frame = Mdt.curvature.frame
@@ -592,9 +594,8 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
     f1b, b_step = frame.f1(b_vec), slot_degree(Mdt.alg, b_vec) + 1
     E, L = marked_chain_exp_row(diag, bands, {1: {j: -f1b for j in range(N_max)}})
-    c_omega = tf.c_omega_doubled
-    p_row = [complex(cstr(Mdt.cm, frame.lift(L[N], n[N - 1] + b_step))) for N in range(1, N_max + 1)]
-    sf_row = [complex(cstr(Mdt.cm, c_omega @ frame.lift(E[N - 1], n[N - 1]))) for N in range(1, N_max + 1)]
+    p_row = [_cstr_of_block(Mdt, Mdt.alg.unit_index, L[N], (n[N - 1] + b_step) % 2) for N in range(1, N_max + 1)]
+    sf_row = [_cstr_of_block(Mdt, tf.omega_vec, E[N - 1], n[N - 1]) for N in range(1, N_max + 1)]
     return p_row, sf_row
 
 
@@ -695,17 +696,20 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
         nu_prod = (kappa * a_norm) ** (N - 1) * (kappa * b_norm)
         return 0.5 * 2.0 * N * trace_factor * nu_prod / _floor_half_factorial(N)
 
+    tail = float(sum(term_bound(N) for N in range(N_max + 1, N_max + 400)))
+    if tail > tail_tol:
+        n_try = N_max
+        while n_try < 400 and sum(term_bound(N) for N in range(n_try + 1, n_try + 400)) > tail_tol:
+            n_try += 1
+        raise SpectralError(f"certified tail {tail:.2e} above {tail_tol:.1e}; need N_max about {n_try}")
     terms = []
     pairing_total = 0.0 + 0.0j
     worst_term = 0.0
     t_terms = time.perf_counter()
     rows = [_pairing_rows(tf, si, N_max) for si in x]
     for N in range(1, N_max + 1):
-        p_val = 0.0 + 0.0j
-        s_val = 0.0 + 0.0j
-        for (p_row, sf_row), wi in zip(rows, w):
-            p_val += wi * p_row[N - 1]
-            s_val += wi * sf_row[N - 1]
+        p_val = sum(wi * p_row[N - 1] for (p_row, _), wi in zip(rows, w))
+        s_val = sum(wi * sf_row[N - 1] for (_, sf_row), wi in zip(rows, w))
         resid = abs(p_val - TERM_SIGN * s_val)
         ref = max(abs(p_val), abs(s_val), 1.0)
         worst_term = running_max(worst_term, resid / ref)
@@ -714,12 +718,6 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
         pairing_total += p_val
     checks.add("per-degree-term-identity", worst_term, term_tol,
                "B-insertion sum = sign * c(omega)-times-A-word term, per degree")
-    tail = float(sum(term_bound(N) for N in range(N_max + 1, N_max + 400)))
-    if tail > tail_tol:
-        n_try = N_max
-        while n_try < 400 and sum(term_bound(N) for N in range(n_try + 1, n_try + 400)) > tail_tol:
-            n_try += 1
-        raise SpectralError(f"certified tail {tail:.2e} above {tail_tol:.1e}; need N_max about {n_try}")
     t_sf = time.perf_counter()
     sf = sf_integral(tf, s_nodes=s_nodes)
     checks.add("sf-methods-agree", abs(sf["direct"] - sf["series"]), 1e-8,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from chernlab.algebra import acyclic_extension
-from chernlab import chains
-from chernlab.chains import BAR_RED, CYCLIC, Chain, _all_basis_words, d_total, random_basis_word
+from chernlab import chains, fredholm, hilbert
+from chernlab.chains import BAR_RED, CYCLIC, Chain, _all_basis_words, alpha_map, d_total, random_basis_word
 from chernlab.fixtures import (
     discrete_circle,
     exterior_strong,
@@ -27,6 +27,7 @@ from chernlab.fredholm import (
     chern_eval,
     chern_pullback_residual,
     chern_scale,
+    chern_simons_eval,
     coclosed_residual,
     conjugate_module,
     curvature,
@@ -39,7 +40,7 @@ from chernlab.fredholm import (
     quantize_partitions,
     transgression_check,
 )
-from chernlab.hilbert import clifford_validate, cstr, spinor_step
+from chernlab.hilbert import clifford_validate, cstr, gauss_legendre_01, spinor_step
 from scipy.linalg import expm
 
 
@@ -302,8 +303,6 @@ def test_psi_matches_definition(name):
 @pytest.mark.parametrize("name", ["q1", "q2", "q3", "circle~_T"])
 def test_psi_eval_runs_one_half_frame_chain(name, monkeypatch):
     # one Frechet call on (N + 1) half-size nodes, for basis and vector words
-    from chernlab import hilbert
-
     M = _HALF_FRAME_MODULES[name]()
     hom = Homotopy(M, _direction(M, np.random.default_rng(12)))
     shapes = []
@@ -460,8 +459,6 @@ def test_trace_norm_bound_calibrated(circle_doubled):
 
 
 def test_calibrate_nu_refuses_a_non_finite_ratio(circle_doubled, monkeypatch):
-    import chernlab.fredholm as fredholm
-
     M = circle_doubled
     word = (M.alg.unit.coeffs,)
     monkeypatch.setattr(fredholm, "phi_estimate_ratio", lambda *args, **kwargs: np.nan)
@@ -566,8 +563,6 @@ def test_quantize_refuses_a_mixed_degree_slot():
 
 @pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~_T"])
 def test_basis_word_chain_runs_on_half_size_blocks(name, monkeypatch):
-    import chernlab.fredholm as fredholm
-
     M = _HALF_FRAME_MODULES[name]()
     sizes = []
     inner = fredholm.chain_exp_topright
@@ -823,3 +818,70 @@ def test_chern_eval_matches_the_cstr_oracle(name):
             value = chern_eval(M, w, T)
             oracle = cstr(M.cm, M.c(w[0]) @ quantize(M, T, tuple(w[1:])))
             assert abs(value - oracle) <= 1e-13 * max(1.0, abs(oracle)), (T, w)
+
+
+# -- the Chern-Simons form through the CStr table ---------------------------------------
+
+
+def _extended_homotopy(name, seed):
+    """A random homotopy of a half-frame module, over its acyclic extension."""
+    M = _HALF_FRAME_MODULES[name]()
+    return Homotopy(M, _direction(M, np.random.default_rng(seed))).extended(acyclic_extension(M.alg))
+
+
+@pytest.mark.parametrize("name", ["q0", "q1", "q2", "q3", "circle~"])
+def test_chern_simons_eval_matches_the_cstr_oracle(name):
+    # the unit's CStr table row of M_s against the supertrace of the lifted Psi;
+    # the form runs on the extension (circle~ extended is circle~_T)
+    hom_T = _extended_homotopy(name, 50)
+    alg_T = hom_T.M.alg
+    rng = np.random.default_rng(51)
+    chains_in = [Chain.basis_word(alg_T, CYCLIC, random_basis_word(alg_T, CYCLIC, N, rng))
+                 for N in range(3) for _ in range(3)]
+    chains_in += [d_total(c) for c in chains_in[3:6]]
+    s_x, s_w = gauss_legendre_01(4)
+    nonzero = 0
+    for chain in chains_in:
+        value = chern_simons_eval(hom_T, chain, s_nodes=4)
+        oracle = (-1.0) ** hom_T.M.q * sum(
+            wi * sum(cf * cstr(hom_T.M.cm, psi_eval(hom_T, si, 1.0, w)) for w, cf in alpha_map(chain).terms.items())
+            for si, wi in zip(s_x, s_w))
+        assert abs(value - oracle) <= 1e-13 * max(1.0, abs(value)), chain.terms
+        nonzero += abs(oracle) > 1e-8
+    assert nonzero > 0
+
+
+def test_chern_simons_parity_check_reads_the_parity_of_the_table():
+    # wrong-parity words give CS = 0 through the table row of the block's
+    # parity; read with the rows of the other parity, they do not
+    hom_T = _extended_homotopy("q1", 52)
+    alg_T = hom_T.M.alg
+    rng = np.random.default_rng(53)
+    wrong = []
+    while len(wrong) < 8:
+        c = Chain.basis_word(alg_T, CYCLIC, random_basis_word(alg_T, CYCLIC, int(rng.integers(0, 3)), rng))
+        if (c.parity() + hom_T.M.q + 1) % 2 == 1:
+            wrong.append(c)
+    assert max(abs(chern_simons_eval(hom_T, c, s_nodes=4)) for c in wrong) <= 1e-10
+    table = fredholm._HalfFrame.cstr_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fredholm._HalfFrame, "cstr_table", property(lambda frame: table.func(frame)[::-1]))
+        assert max(abs(chern_simons_eval(hom_T, c, s_nodes=4)) for c in wrong) > 1e-3
+
+
+def test_transgression_neither_lifts_nor_calls_cstr(monkeypatch):
+    # every supertrace of the check reads a CStr table: no block is lifted
+    M, V = _small_homotopy(19, q=1)
+    ext = acyclic_extension(M.alg)
+    rng = np.random.default_rng(20)
+    words = [random_basis_word(ext, CYCLIC, 1 + int(rng.integers(0, 2)), rng) for _ in range(4)]
+    want = transgression_check(Homotopy(M, V), words, s_nodes=8, ext_alg=ext)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a supertrace lifted its block")
+
+    monkeypatch.setattr(hilbert, "cstr", refuse)
+    monkeypatch.setattr(fredholm._HalfFrame, "lift", refuse)
+    got = transgression_check(Homotopy(M, V), words, s_nodes=8, ext_alg=ext)
+    assert want.max_residual() > 0 and want.notes["nonzero_lhs_words"] > 0
+    assert got.as_dict() == want.as_dict()

@@ -10,10 +10,10 @@ import pytest
 from chernlab import chains, spectral
 from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, matrix_units, maurer_cartan
 from chernlab.chains import CYCLIC, Chain
-from chernlab.cochains import CochainError
+from chernlab.cochains import CochainError, slot_degree
 from chernlab.fixtures import circle_function, circle_loop_element, discrete_circle, discrete_circle_algebra
 from chernlab.fredholm import ModuleError
-from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket
+from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket, marked_chain_exp_row
 from chernlab.spectral import (
     SpectralError,
     TERM_SIGN,
@@ -444,6 +444,59 @@ def test_pairing_rows_match_per_degree_terms(tf6, s):
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_pairing_rows_match_the_lifted_cstr_oracle(tf6, s):
+    # the CStr table rows against the supertrace of the lifted blocks
+    Mdt = tf6.Mdt
+    frame = Mdt.curvature.frame
+    a_vec, b_vec = tf6.ab_vectors(s)
+    (diag, bands), n = frame.bands(1.0, (a_vec,) * 10)
+    b_step = slot_degree(Mdt.alg, b_vec) + 1
+    E, L = marked_chain_exp_row(diag, bands, {1: {j: -frame.f1(b_vec) for j in range(10)}})
+    p_row, sf_row = spectral._pairing_rows(tf6, s, 10)
+    for N in range(1, 11):
+        p_ref = cstr(Mdt.cm, frame.lift(L[N], n[N - 1] + b_step))
+        sf_ref = cstr(Mdt.cm, tf6.c_omega_doubled @ frame.lift(E[N - 1], n[N - 1]))
+        for got, ref in ((p_row[N - 1], p_ref), (sf_row[N - 1], sf_ref)):
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), N
+            assert abs(ref) > 0
+
+
+def test_pairing_neither_lifts_nor_calls_cstr(circle6, monkeypatch):
+    # every supertrace of the pairing reads a CStr table, and the kappa
+    # calibration reads trace norms of half-frame blocks: no block is lifted
+    from chernlab import fredholm, hilbert
+
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    want = pairing(circle6, g, N_max=6, tail_tol=1e-3).as_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pairing lifted a block")
+
+    for module in (hilbert, spectral):
+        monkeypatch.setattr(module, "cstr", refuse)
+    monkeypatch.setattr(fredholm._HalfFrame, "lift", refuse)
+    got = pairing(circle6, g, N_max=6, tail_tol=1e-3).as_dict()
+    for data in (want, got):
+        del data["volatile"]
+    assert want["verdict"] is True
+    assert got == want
+
+
+def test_pairing_refuses_an_uncertified_tail_before_any_row(monkeypatch):
+    # the tail bound is closed-form, so an input whose tail does not certify
+    # at N_max = 2 is refused before the first marked exponential
+    M = discrete_circle(6, seed=3)
+    g = circle_loop_element(M.alg, eps=0.10, seed=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pairing row was computed")
+
+    monkeypatch.setattr(spectral, "marked_chain_exp_row", refuse)
+    with pytest.raises(SpectralError, match=r"^certified tail .* need N_max about \d+$"):
+        pairing(M, g, N_max=2)
+
+
 def test_pairing_rows_run_one_half_frame_chain(tf6, monkeypatch):
     # all degrees come from one Frechet call on (N_max + 1) half-size nodes
     from chernlab import hilbert
@@ -487,17 +540,17 @@ def test_heat_series_matches_per_order_brackets(tf6, T):
 
 
 def test_pairing_nan_term_fails_the_term_identity(circle6, monkeypatch):
-    # one NaN Clifford supertrace must fail the per-degree check, not
-    # vanish in a max
+    # one NaN Clifford supertrace, read from the CStr table, must fail the
+    # per-degree check, not vanish in a max
     g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
-    inner = spectral.cstr
+    inner = spectral._cstr_of_block
     calls = []
 
-    def poisoned(cm, A):
+    def poisoned(M, theta, phi, p):
         calls.append(1)
-        return complex("nan") if len(calls) == 1 else inner(cm, A)
+        return complex("nan") if len(calls) == 1 else inner(M, theta, phi, p)
 
-    monkeypatch.setattr(spectral, "cstr", poisoned)
+    monkeypatch.setattr(spectral, "_cstr_of_block", poisoned)
     rep = pairing(circle6, g, N_max=6, tail_tol=1e-3)
     assert calls
     assert "per-degree-term-identity" in [c.check_id for c in rep.checks.failing()]
