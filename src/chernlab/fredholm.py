@@ -387,6 +387,11 @@ class _HalfFrame:
         upper, lower = (self.Uh[:h2] @ X @ self.U[:, :h2], self.Uh[h2:] @ X @ self.U[:, h2:])
         return tuple((upper + sign * lower).transpose(0, 2, 1).reshape(len(X), -1) for sign in (1.0, -1.0))
 
+    @cached_property
+    def live_rows(self):
+        """Per p, whether W_p[i] has a nonzero entry: CStr(c_i lift(phi, p)) = 0 for every phi if not."""
+        return tuple(np.any(W != 0, axis=1) for W in self.cstr_table)
+
     def lift(self, phi, p):
         """U_+ phi U_+* + (-1)^p U_- phi U_-*, p the parity of the reduced block."""
         if self.U is None:
@@ -543,8 +548,13 @@ def _chern_sum(M, terms, T):
 
 def coclosed_residual(M: CqFredholmModule, word):
     """((d + b - B)^dual Ch)(word) = (-1)^q Ch((d + b - B) word) of one cyclic
-    basis word, at T = 1, with d + b - B on the per-word faces (d_total_terms)."""
-    return (-1.0) ** M.q * _chern_sum(M, d_total_terms(M.alg, word), 1.0)
+    basis word, at T = 1, with d + b - B on the per-word faces (d_total_terms).
+    A term whose CStr row W_p[theta_0] is zero (p the parity of its tail) adds
+    0 * vec(Phi), so its chain is not computed."""
+    live, par = M.curvature.frame.live_rows, M.alg.parity_tuple
+    terms = {w: cf for w, cf in d_total_terms(M.alg, word).items()
+             if live[_prefix_parities([par[i] for i in w[1:]])[-1]][w[0]]}
+    return (-1.0) ** M.q * _chern_sum(M, terms, 1.0)
 
 
 def chern_scale(M: CqFredholmModule) -> float:

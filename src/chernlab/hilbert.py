@@ -16,6 +16,7 @@ independent Gauss-Legendre recursion serves as a cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,43 @@ def marked_chain_exp_row(diag, bands, marked):
 def marked_chain_exp_topright(diag, bands, marked):
     """Sum over paths from node 0 to node K carrying exactly one marked step."""
     return marked_chain_exp_row(diag, bands, marked)[1][-1]
+
+
+def toeplitz_exp_row(blocks, K):
+    """Blocks (0, 0), ..., (0, K) of expm(G), G the block upper-triangular
+    Toeplitz matrix with blocks[t] on every block of diagonal t.
+
+    Such matrices form an algebra fixed by their first block row, so G is
+    never formed (Higham, Functions of Matrices, 2008, ch. 10; Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 2011): s makes 2^-s sum_t |blocks[t]|_1,
+    a bound on |G / 2^s|_1, at most 1, so the degree-18 Taylor polynomial,
+    in Horner form with one product per band per step, leaves a remainder
+    below sum_{k>18} 1/k! < 1e-17; each of the s squarings is one product
+    of the row with the block-Toeplitz matrix built from it.
+    """
+    blocks = [np.asarray(B, dtype=complex) for B in blocks[: K + 1]]
+    norm = sum(float(np.linalg.norm(B, 1)) for B in blocks)
+    if not math.isfinite(norm):
+        raise HilbertError("a chain block is not finite")
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    X = [B / 2.0**s for B in blocks]
+    d = X[0].shape[0]
+    eye = np.eye(d, dtype=complex)
+    row = np.zeros((K + 1, d, d), dtype=complex)
+    row[0] = eye
+    for k in range(18, 0, -1):
+        nxt = np.zeros_like(row)
+        for t, Xt in enumerate(X):
+            nxt[t:] += Xt @ row[: K + 1 - t]
+        row = nxt / k
+        row[0] += eye
+    n = (K + 1) * d
+    R, T = np.concatenate(row, axis=1), np.zeros((n, n), dtype=complex)
+    for _ in range(s):
+        for i in range(K + 1):  # block (i, j) of the Toeplitz matrix is block j - i of the row
+            T[i * d : (i + 1) * d, i * d :] = R[:, : n - i * d]
+        R = R @ T
+    return [R[:, k * d : (k + 1) * d] for k in range(K + 1)]
 
 
 def heat_bracket(H, A_list, check=True):

@@ -57,13 +57,7 @@ from .fredholm import (
     matrix_module,
     quantize_partitions,
 )
-from .hilbert import (
-    chain_exp_row,
-    cstr,
-    gauss_legendre_01,
-    marked_chain_exp_row,
-    marked_chain_exp_topright,
-)
+from .hilbert import cstr, gauss_legendre_01, marked_chain_exp_topright, toeplitz_exp_row
 from .report import ValidationReport, running_max
 from .serialize import round17
 
@@ -454,14 +448,14 @@ def perturbation_series(tf: TwistedFamily, s, T, M_max, tail_tol=None):
 def _heat_series(Q2, X, T, M_max):
     """sum_{M <= M_max} (-T)^M {X, ..., X}_{T Q2}.
 
-    The order-M term is block (0, M) of one chain with -T Q2 on its
-    M_max + 1 diagonal nodes and -T X one step up.  The order-0 term is
-    expm(-T Q2) itself, so that X = 0 gives exactly the heat operator.
+    The order-M term is block (0, M) of the exponential of the constant-band
+    chain with -T Q2 on its diagonal and -T X one step up, which
+    toeplitz_exp_row gives from its first block row alone.  The order-0 term
+    is expm(-T Q2) itself, and X = 0 makes every other block exactly zero,
+    so that X = 0 gives exactly the heat operator.
     """
     out = expm(-T * Q2)
-    band = -T * X
-    row = chain_exp_row([-T * Q2] * (M_max + 1), {1: {j: band for j in range(M_max)}})
-    for term in row[1:]:
+    for term in toeplitz_exp_row([-T * Q2, -T * X], M_max)[1:]:
         out = out + term
     return out
 
@@ -581,8 +575,13 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     """pairing_term(tf, N, s) and sf_series_term(tf, N - 1, s) for
     N = 1..N_max, from one marked exponential of the word (A,) * N_max.
 
-    Block (0, N) of the marked row is the B-insertion sum of degree N,
-    and block (0, N - 1) of the plain row is Phi_1(A^(N-1)).  Every block
+    The chain of that word has constant bands (-Q^2, -F_1(A), -F_2(A, A)),
+    and the mark -F_1(B) rides on step 1.  The first block row of the
+    exponential of the augmented blocks [[G_t, M_t], [0, G_t]] carries the
+    plain row E in its diagonal blocks and the paths with one marked step
+    (the Frechet derivative) L in its off-diagonal blocks, so
+    toeplitz_exp_row gives both.  Block (0, N) of L is the B-insertion sum
+    of degree N, and block (0, N - 1) of E is Phi_1(A^(N-1)).  Every block
     of the chain is C_q-equivariant, so the chain runs on the half-size
     blocks of the Clifford half-frame; an A step has parity |A| + 1 and
     the marked B step |B| + 1.  No block is lifted: CStr reads the unit's
@@ -593,7 +592,11 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     a_vec, b_vec = tf.ab_vectors(s)
     (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
     f1b, b_step = frame.f1(b_vec), slot_degree(Mdt.alg, b_vec) + 1
-    E, L = marked_chain_exp_row(diag, bands, {1: {j: -f1b for j in range(N_max)}})
+    zero = np.zeros_like(diag[0])
+    steps = [diag[0], bands[1][0], bands[2].get(0, zero)]
+    h = zero.shape[0]
+    row = toeplitz_exp_row([np.block([[G, M], [zero, G]]) for G, M in zip(steps, [zero, -f1b, zero])], N_max)
+    E, L = [r[:h, :h] for r in row], [r[:h, h:] for r in row]
     p_row = [_cstr_of_block(Mdt, Mdt.alg.unit_index, L[N], (n[N - 1] + b_step) % 2) for N in range(1, N_max + 1)]
     sf_row = [_cstr_of_block(Mdt, tf.omega_vec, E[N - 1], n[N - 1]) for N in range(1, N_max + 1)]
     return p_row, sf_row

@@ -21,6 +21,7 @@ from chernlab.hilbert import (
     simplex_bracket_quadrature,
     standard_clifford_module,
     supertrace,
+    toeplitz_exp_row,
     trace_norm,
 )
 
@@ -373,6 +374,91 @@ def test_marked_chain_exp_row_matches_two_copy_matrix(norm):
     for got, ref in ((np.hstack(E), big[0:d, 0:n]), (np.hstack(L), big[0:d, n:])):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(marked_chain_exp_topright(diag, bands, marked), L[-1])
+
+
+def _constant_bands(rng, d, n_steps, norm):
+    """Random blocks for steps 0..n_steps-1 with sum_t ||blocks[t]||_1 = norm."""
+    blocks = [_rand_mat(rng, d) for _ in range(n_steps)]
+    c = norm / sum(np.linalg.norm(B, 1) for B in blocks)
+    return [c * B for B in blocks]
+
+
+def _dense_layout(blocks, K):
+    """(diag, bands) of the constant-band chain on K + 1 nodes, for the dense engine."""
+    return [blocks[0]] * (K + 1), {t: {j: blocks[t] for j in range(K + 1 - t)} for t in range(1, len(blocks))}
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_toeplitz_exp_row_matches_the_dense_engine(d):
+    # plain and marked rows of constant-band chains against chain_exp_row and
+    # marked_chain_exp_row, for ||G||_1 up to 100 (the dense oracle is
+    # refereed at 1000 below); the marked row is block (0, 1) of the kernel
+    # run on the augmented blocks [[B_t, M_t], [0, B_t]]
+    rng = np.random.default_rng(59 + d)
+    for K in (0, 1, 2, 10, 16):
+        for n_steps in (2, 3):
+            for norm in (1e-3, 1e-1, 1.0, 10.0, 100.0):
+                blocks = _constant_bands(rng, d, n_steps, norm)
+                marks = [_rand_mat(rng, d) for _ in range(n_steps)]
+                zero = np.zeros((d, d), dtype=complex)
+                row = toeplitz_exp_row(blocks, K)
+                marked = toeplitz_exp_row([np.block([[B, M], [zero, B]]) for B, M in zip(blocks, marks)], K)
+                diag, bands = _dense_layout(blocks, K)
+                mark_diag, mark_bands = _dense_layout(marks, K)
+                E, L = marked_chain_exp_row(diag, bands, {0: dict(enumerate(mark_diag)), **mark_bands})
+                ref = chain_exp_row(diag, bands)
+                assert len(row) == len(marked) == K + 1
+                for got, want in ((row, ref), ([r[:d, :d] for r in marked], E), ([r[:d, d:] for r in marked], L)):
+                    scale = max(float(np.max(np.abs(w))) for w in want)
+                    err = max(float(np.max(np.abs(g - w))) for g, w in zip(got, want))
+                    assert err <= 1e-13 * scale, (K, n_steps, norm)
+
+
+def test_toeplitz_exp_row_is_right_where_the_dense_engine_drifts():
+    # at ||G||_1 = 1000 the kernel stays within 2e-13 of the largest block of
+    # a 50-digit exponential of the assembled chain, while the dense engine
+    # drifts on some draws by up to about 1e-11: where the two disagree, the
+    # dense side is the one that is off
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    d, dense_worst = 3, 0.0
+    for K in (2, 4):
+        for n_steps in (2, 3):
+            for _ in range(3):
+                blocks = _constant_bands(rng, d, n_steps, 1000.0)
+                diag, bands = _dense_layout(blocks, K)
+                with mpmath.workdps(50):
+                    exact = mpmath.expm(mpmath.matrix(_place({0: dict(enumerate(diag)), **bands}, d, K + 1).tolist()))
+                    exact = np.array(exact.tolist(), dtype=complex)[:d]
+                scale = float(np.max(np.abs(exact)))
+                kernel_err = np.max(np.abs(np.hstack(toeplitz_exp_row(blocks, K)) - exact)) / scale
+                dense_err = np.max(np.abs(np.hstack(chain_exp_row(diag, bands)) - exact)) / scale
+                assert kernel_err <= 2e-13, (K, n_steps)
+                if abs(dense_err - kernel_err) > 1e-12:
+                    assert dense_err > 10 * kernel_err, (K, n_steps)
+                dense_worst = max(dense_worst, dense_err)
+    assert dense_worst > 1e-12
+
+
+def test_toeplitz_exp_row_edge_cases():
+    rng = np.random.default_rng(67)
+    H, X = _rand_psd(rng, 4), _rand_mat(rng, 4)
+    # K = 0 is the exponential of the diagonal block; steps past K are ignored
+    (only,) = toeplitz_exp_row([-H, X, X], 0)
+    assert np.max(np.abs(only - expm(-H))) <= 1e-14
+    # a zero band leaves every block past the diagonal exactly zero
+    row = toeplitz_exp_row([-H, np.zeros((4, 4))], 5)
+    assert all(np.all(r == 0) for r in row[1:])
+    assert np.max(np.abs(row[0] - expm(-H))) <= 1e-14
+    # the zero matrix has the identity row
+    row = toeplitz_exp_row([np.zeros((4, 4))] * 3, 4)
+    assert np.array_equal(row[0], np.eye(4)) and all(np.all(r == 0) for r in row[1:])
+    # a non-finite block is refused, not sent through log2 of an infinite norm
+    for bad in (np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        Y[1, 2] = bad
+        with pytest.raises(HilbertError, match="finite"):
+            toeplitz_exp_row([-H, Y], 3)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 3])

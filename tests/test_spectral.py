@@ -433,6 +433,15 @@ def test_nan_loop_entry_fails_the_telescoped_components():
 
 
 @pytest.mark.parametrize("s", [0.1, 0.6])
+def test_pairing_rows_without_a_step_two_band(tf6, s):
+    # at N_max = 1 the word (A,) has no F_2 block: the step-2 band is zero
+    (p_val,), (sf_val,) = spectral._pairing_rows(tf6, s, 1)
+    for got, ref in ((p_val, pairing_term(tf6, 1, s)), (sf_val, sf_series_term(tf6, 0, s))):
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+        assert abs(ref) > 0
+
+
+@pytest.mark.parametrize("s", [0.1, 0.6])
 def test_pairing_rows_match_per_degree_terms(tf6, s):
     # one marked exponential at N = 10 against one per degree
     p_row, sf_row = spectral._pairing_rows(tf6, s, 10)
@@ -492,27 +501,59 @@ def test_pairing_refuses_an_uncertified_tail_before_any_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pairing row was computed")
 
-    monkeypatch.setattr(spectral, "marked_chain_exp_row", refuse)
+    monkeypatch.setattr(spectral, "toeplitz_exp_row", refuse)
     with pytest.raises(SpectralError, match=r"^certified tail .* need N_max about \d+$"):
         pairing(M, g, N_max=2)
 
 
 def test_pairing_rows_run_one_half_frame_chain(tf6, monkeypatch):
-    # all degrees come from one Frechet call on (N_max + 1) half-size nodes
-    from chernlab import hilbert
+    # all degrees come from one constant-band chain on N_max + 1 nodes of
+    # half-size blocks, marked through blocks of twice that size
+    calls = []
 
-    shapes = []
+    def recording(blocks, K):
+        calls.append((K, [B.shape for B in blocks]))
+        return kernel(blocks, K)
 
-    def recording(G, E):
-        shapes.append(G.shape)
-        return frechet(G, E)
-
-    frechet = hilbert.expm_frechet
-    monkeypatch.setattr(hilbert, "expm_frechet", recording)
+    kernel = spectral.toeplitz_exp_row
+    monkeypatch.setattr(spectral, "toeplitz_exp_row", recording)
     spectral._pairing_rows(tf6, 0.4, 10)
     half = tf6.Mdt.hdim // 2
     assert half == 6
-    assert shapes == [(11 * half, 11 * half)]
+    assert calls == [(10, [(2 * half, 2 * half)] * 3)]
+
+
+def test_constant_band_chains_take_no_dense_exponential(circle6, tf6, monkeypatch):
+    # the pairing rows and the heat series run on toeplitz_exp_row: with the
+    # Frechet kernel refused, the same values come back bit for bit, and the
+    # only chain exponentials left are the kappa calibration's short words
+    from chernlab import hilbert
+
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+
+    def run():
+        rep = pairing(circle6, g, N_max=6, tail_tol=1e-3).as_dict()
+        del rep["volatile"]
+        return rep, perturbation_series(tf6, 0.3, 1.0, 12), sf_integral(tf6, s_nodes=8)
+
+    want = run()
+    rows = []
+
+    def recording(A):
+        rows.append(A.shape[0])
+        return dense(A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Frechet exponential was computed")
+
+    dense = hilbert.expm
+    monkeypatch.setattr(hilbert, "expm", recording)
+    monkeypatch.setattr(hilbert, "expm_frechet", refuse)
+    got = run()
+    assert got[0] == want[0] and got[0]["verdict"] is True
+    assert np.array_equal(got[1][0], want[1][0]) and got[1][1] == want[1][1]
+    assert got[2] == want[2]
+    assert rows and max(rows) <= 24
 
 
 def test_pairing_rows_refuse_a_mixed_degree_slot(tf6, monkeypatch):
@@ -537,6 +578,12 @@ def test_heat_series_matches_per_order_brackets(tf6, T):
         ref = ref + (-T) ** M * heat_bracket(T * Q2, [X] * M, check=False)
     got = spectral._heat_series(Q2, X, T, 8)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_heat_series_of_a_zero_perturbation_is_the_heat_operator(tf6):
+    # every block past the diagonal of the constant-band row is exactly zero
+    Q2 = tf6.Q_m @ tf6.Q_m
+    assert np.array_equal(spectral._heat_series(Q2, np.zeros_like(Q2), 0.7, 12), expm(-0.7 * Q2))
 
 
 def test_pairing_nan_term_fails_the_term_identity(circle6, monkeypatch):
