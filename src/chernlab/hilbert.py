@@ -11,7 +11,9 @@ e^{-t1 H} A_1 e^{-(t2-t1) H} ... A_N e^{-(1-tN) H} over the ordered
 simplex 0 <= t1 <= ... <= tN <= 1.  The primary evaluator embeds the
 factors into an augmented block matrix whose exponential carries the
 integral in its top-right block (exact up to the expm kernel); an
-independent Gauss-Legendre recursion serves as a cross-check.
+independent Gauss-Legendre recursion serves as a cross-check.  Chains whose
+bands are constant (block Toeplitz) take toeplitz_exp_row on their first
+block row instead, with the dense engine as its oracle.
 """
 
 from __future__ import annotations
@@ -273,35 +275,34 @@ def toeplitz_exp_row(blocks, K):
 
     Such matrices form an algebra fixed by their first block row, so G is
     never formed (Higham, Functions of Matrices, 2008, ch. 10; Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33, 2011): s makes 2^-s sum_t |blocks[t]|_1,
-    a bound on |G / 2^s|_1, at most 1, so the degree-18 Taylor polynomial,
-    in Horner form with one product per band per step, leaves a remainder
-    below sum_{k>18} 1/k! < 1e-17; each of the s squarings is one product
-    of the row with the block-Toeplitz matrix built from it.
+    Higham, SIAM J. Sci. Comput. 33, 2011).  s makes 2^-s sum_t |blocks[t]|_1,
+    a bound on |G / 2^s|_1, at most 1; the degree-18 Taylor polynomial of
+    G / 2^s, in Horner form with one product per band per step, leaves a
+    remainder below sum_{k>18} 1/k! < 1e-17; each of the s squarings is one
+    product of the row with the block-Toeplitz matrix built from it.  The
+    cost is O(K^2) products of d x d blocks where expm of G takes O(K^3).
     """
     blocks = [np.asarray(B, dtype=complex) for B in blocks[: K + 1]]
     norm = sum(float(np.linalg.norm(B, 1)) for B in blocks)
     if not math.isfinite(norm):
-        raise HilbertError("a chain block is not finite")
+        raise HilbertError(f"chain blocks must be finite, got a 1-norm sum of {norm}")
     s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
-    X = [B / 2.0**s for B in blocks]
-    d = X[0].shape[0]
-    eye = np.eye(d, dtype=complex)
-    row = np.zeros((K + 1, d, d), dtype=complex)
+    X, d = [B / 2.0**s for B in blocks], blocks[0].shape[0]
+    eye, row, n = np.eye(d, dtype=complex), np.zeros((K + 1, d, d), dtype=complex), 1
     row[0] = eye
     for k in range(18, 0, -1):
+        n = min(K + 1, n + len(X) - 1)  # blocks n.. of the row are still zero
         nxt = np.zeros_like(row)
-        for t, Xt in enumerate(X):
-            nxt[t:] += Xt @ row[: K + 1 - t]
+        for t, Xt in enumerate(X[:n]):
+            nxt[t:n] += Xt @ row[: n - t]
         row = nxt / k
         row[0] += eye
-    n = (K + 1) * d
-    R, T = np.concatenate(row, axis=1), np.zeros((n, n), dtype=complex)
+    R, T = np.concatenate(row, axis=1), np.zeros(((K + 1) * d,) * 2, dtype=complex)
     for _ in range(s):
         for i in range(K + 1):  # block (i, j) of the Toeplitz matrix is block j - i of the row
-            T[i * d : (i + 1) * d, i * d :] = R[:, : n - i * d]
+            T[i * d : (i + 1) * d, i * d :] = R[:, : R.shape[1] - i * d]
         R = R @ T
-    return [R[:, k * d : (k + 1) * d] for k in range(K + 1)]
+    return np.split(R, K + 1, axis=1)
 
 
 def heat_bracket(H, A_list, check=True):

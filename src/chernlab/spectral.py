@@ -448,9 +448,8 @@ def perturbation_series(tf: TwistedFamily, s, T, M_max, tail_tol=None):
 def _heat_series(Q2, X, T, M_max):
     """sum_{M <= M_max} (-T)^M {X, ..., X}_{T Q2}.
 
-    The order-M term is block (0, M) of the exponential of the constant-band
-    chain with -T Q2 on its diagonal and -T X one step up, which
-    toeplitz_exp_row gives from its first block row alone.  The order-0 term
+    The order-M term is block (0, M) of toeplitz_exp_row of the constant-band
+    chain with -T Q2 on its diagonal and -T X one step up.  The order-0 term
     is expm(-T Q2) itself, and X = 0 makes every other block exactly zero,
     so that X = 0 gives exactly the heat operator.
     """
@@ -575,13 +574,11 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     """pairing_term(tf, N, s) and sf_series_term(tf, N - 1, s) for
     N = 1..N_max, from one marked exponential of the word (A,) * N_max.
 
-    The chain of that word has constant bands (-Q^2, -F_1(A), -F_2(A, A)),
-    and the mark -F_1(B) rides on step 1.  The first block row of the
-    exponential of the augmented blocks [[G_t, M_t], [0, G_t]] carries the
-    plain row E in its diagonal blocks and the paths with one marked step
-    (the Frechet derivative) L in its off-diagonal blocks, so
-    toeplitz_exp_row gives both.  Block (0, N) of L is the B-insertion sum
-    of degree N, and block (0, N - 1) of E is Phi_1(A^(N-1)).  Every block
+    The word's chain has constant bands (-Q^2, -F_1(A), -F_2(A, A)) and the
+    mark -F_1(B) on step 1, so toeplitz_exp_row of the blocks [[G_t, M_t],
+    [0, G_t]] gives the plain row E and the marked row L (the Frechet
+    derivative) at once.  Block (0, N) of L is the B-insertion sum of
+    degree N, and block (0, N - 1) of E is Phi_1(A^(N-1)).  Every block
     of the chain is C_q-equivariant, so the chain runs on the half-size
     blocks of the Clifford half-frame; an A step has parity |A| + 1 and
     the marked B step |B| + 1.  No block is lifted: CStr reads the unit's
@@ -591,11 +588,9 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     frame = Mdt.curvature.frame
     a_vec, b_vec = tf.ab_vectors(s)
     (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
-    f1b, b_step = frame.f1(b_vec), slot_degree(Mdt.alg, b_vec) + 1
-    zero = np.zeros_like(diag[0])
-    steps = [diag[0], bands[1][0], bands[2].get(0, zero)]
-    h = zero.shape[0]
-    row = toeplitz_exp_row([np.block([[G, M], [zero, G]]) for G, M in zip(steps, [zero, -f1b, zero])], N_max)
+    zero, h, b_step = np.zeros_like(diag[0]), len(diag[0]), slot_degree(Mdt.alg, b_vec) + 1
+    steps = zip((diag[0], bands[1][0], bands[2].get(0, zero)), (zero, -frame.f1(b_vec), zero))
+    row = toeplitz_exp_row([np.block([[G, M], [zero, G]]) for G, M in steps], N_max)
     E, L = [r[:h, :h] for r in row], [r[:h, h:] for r in row]
     p_row = [_cstr_of_block(Mdt, Mdt.alg.unit_index, L[N], (n[N - 1] + b_step) % 2) for N in range(1, N_max + 1)]
     sf_row = [_cstr_of_block(Mdt, tf.omega_vec, E[N - 1], n[N - 1]) for N in range(1, N_max + 1)]
