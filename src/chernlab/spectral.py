@@ -450,8 +450,8 @@ def _heat_series(Q2, X, T, M_max):
 
     The order-M term is block (0, M) of toeplitz_exp_row of the constant-band
     chain with -T Q2 on its diagonal and -T X one step up.  The order-0 term
-    is expm(-T Q2) itself, and X = 0 makes every other block exactly zero,
-    so that X = 0 gives exactly the heat operator.
+    is expm(-T Q2) itself and X = 0 leaves the other blocks exactly zero, so
+    that X = 0 gives exactly the heat operator.
     """
     out = expm(-T * Q2)
     for term in toeplitz_exp_row([-T * Q2, -T * X], M_max)[1:]:
@@ -590,7 +590,7 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     (diag, bands), n = frame.bands(1.0, (a_vec,) * N_max)
     zero, h, b_step = np.zeros_like(diag[0]), len(diag[0]), slot_degree(Mdt.alg, b_vec) + 1
     steps = zip((diag[0], bands[1][0], bands[2].get(0, zero)), (zero, -frame.f1(b_vec), zero))
-    row = toeplitz_exp_row([np.block([[G, M], [zero, G]]) for G, M in steps], N_max)
+    row = toeplitz_exp_row([np.block([[G, mark], [zero, G]]) for G, mark in steps], N_max)
     E, L = [r[:h, :h] for r in row], [r[:h, h:] for r in row]
     p_row = [_cstr_of_block(Mdt, Mdt.alg.unit_index, L[N], (n[N - 1] + b_step) % 2) for N in range(1, N_max + 1)]
     sf_row = [_cstr_of_block(Mdt, tf.omega_vec, E[N - 1], n[N - 1]) for N in range(1, N_max + 1)]
