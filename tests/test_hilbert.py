@@ -417,8 +417,8 @@ def test_toeplitz_exp_row_matches_the_dense_engine(d):
 def test_toeplitz_exp_row_is_right_where_the_dense_engine_drifts():
     # at ||G||_1 = 1000 the kernel stays within 2e-13 of the largest block of
     # a 50-digit exponential of the assembled chain, while the dense engine
-    # drifts on some draws by up to about 1e-11: where the two disagree, the
-    # dense side is the one that is off
+    # drifts past 1e-12 on some draws: where the two disagree, the dense
+    # side is the one that is off
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(5)
     d, dense_worst = 3, 0.0
