@@ -70,4 +70,4 @@ Q1 = rng.standard_normal((8, 8)); Q1 = 0.5 * (Q1 + Q1.T) + 0j
 out = diagnostic_affine_sf(Q0, Q1)
 print(f"integral = {out['integral'].real:.6f}, erf-telescoping oracle = {out['oracle']:.6f}")
 print(f"integral / sqrt(pi) = {out['integral_over_sqrt_pi'].real:.4f} vs "
-      f"signed crossings = {out['crossings']} (reported, not asserted)")
+      f"crossings n_-(Q0) - n_-(Q1) = {out['crossings']} (reported, not asserted)")

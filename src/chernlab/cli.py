@@ -38,7 +38,8 @@ def _bad_input(exc) -> int:
 
 
 # what building an object from well-formed JSON of the wrong content raises
-_MALFORMED = (KeyError, TypeError, ValueError)
+# (OverflowError: an integer too large for an index array)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def cmd_validate(args) -> int:

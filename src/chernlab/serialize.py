@@ -8,6 +8,7 @@ round-trip exactly and files are byte-stable for fixed inputs.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -46,8 +47,9 @@ def clifford_to_json(cm: CliffordModule) -> dict:
 
 
 def clifford_from_json(data) -> CliffordModule:
-    H = GradedHilbert(np.array(data["parity"], dtype=int))
-    return CliffordModule(H, int(data["q"]), [matrix_from_json(m) for m in data["e"]])
+    # integers through operator.index: a q of 1.5 or an infinite parity is refused, not truncated
+    H = GradedHilbert(np.array([operator.index(p) for p in data["parity"]], dtype=int))
+    return CliffordModule(H, operator.index(data["q"]), [matrix_from_json(m) for m in data["e"]])
 
 
 def module_to_json(M) -> dict:
@@ -73,14 +75,17 @@ def module_to_json(M) -> dict:
 def module_from_json(data):
     from .fredholm import CqFredholmModule, OddFredholmModule
 
+    weak, name = data["weak"], data["name"]
+    if not isinstance(weak, bool) or not isinstance(name, str):
+        raise TypeError(f"weak must be a JSON boolean and name a string, got {weak!r} and {name!r}")
     alg = DgAlgebra.from_json_dict(data["algebra"])
     c_mats = np.stack([matrix_from_json(m) for m in data["c"]])
     Q = matrix_from_json(data["Q"])
     if data["kind"] == "cq-module":
         cm = clifford_from_json(data["clifford"])
-        return CqFredholmModule(alg, cm, c_mats, Q, weak=data["weak"], name=data["name"])
+        return CqFredholmModule(alg, cm, c_mats, Q, weak=weak, name=name)
     if data["kind"] == "odd-module":
-        return OddFredholmModule(alg, c_mats, Q, weak=data["weak"], name=data["name"])
+        return OddFredholmModule(alg, c_mats, Q, weak=weak, name=name)
     raise ValueError(f"unknown module kind {data['kind']!r}")
 
 

@@ -3,8 +3,9 @@ normalization, twisted operator families, the perturbation series and
 the spectral-flow pairing.
 
 Slot values: with omega = g^{-1} dg lifted into the acyclic extension,
-A(s) = s omega - s(1-s) sigma omega^2 (odd) and B = sigma omega (even).
-The degree-N component of the chain is the generalized trace of
+A(s) = s omega - s(1-s) sigma omega^2 (odd) and B = sigma omega (even),
+both from the one constructor `ab_slots`.  The degree-N component of the
+chain is the generalized trace of
 1 (x) sum_k A^(k-1) (x) B (x) A^(N-k), integrated exactly in s.
 
 The pairing with the Chern character of a doubled module is evaluated
@@ -14,7 +15,8 @@ and the spectral-flow series terms.  The per-degree identity between
 the two carries a relative minus sign (recorded as TERM_SIGN), and the
 degree-summed pairing is compared against the spectral-flow integral
 itself, which degenerates to zero in finite dimension because the
-endpoints are similar matrices.
+endpoints are similar matrices.  The crossing diagnostic of an affine
+Hermitian path is its endpoint index difference n_-(Q0) - n_-(Q1).
 """
 
 from __future__ import annotations
@@ -97,12 +99,13 @@ def sigma_left_mult(me: MatrixElement) -> MatrixElement:
     return MatrixElement(out, alg)
 
 
-def ab_matrix_slots(omega_T: MatrixElement, s: float):
-    """A(s) = s omega - s(1-s) sigma omega^2 and B = sigma omega."""
-    omega_sq = omega_T @ omega_T
-    a_s = omega_T.scale(s) - sigma_left_mult(omega_sq).scale(s * (1.0 - s))
-    b = sigma_left_mult(omega_T)
-    return a_s, b
+def ab_slots(omega_T: MatrixElement, lifted: DgAlgebra):
+    """s -> (A(s), B) over lifted, A(s) = s omega - s(1-s) sigma omega^2 and B = sigma omega;
+    sigma omega^2 and B do not depend on s and are built once (B read-only, shared)."""
+    sigma_omega_sq = sigma_left_mult(omega_T @ omega_T)
+    b_vec = lifted_coeffs(sigma_left_mult(omega_T), lifted)
+    b_vec.flags.writeable = False
+    return lambda s: (lifted_coeffs(omega_T.scale(s) - sigma_omega_sq.scale(s * (1.0 - s)), lifted), b_vec)
 
 
 def lifted_coeffs(me: MatrixElement, lifted: DgAlgebra) -> np.ndarray:
@@ -181,14 +184,14 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     omega_T = lift_matrix_to_ext(omega, alg_T)
     lifted = mat_lift(alg_T, g.m)
     unit_vec = lifted.unit.coeffs
+    slots = ab_slots(omega_T, lifted)
     chains = {0: Chain(alg_T, CYCLIC)}
     total_terms = 0
     for N in range(1, N_max + 1):
         nodes, weights = gauss_legendre_01(N + 1)
         acc = _LayerSum(lifted)
         for s, w in zip(nodes, weights):
-            a_s, b = ab_matrix_slots(omega_T, s)
-            a_vec, b_vec = lifted_coeffs(a_s, lifted), lifted_coeffs(b, lifted)
+            a_vec, b_vec = slots(s)
             factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k))
                        for k in range(1, N + 1)]
             if lifted is alg_T:
@@ -368,9 +371,12 @@ class TwistedFamily:
         anti = self.Mdt.Q @ ct + ct @ self.Mdt.Q
         return s * anti + s * s * (ct @ ct)
 
+    @cached_property
+    def _ab_slots(self):
+        return ab_slots(self.omega_T, self.lifted)
+
     def ab_vectors(self, s):
-        a_s, b = ab_matrix_slots(self.omega_T, s)
-        return lifted_coeffs(a_s, self.lifted), lifted_coeffs(b, self.lifted)
+        return self._ab_slots(s)
 
 
 def twisted_family(M: OddFredholmModule, g: MatrixElement) -> TwistedFamily:
@@ -488,7 +494,8 @@ def sf_endpoint_oracle(tf: TwistedFamily):
 
 def diagnostic_affine_sf(Q0, Q1, s_nodes=64):
     """Spectral-flow integral along an affine Hermitian path, plus the
-    erf-telescoping oracle Tr F(Q1) - Tr F(Q0) and a crossing count."""
+    erf-telescoping oracle Tr F(Q1) - Tr F(Q0) and the crossing count
+    n_-(Q0) - n_-(Q1), the path's spectral flow (Phillips, 1996)."""
     Q0 = np.asarray(Q0, dtype=complex)
     Q1 = np.asarray(Q1, dtype=complex)
     x, w = gauss_legendre_01(s_nodes)
@@ -497,27 +504,13 @@ def diagnostic_affine_sf(Q0, Q1, s_nodes=64):
     for si, wi in zip(x, w):
         Qs = (1 - si) * Q0 + si * Q1
         val += wi * np.trace(Qd @ expm(-(Qs @ Qs)))
-    def trF(Q):
-        lam = np.linalg.eigvalsh(Q)
-        return float(np.sum(0.5 * np.sqrt(np.pi) * erf(lam)))
-    oracle = trF(Q1) - trF(Q0)
+    lam0, lam1 = np.linalg.eigvalsh(Q0), np.linalg.eigvalsh(Q1)
+    trF0, trF1 = (float(np.sum(0.5 * np.sqrt(np.pi) * erf(lam))) for lam in (lam0, lam1))
     # the sqrt(pi)-normalized value is the would-be crossing count; at
-    # finite dimension the relation to the counter is reported, not asserted
-    return {"integral": complex(val), "oracle": oracle,
+    # finite dimension the relation to the count is reported, not asserted
+    return {"integral": complex(val), "oracle": trF1 - trF0,
             "integral_over_sqrt_pi": complex(val / np.sqrt(np.pi)),
-            "crossings": eigenvalue_crossing_count(Q0, Q1)}
-
-
-def eigenvalue_crossing_count(Q0, Q1):
-    """Signed zero crossings of the sorted eigenvalue paths (diagnostic)."""
-    s_grid = np.linspace(0.0, 1.0, 401)
-    prev = np.linalg.eigvalsh(Q0)
-    count = 0
-    for s in s_grid[1:]:
-        cur = np.linalg.eigvalsh((1 - s) * Q0 + s * Q1)
-        count += int(np.sum((prev < 0) & (cur >= 0))) - int(np.sum((prev >= 0) & (cur < 0)))
-        prev = cur
-    return count
+            "crossings": int(np.sum(lam0 < 0)) - int(np.sum(lam1 < 0))}
 
 
 def partition_resum_check(tf: TwistedFamily, s, T, M_max):

@@ -235,6 +235,37 @@ def _flat_q(module):
     module["Q"]["shape"] = [1, len(module["Q"]["data"])]
 
 
+def _string_weak(module):
+    module["weak"] = "false"  # truthy: a strong module would read as weak
+
+
+def _numeric_name(module):
+    module["name"] = 5
+
+
+def _as_cq_module(module):
+    from chernlab.fixtures import random_weak_cq
+    from chernlab.serialize import module_to_json
+
+    module.clear()
+    module.update(json.loads(json.dumps(module_to_json(random_weak_cq(6, q=1, seed=0)))))
+
+
+def _fractional_q(module):
+    _as_cq_module(module)
+    module["clifford"]["q"] = 1.5
+
+
+def _infinite_parity(module):
+    _as_cq_module(module)
+    module["clifford"]["parity"][0] = float("inf")
+
+
+def _huge_parity(module):
+    _as_cq_module(module)
+    module["clifford"]["parity"][0] = 10 ** 30
+
+
 def _nan_g(g):
     g["entries"][0][0][2] = [float("nan"), 0.0]
 
@@ -262,8 +293,15 @@ def _singular_g(g):
     ("pair", _flat_q, "8", "bad input: Q has wrong shape"),
     ("validate", _no_q, None, "bad input: missing key 'Q'"),
     ("validate", _flat_q, None, "bad input: Q has wrong shape"),
+    ("pair", _string_weak, "8", "bad input: weak must be a JSON boolean and name a string, got 'false' and"),
+    ("validate", _string_weak, None, "bad input: weak must be a JSON boolean and name a string, got 'false' and"),
+    ("validate", _numeric_name, None, "bad input: weak must be a JSON boolean and name a string, got False and 5"),
+    ("validate", _fractional_q, None, "bad input: 'float' object cannot be interpreted as an integer"),
+    ("validate", _infinite_parity, None, "bad input: 'float' object cannot be interpreted as an integer"),
+    ("validate", _huge_parity, None, "bad input: Python int too large to convert to C long"),
 ], ids=["nan-Q", "nan-g", "short-g-entry", "singular-g", "negative-nmax", "pair-no-Q", "pair-Q-shape",
-        "validate-no-Q", "validate-Q-shape"])
+        "validate-no-Q", "validate-Q-shape", "pair-weak-string", "validate-weak-string", "validate-name-number",
+        "validate-fractional-q", "validate-infinite-parity", "validate-huge-parity"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, spoil, nmax, message):
     # a malformed or invalid input is refused in one stderr line, not with a traceback
     args = _pair_inputs(tmp_path)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from chernlab import chains, spectral
-from chernlab.algebra import MatrixElement, acyclic_extension, dga_validate, DgAlgebra, matrix_units, maurer_cartan
+from chernlab.algebra import (
+    MatrixElement,
+    acyclic_extension,
+    dga_validate,
+    DgAlgebra,
+    mat_lift,
+    matrix_units,
+    maurer_cartan,
+)
 from chernlab.chains import CYCLIC, Chain
 from chernlab.cochains import CochainError, slot_degree
 from chernlab.fixtures import circle_function, circle_loop_element, discrete_circle, discrete_circle_algebra
@@ -17,11 +25,12 @@ from chernlab.hilbert import cstr, gauss_legendre_01, heat_bracket, marked_chain
 from chernlab.spectral import (
     SpectralError,
     TERM_SIGN,
-    ab_matrix_slots,
+    ab_slots,
     ch_g,
     ch_g_closed,
     diagnostic_affine_sf,
     lift_matrix_to_ext,
+    lifted_coeffs,
     pairing,
     pairing_term,
     pairing_term_direct,
@@ -30,6 +39,7 @@ from chernlab.spectral import (
     sf_endpoint_oracle,
     sf_integral,
     sf_series_term,
+    sigma_left_mult,
     twisted_family,
 )
 from scipy.linalg import expm
@@ -52,6 +62,18 @@ def tf6(circle6):
     return twisted_family(circle6, g)
 
 
+def _ab_by_formula(omega_T, s):
+    """A(s) = s omega - s(1-s) sigma omega^2 and B = sigma omega as matrix elements."""
+    omega2 = omega_T @ omega_T
+    return omega_T.scale(s) - sigma_left_mult(omega2).scale(s * (1.0 - s)), sigma_left_mult(omega_T)
+
+
+def _assert_same_slots(got, a_s, b, lifted):
+    # the slot constructor's vectors carry the bits of the formula's lifted coefficients
+    want = (lifted_coeffs(a_s, lifted), lifted_coeffs(b, lifted))
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 def test_universal_maurer_cartan_slots():
     # algebra C<w>/(w^3) with dw = -w^2: exercises the sigma omega^2 branch
     mul = np.zeros((3, 3, 3), dtype=complex)
@@ -67,7 +89,8 @@ def test_universal_maurer_cartan_slots():
     omega = MatrixElement(np.eye(3, dtype=complex)[1].reshape(1, 1, 3), alg)
     omega_T = lift_matrix_to_ext(omega, ext)
     for s in (0.3, 0.8):
-        a_s, b = ab_matrix_slots(omega_T, s)
+        a_s, b = _ab_by_formula(omega_T, s)
+        _assert_same_slots(ab_slots(omega_T, ext)(s), a_s, b, ext)
         # d_T A(s) = -s^2 omega^2 and A(s) A(s) = s^2 omega^2
         omega2 = omega_T @ omega_T
         assert (a_s.d() + omega2.scale(s * s)).max_norm() <= 1e-13
@@ -78,8 +101,6 @@ def test_universal_maurer_cartan_slots():
         assert (ab + ba).max_norm() <= 1e-13
         assert (b @ b).max_norm() <= 1e-13
         # d_T B = sigma omega^2 - omega
-        from chernlab.spectral import sigma_left_mult
-
         expect = sigma_left_mult(omega2) - omega_T
         assert (b.d() - expect).max_norm() <= 1e-13
 
@@ -112,6 +133,19 @@ def _m2_element():
                 vals += 1.5
             entries[p, q] = circle_function(alg, vals)
     return MatrixElement(entries, alg)
+
+
+def test_ab_slots_of_an_m2_element_match_the_formula():
+    # for m = 2 the lifted coefficients go through the lift's matrix_flat_inv
+    g = _m2_element()
+    alg_T = acyclic_extension(g.alg)
+    omega_T = lift_matrix_to_ext(maurer_cartan(g), alg_T)
+    lifted = mat_lift(alg_T, 2)
+    slots = ab_slots(omega_T, lifted)
+    for s in (0.0, 0.3, 0.8, 1.0):
+        a_s, b = _ab_by_formula(omega_T, s)
+        _assert_same_slots(slots(s), a_s, b, lifted)
+    assert np.any(slots(0.3)[0]) and np.any(slots(0.3)[1])
 
 
 def test_ch_g_closed_frees_its_algebra(small_g, monkeypatch):
@@ -193,6 +227,17 @@ def test_sf_methods_agree_and_vanish(tf6):
     assert abs(sf["direct"]) <= 1e-8  # finite-dimensional degeneracy
 
 
+def _crossings_by_scan(Q0, Q1, steps=400):
+    """Signed zero crossings of the sorted eigenvalue paths on a uniform grid."""
+    prev = np.linalg.eigvalsh(Q0)
+    count = 0
+    for s in np.linspace(0.0, 1.0, steps + 1)[1:]:
+        cur = np.linalg.eigvalsh((1 - s) * Q0 + s * Q1)
+        count += int(np.sum((prev < 0) & (cur >= 0))) - int(np.sum((prev >= 0) & (cur < 0)))
+        prev = cur
+    return count
+
+
 def test_diagnostic_affine_path():
     rng = np.random.default_rng(11)
     d = 6
@@ -203,6 +248,18 @@ def test_diagnostic_affine_path():
     out = diagnostic_affine_sf(Q0, Q1, s_nodes=48)
     assert abs(out["integral"] - out["oracle"]) <= 1e-8
     assert isinstance(out["crossings"], int)
+    # the endpoint index difference is the sum the 400-step scan telescopes to
+    counts = []
+    for _ in range(12):
+        A, B = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+        Q0, Q1 = A + A.conj().T, B + B.conj().T
+        counts.append(diagnostic_affine_sf(Q0, Q1, s_nodes=4)["crossings"])
+        assert counts[-1] == _crossings_by_scan(Q0, Q1)
+    assert any(counts)
+    # a path that moves two eigenvalues of a conjugated diagonal across zero
+    U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    Q0, Q1 = (U @ np.diag(lam) @ U.conj().T for lam in ([-1.0, -0.5, 0.7, 2.0], [1.0, 0.5, 0.7, 2.0]))
+    assert diagnostic_affine_sf(Q0, Q1, s_nodes=4)["crossings"] == _crossings_by_scan(Q0, Q1) == 2
 
 
 def test_partition_resummation(tf6):
@@ -272,8 +329,6 @@ def test_pairing_refuses_a_degree_below_one(circle6, N_max):
 def test_doubling_reshuffle_isomorphism():
     # pairing data on (H^m)~ equals the reshuffle of the doubled matrix module
     from chernlab.fredholm import acyclic_extend_module, double_odd, matrix_module
-    from chernlab.algebra import mat_lift
-
     Modd = discrete_circle(3, seed=2)
     ext = acyclic_extension(Modd.alg)
     M_T = acyclic_extend_module(Modd, ext)
@@ -312,12 +367,14 @@ def _ch_g_by_sums(g, N_max):
     alg_T = acyclic_extension(g.alg)
     omega_T = lift_matrix_to_ext(maurer_cartan(g), alg_T)
     unit_vec = alg_T.unit.coeffs
+    slots = ab_slots(omega_T, alg_T)
     out = {}
     for N in range(1, N_max + 1):
         nodes, weights = gauss_legendre_01(N + 1)
         acc = {}
         for s, w in zip(nodes, weights):
-            a_s, b = ab_matrix_slots(omega_T, s)
+            a_s, b = _ab_by_formula(omega_T, s)
+            _assert_same_slots(slots(s), a_s, b, alg_T)
             a_vec, b_vec = a_s.entries[0, 0], b.entries[0, 0]
             for k in range(1, N + 1):
                 words = [((), w)]
@@ -490,6 +547,45 @@ def test_pairing_neither_lifts_nor_calls_cstr(circle6, monkeypatch):
         del data["volatile"]
     assert want["verdict"] is True
     assert got == want
+
+
+def test_the_slots_are_built_once_and_the_crossings_read_two_spectra(circle6, small_g, monkeypatch):
+    # sigma omega^2 and B are built once per omega: the matrix-element products
+    # and sigma multiplications do not grow with the pairing's s-nodes or the
+    # degree of ch_g; the crossing count reads the two endpoint spectra only
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    calls = []
+
+    def counting(inner, name):
+        def wrapped(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapped
+
+    def counted(run, *args, **kwargs):
+        calls.clear()
+        run(*args, **kwargs)
+        return sorted(calls)
+
+    monkeypatch.setattr(MatrixElement, "__matmul__", counting(MatrixElement.__matmul__, "matmul"))
+    monkeypatch.setattr(spectral, "sigma_left_mult", counting(spectral.sigma_left_mult, "sigma"))
+    assert counted(ch_g, small_g, 3) == counted(ch_g, small_g, 5)
+    assert calls.count("sigma") == 2
+    base = counted(pairing, circle6, g, N_max=6, tail_tol=1e-3)
+    assert base.count("sigma") == 2
+    nodes = spectral.gauss_legendre_01
+    monkeypatch.setattr(spectral, "gauss_legendre_01", lambda n: nodes(2 * n))
+    assert counted(pairing, circle6, g, N_max=6, tail_tol=1e-3) == base
+
+    # the quadrature nodes come from eigvalsh too: take them before counting
+    fixed = nodes(8)
+    monkeypatch.setattr(spectral, "gauss_legendre_01", lambda n: fixed)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda Q: spectra.append(Q) or eigvalsh(Q))
+    Q0, Q1 = np.diag([-1.0, 2.0]) + 0j, np.diag([1.0, 2.0]) + 0j
+    assert diagnostic_affine_sf(Q0, Q1, s_nodes=8)["crossings"] == 1
+    assert len(spectra) == 2
 
 
 def test_pairing_refuses_an_uncertified_tail_before_any_row(monkeypatch):
