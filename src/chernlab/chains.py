@@ -315,16 +315,22 @@ def _kron(factors, coeff):
     return out
 
 
-def _kron_layer(factors, dim, coeff):
+def _kron_layer(factors, dim, coeff, tags=None):
     """_kron as int64 word keys and coefficients, exact zero products dropped;
-    the words of one block are distinct."""
+    the words of one block are distinct.  Given tags (per slot, an integer
+    per basis index), also each kept word's sum of its letters' tags."""
     _check_key(dim, len(factors))
     keys = np.zeros(1, dtype=np.int64)
     for nz, _ in factors:
         keys = np.add.outer(keys * dim, nz).ravel()
     coeffs = _kron(factors, coeff)
     keep = coeffs != 0
-    return keys[keep], coeffs[keep]
+    if tags is None:
+        return keys[keep], coeffs[keep]
+    sums = np.zeros(1, dtype=np.intp)
+    for (nz, _), tag in zip(factors, tags):
+        sums = np.add.outer(sums, tag[nz]).ravel()
+    return keys[keep], coeffs[keep], sums[keep]
 
 
 def _cmul(a, b):
@@ -372,10 +378,9 @@ def _key_words(keys, dim, L):
 def _merge(keys, coeffs):
     """Distinct keys in first-occurrence order, each with the sum of its
     coefficients taken in input order (as _add adds them); exact
-    zero sums drop out, a NaN stays.  Also returns each input row's index
-    among the distinct keys, or None when a zero sum dropped out."""
+    zero sums drop out, a NaN stays."""
     if not len(keys):
-        return keys, coeffs, np.zeros(0, dtype=np.intp)
+        return keys, coeffs
     perm = np.argsort(keys)  # need not be stable: bincount adds in input order
     sorted_keys = keys[perm]
     starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
@@ -390,8 +395,8 @@ def _merge(keys, coeffs):
     out = _sum_at(pos, coeffs, len(order))
     keep = out != 0
     if keep.all():
-        return sorted_keys[starts][order], out, pos
-    return sorted_keys[starts][order][keep], out[keep], None
+        return sorted_keys[starts][order], out
+    return sorted_keys[starts][order][keep], out[keep]
 
 
 def _sum_at(pos, coeffs, n):
@@ -406,15 +411,12 @@ class _LayerSum:
     """Running per-length sums of word layers.  A word keeps its first
     position, and its coefficient adds its contributions in the order they
     arrive.  Contributions wait until they outnumber the words held (and
-    _MERGE_ROWS), then merge behind them; reading the sums merges the rest.
-    A batch with the same keys as the last one (each s-node of the
-    character chain repeats its words) adds at the rows found last time."""
+    _MERGE_ROWS), then merge behind them; reading the sums merges the rest."""
 
     def __init__(self, alg):
         self.dim = alg.dim
         self.sums = {}  # length -> (keys, coeffs), merged
         self.pending = {}  # length -> [(keys, coeffs)], in arrival order
-        self.repeat = {}  # length -> (keys, rows) of the last batch, while its rows hold
 
     def add(self, L, keys, coeffs):
         parts = self.pending.setdefault(L, [])
@@ -427,17 +429,7 @@ class _LayerSum:
         batch = self.pending.pop(L)
         keys, coeffs = np.concatenate([k for k, _ in batch]), np.concatenate([c for _, c in batch])
         held_keys, held_coeffs = self.sums.get(L, (keys[:0], coeffs[:0]))
-        n = len(held_keys)
-        last = self.repeat.get(L)
-        if last is not None and np.array_equal(last[0], keys):
-            out = _sum_at(np.concatenate((np.arange(n), last[1])), np.concatenate((held_coeffs, coeffs)), n)
-            if np.all(out != 0):
-                self.sums[L] = (held_keys, out)
-                return
-        merged_keys, merged_coeffs, pos = _merge(np.concatenate((held_keys, keys)),
-                                                 np.concatenate((held_coeffs, coeffs)))
-        self.sums[L] = (merged_keys, merged_coeffs)
-        self.repeat[L] = None if pos is None else (keys, pos[n:])
+        self.sums[L] = _merge(np.concatenate((held_keys, keys)), np.concatenate((held_coeffs, coeffs)))
 
     def merged(self):
         for L in list(self.pending):
@@ -990,7 +982,7 @@ def basis_layer(alg, N, sample=None, rng=None):
     word drawn twice carries coefficient 2.  Returns (chain, words drawn,
     whether the layer was sampled)."""
     words, sampled = _layer_words(alg, N, sample=sample, rng=rng)
-    keys, coeffs, _ = _merge(_word_keys(words, alg.dim), np.ones(len(words), dtype=complex))
+    keys, coeffs = _merge(_word_keys(words, alg.dim), np.ones(len(words), dtype=complex))
     layer = _Layer(alg.dim, N + 1, coeffs, keys=keys)
     return Chain._from_layers(alg, CYCLIC, {N + 1: layer}), len(words), sampled
 

@@ -6,7 +6,10 @@ Slot values: with omega = g^{-1} dg lifted into the acyclic extension,
 A(s) = s omega - s(1-s) sigma omega^2 (odd) and B = sigma omega (even),
 both from the one constructor `ab_slots`.  The degree-N component of the
 chain is the generalized trace of
-1 (x) sum_k A^(k-1) (x) B (x) A^(N-k), integrated exactly in s.
+1 (x) sum_k A^(k-1) (x) B (x) A^(N-k), integrated exactly in s: one
+Kronecker block per position k of B, each word weighted by the Beta
+moment int_0^1 s^(N-1) (s-1)^beta ds of the number beta of sigma indices
+its A-slots take.
 
 The pairing with the Chern character of a doubled module is evaluated
 at each s-node for every degree at once, from the top block rows of one
@@ -99,13 +102,32 @@ def sigma_left_mult(me: MatrixElement) -> MatrixElement:
     return MatrixElement(out, alg)
 
 
-def ab_slots(omega_T: MatrixElement, lifted: DgAlgebra):
-    """s -> (A(s), B) over lifted, A(s) = s omega - s(1-s) sigma omega^2 and B = sigma omega;
-    sigma omega^2 and B do not depend on s and are built once (B read-only, shared)."""
+@dataclass(frozen=True, eq=False)
+class ABSlots:
+    """The slots over lifted: A(s) = s omega - s(1-s) sigma omega^2 (odd) and
+    B = sigma omega (even).  omega, sigma_omega_sq and b are the lifted
+    coefficients of the s-free parts, read-only; slots(s) is (A(s), B)."""
+
+    omega_T: MatrixElement
+    sigma_omega_sq_T: MatrixElement
+    lifted: DgAlgebra
+    omega: np.ndarray
+    sigma_omega_sq: np.ndarray
+    b: np.ndarray
+
+    def __call__(self, s):
+        a_s = self.omega_T.scale(s) - self.sigma_omega_sq_T.scale(s * (1.0 - s))
+        return lifted_coeffs(a_s, self.lifted), self.b
+
+
+def ab_slots(omega_T: MatrixElement, lifted: DgAlgebra) -> ABSlots:
+    """The slots of omega_T over lifted; sigma omega^2 and B do not depend
+    on s and are built once."""
     sigma_omega_sq = sigma_left_mult(omega_T @ omega_T)
-    b_vec = lifted_coeffs(sigma_left_mult(omega_T), lifted)
-    b_vec.flags.writeable = False
-    return lambda s: (lifted_coeffs(omega_T.scale(s) - sigma_omega_sq.scale(s * (1.0 - s)), lifted), b_vec)
+    vecs = [lifted_coeffs(me, lifted) for me in (omega_T, sigma_omega_sq, sigma_left_mult(omega_T))]
+    for vec in vecs:
+        vec.flags.writeable = False
+    return ABSlots(omega_T, sigma_omega_sq, lifted, *vecs)
 
 
 def lifted_coeffs(me: MatrixElement, lifted: DgAlgebra) -> np.ndarray:
@@ -163,21 +185,27 @@ class OddChernChain:
             return self.chains[N]
         return Chain(self.alg_T, CYCLIC)
 
-    def total(self) -> Chain:
-        """Sum of the components; their word lengths differ, so it is a union of layers."""
-        return Chain._from_layers(self.alg_T, CYCLIC,
-                                  {L: layer for c in self.chains.values() for L, layer in c._layers.items()})
+    def total(self, N_top=None) -> Chain:
+        """Sum of the components up to degree N_top (all of them by default);
+        their word lengths differ, so it is a union of layers."""
+        return Chain._from_layers(self.alg_T, CYCLIC, {L: layer for N, c in self.chains.items()
+                                                       if N_top is None or N <= N_top
+                                                       for L, layer in c._layers.items()})
 
 
 def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     """Materialize the odd character chain of g up to degree N_max.
 
-    The s-integrand has polynomial degree <= 2N per component, so
-    Gauss-Legendre with N + 1 nodes per degree is exact.  Each degree is
-    built as one word layer: every (s-node, position k) pair gives one
-    Kronecker block of word keys, and the blocks of an s-node merge behind
-    the words already held, so the words, their order and every coefficient
-    bit are those of adding the blocks term by term into a dict.
+    On a lifted basis index j, A(s)_j is s omega_j when j is a base index
+    and s(s-1) (sigma omega^2)_j when it is a sigma index, since omega
+    vanishes on the sigma indices and sigma omega^2 on the base ones.  A
+    degree-N word whose A-slots take beta sigma indices therefore
+    integrates in s exactly to the product of its s-free slot coefficients
+    times the Beta moment int_0^1 s^(N-1) (s-1)^beta ds.  Each degree is
+    built as one word layer from one Kronecker block per position k of B,
+    each word weighted by the moment of its beta, counted alongside the
+    block; the N blocks merge in one first-occurrence sum, so that a word
+    keeps its first position and adds its contributions block by block.
     """
     alg_T = acyclic_extension(g.alg)
     omega = maurer_cartan(g)
@@ -185,25 +213,36 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     lifted = mat_lift(alg_T, g.m)
     unit_vec = lifted.unit.coeffs
     slots = ab_slots(omega_T, lifted)
+    # lifted index a * dim_T + i is a sigma index when i is
+    sigma = (np.arange(lifted.dim) % alg_T.dim >= alg_T.base_dim).astype(np.intp)
+    no_tag = np.zeros_like(sigma)
+    a_vec = np.where(sigma, slots.sigma_omega_sq, slots.omega)  # A(s) without its powers of s and s - 1
     chains = {0: Chain(alg_T, CYCLIC)}
     total_terms = 0
     for N in range(1, N_max + 1):
-        nodes, weights = gauss_legendre_01(N + 1)
+        moments = _beta_moments(N)
+        factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [slots.b] + [a_vec] * (N - k))
+                   for k in range(1, N + 1)]
+        if lifted is alg_T:
+            # the words of one block are distinct, so the degree holds at
+            # least as many terms as its largest block: refuse before
+            # building.  For m > 1 many lifted words trace to one word, so
+            # only the traced count below is a bound.
+            _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
+        keys, coeffs = [], []
+        for k, f in enumerate(factors, start=1):
+            # beta counts the sigma indices of the A-slots: B and the unit carry no tag
+            k_keys, k_coeffs, beta = _kron_layer(f, lifted.dim, 1.0,
+                                                 [no_tag] + [sigma] * (k - 1) + [no_tag] + [sigma] * (N - k))
+            weight = moments[beta]
+            k_coeffs.real *= weight
+            k_coeffs.imag *= weight
+            keys.append(k_keys)
+            coeffs.append(k_coeffs)
         acc = _LayerSum(lifted)
-        for s, w in zip(nodes, weights):
-            a_vec, b_vec = slots(s)
-            factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k))
-                       for k in range(1, N + 1)]
-            if lifted is alg_T:
-                # the words of one block are distinct, so the degree holds at
-                # least as many terms as its largest block: refuse before
-                # building.  For m > 1 many lifted words trace to one word, so
-                # only the traced count below is a bound.
-                _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
-            blocks = [_kron_layer(f, lifted.dim, w) for f in factors]
-            acc.add(N + 1, np.concatenate([keys for keys, _ in blocks]), np.concatenate([cf for _, cf in blocks]))
-            if lifted is alg_T:
-                _check_ch_g_terms(total_terms + acc.size(), N)
+        acc.add(N + 1, np.concatenate(keys), np.concatenate(coeffs))
+        if lifted is alg_T:
+            _check_ch_g_terms(total_terms + acc.size(), N)
         comp = generalized_trace(acc.chain(lifted, CYCLIC), lifted, alg_T)
         total_terms += len(comp.terms)
         _check_ch_g_terms(total_terms, N)
@@ -215,6 +254,13 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         if c.terms and math.isfinite(c.max_coeff()) and c.parity() != 1:
             raise SpectralError(f"character component {N} is not odd")
     return out
+
+
+def _beta_moments(N):
+    """int_0^1 s^(N-1) (s-1)^beta ds = (-1)^beta (N-1)! beta! / (N+beta)! for
+    beta = 0..N-1, each correctly rounded (Python's int / int is)."""
+    return np.array([(-1) ** beta * math.factorial(N - 1) * math.factorial(beta) / math.factorial(N + beta)
+                     for beta in range(N)])
 
 
 def _check_ch_g_terms(count, N):
@@ -277,7 +323,9 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     vecs = [lifted_coeffs(me, ch.lifted) for me in mats]
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
     total = ch.total()
-    d_part = d_cyclic(total) + b_cyclic(total)
+    # only (D Ch)_N with N <= N_max - 1 is read, and d keeps the degree:
+    # the top component's d would never be read
+    d_part = d_cyclic(ch.total(N_max - 1)) + b_cyclic(total)
     b_part = B_connes(total)
     total_norm = total.norm()
     # B kills every word of Ch(g), unit-led, whatever its coefficient: a
@@ -356,10 +404,10 @@ class TwistedFamily:
         anti = self.Q_m @ self.c_omega + self.c_omega @ self.Q_m
         return s * anti + s * s * (self.c_omega @ self.c_omega)
 
-    @cached_property
+    @property
     def omega_vec(self):
-        """omega as a coefficient vector over the lifted algebra."""
-        return lifted_coeffs(self.omega_T, self.lifted)
+        """omega as a coefficient vector over the lifted algebra (read-only)."""
+        return self._ab_slots.omega
 
     @cached_property
     def c_omega_doubled(self):
@@ -687,10 +735,21 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
         nu_prod = (kappa * a_norm) ** (N - 1) * (kappa * b_norm)
         return 0.5 * 2.0 * N * trace_factor * nu_prod / _floor_half_factorial(N)
 
-    tail = float(sum(term_bound(N) for N in range(N_max + 1, N_max + 400)))
+    def tail_after(n):
+        """The bounds of degrees n + 1 .. n + 399 summed; inf when a term
+        overflows (the float power raises, a product reads inf and inf / inf
+        NaN), since such a tail certifies nothing."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                tail = float(sum(term_bound(N) for N in range(n + 1, n + 400)))
+        except OverflowError:
+            return math.inf
+        return tail if math.isfinite(tail) else math.inf
+
+    tail = tail_after(N_max)
     if tail > tail_tol:
         n_try = N_max
-        while n_try < 400 and sum(term_bound(N) for N in range(n_try + 1, n_try + 400)) > tail_tol:
+        while n_try < 400 and tail_after(n_try) > tail_tol:
             n_try += 1
         raise SpectralError(f"certified tail {tail:.2e} above {tail_tol:.1e}; need N_max about {n_try}")
     terms = []

@@ -619,7 +619,7 @@ def test_norm_adds_term_by_term():
 def test_layer_merge_keeps_a_nan():
     # one NaN among cancelling contributions: the NaN word stays, the exact zero goes
     keys = np.array([5, 7, 5, 7], dtype=np.int64)
-    merged_keys, coeffs, _ = chains._merge(keys, np.array([np.nan, 1.0, 1.0, -1.0], dtype=complex))
+    merged_keys, coeffs = chains._merge(keys, np.array([np.nan, 1.0, 1.0, -1.0], dtype=complex))
     assert merged_keys.tolist() == [5] and np.isnan(coeffs[0])
     # and through a layer kernel
     alg = SIGN_ALGS["Circle3_T"]
@@ -634,8 +634,7 @@ def test_layer_merge_keeps_a_nan():
 
 
 def test_layer_sum_adds_repeated_batches_as_a_dict(monkeypatch):
-    # every add merges at once (_MERGE_ROWS = 1); a batch with the last
-    # batch's keys adds at the rows found then, until a sum hits exactly zero
+    # every add merges at once (_MERGE_ROWS = 1), behind the words held
     monkeypatch.setattr(chains, "_MERGE_ROWS", 1)
     merges = []
     inner = chains._merge
@@ -662,9 +661,8 @@ def test_layer_sum_adds_repeated_batches_as_a_dict(monkeypatch):
         got = acc.chain(alg, CYCLIC).terms
         assert list(got) == list(ref), f"step {step}"  # word 2 comes back last
         assert [_bits(cf) for cf in got.values()] == [_bits(cf) for cf in ref.values()], f"step {step}"
-    # steps 1 and 4 add at the rows found before; step 2 falls back on a
-    # zero sum, and step 3 merges since that fallback found no rows
-    assert merges == [6, 12, 11]
+    # the held words and the batch: five words are held after step 2
+    assert merges == [6, 12, 12, 11, 12]
 
 
 def test_columnar_path_refuses_an_overflowing_word_key():

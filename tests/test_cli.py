@@ -270,6 +270,14 @@ def _nan_g(g):
     g["entries"][0][0][2] = [float("nan"), 0.0]
 
 
+def _large_g(g):
+    from chernlab.fixtures import circle_function, discrete_circle_algebra
+    from chernlab.serialize import complex_pair
+
+    # slots this large overflow the float power of the pairing's tail bound
+    g["entries"][0][0] = [complex_pair(z) for z in circle_function(discrete_circle_algebra(6), [1, 30] * 3)]
+
+
 def _short_g(g):
     g["entries"][0][0].pop()
 
@@ -288,6 +296,7 @@ def _singular_g(g):
     ("pair", _nan_g, "8", "pairing refused: g has a non-finite entry"),
     ("pair", _short_g, "8", "pairing refused: entry length does not match the algebra dimension"),
     ("pair", _singular_g, "8", "pairing refused: matrix has no two-sided inverse"),
+    ("pair", _large_g, "2", "pairing refused: certified tail inf above 1.0e-06; need N_max about 400"),
     ("pair", None, "-3", "pairing refused: N_max must be >= 1"),
     ("pair", _no_q, "8", "bad input: missing key 'Q'"),
     ("pair", _flat_q, "8", "bad input: Q has wrong shape"),
@@ -299,9 +308,9 @@ def _singular_g(g):
     ("validate", _fractional_q, None, "bad input: 'float' object cannot be interpreted as an integer"),
     ("validate", _infinite_parity, None, "bad input: 'float' object cannot be interpreted as an integer"),
     ("validate", _huge_parity, None, "bad input: Python int too large to convert to C long"),
-], ids=["nan-Q", "nan-g", "short-g-entry", "singular-g", "negative-nmax", "pair-no-Q", "pair-Q-shape",
-        "validate-no-Q", "validate-Q-shape", "pair-weak-string", "validate-weak-string", "validate-name-number",
-        "validate-fractional-q", "validate-infinite-parity", "validate-huge-parity"])
+], ids=["nan-Q", "nan-g", "short-g-entry", "singular-g", "overflowing-tail", "negative-nmax", "pair-no-Q",
+        "pair-Q-shape", "validate-no-Q", "validate-Q-shape", "pair-weak-string", "validate-weak-string",
+        "validate-name-number", "validate-fractional-q", "validate-infinite-parity", "validate-huge-parity"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, spoil, nmax, message):
     # a malformed or invalid input is refused in one stderr line, not with a traceback
     args = _pair_inputs(tmp_path)

@@ -2,7 +2,11 @@
 
 import dataclasses
 import gc
+import itertools
+import math
+import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +136,39 @@ def _m2_element():
             if p == q:
                 vals += 1.5
             entries[p, q] = circle_function(alg, vals)
+    return MatrixElement(entries, alg)
+
+
+def _plane_loop_element():
+    """A 2 x 2 loop over the polynomial forms on C^2 modulo weight >= 3
+    (x, y, dx and dy of weight 1).  On the discrete circle two one-forms
+    multiply to zero, so omega^2 = 0 there; here omega^2 holds
+    [A, B] dx dy for omega = A dx + B dy + ..., so sigma omega^2 != 0."""
+    # the basis monomial x^a y^b dx^e dy^f as (a, b, e, f)
+    monos = [m for m in itertools.product(range(3), range(3), range(2), range(2)) if sum(m) <= 2]
+    index = {m: i for i, m in enumerate(monos)}
+    dim = len(monos)
+    mul = np.zeros((dim, dim, dim), dtype=complex)
+    diff = np.zeros((dim, dim), dtype=complex)
+    for i, (a, b, e, f) in enumerate(monos):
+        for j, (c, d, g, h) in enumerate(monos):
+            prod = (a + c, b + d, e + g, f + h)
+            if prod in index and e + g <= 1 and f + h <= 1:
+                mul[i, j, index[prod]] = -1.0 if f and g else 1.0  # dy passes dx
+        # d(x^a y^b) = a x^(a-1) y^b dx + b x^a y^(b-1) dy, placed in front of dx^e dy^f
+        if a and not e:
+            diff[index[(a - 1, b, 1, f)], i] += a
+        if b and not f:
+            diff[index[(a, b - 1, e, 1)], i] += -b if e else b
+    alg = DgAlgebra(dim, [e + f for _, _, e, f in monos], 0, mul, diff, name="PlaneForms")
+    assert dga_validate(alg).passed
+    rng = np.random.default_rng(11)
+    functions = [index[m] for m in ((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))]
+    entries = np.zeros((2, 2, dim), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            entries[p, q, functions] = 0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        entries[p, p, 0] = 1.5
     return MatrixElement(entries, alg)
 
 
@@ -404,9 +441,9 @@ def test_ch_g_refuses_past_the_term_limit(small_g, monkeypatch):
     built = []
     inner = spectral._kron_layer
 
-    def counting(factors, dim, coeff):
+    def counting(factors, dim, coeff, *tags):
         built.append(len(factors))
-        return inner(factors, dim, coeff)
+        return inner(factors, dim, coeff, *tags)
 
     monkeypatch.setattr(spectral, "_kron_layer", counting)
     monkeypatch.setattr(spectral, "_CH_G_MAX_TERMS", 50)
@@ -428,15 +465,86 @@ def test_ch_g_limits_the_traced_terms_for_m2(monkeypatch):
 
 
 def test_ch_g_matches_a_sum_of_expanded_words(small_g):
-    # the in-place build gives the same words, in the same order, with equal coefficients
+    # the moment build gives the words of the quadrature's term-by-term
+    # sums, in the same order; the exact s-integral and the Gauss-Legendre
+    # sum differ only by rounding
     ch = ch_g(small_g, 4)
     ref = _ch_g_by_sums(small_g, 4)
     for N in range(1, 5):
         got = ch.component(N).terms
         assert list(got) == list(ref[N])
-        assert all(got[w] == cf for w, cf in ref[N].items())
+        scale = max(abs(cf) for cf in ref[N].values())
+        assert all(abs(got[w] - cf) <= 1e-14 * scale for w, cf in ref[N].items())
     total = ch.total()
     assert list(total.terms) == [w for N in range(1, 5) for w in ref[N]]
+
+
+def test_beta_moments_are_the_exact_integrals_rounded():
+    # int_0^1 s^(N-1) (s-1)^beta ds, expanded by the binomial theorem in
+    # exact arithmetic; Gauss-Legendre with N + 1 nodes integrates the
+    # degree N - 1 + beta <= 2N - 2 integrand exactly up to rounding
+    for N in range(1, 10):
+        moments = spectral._beta_moments(N)
+        x, w = gauss_legendre_01(N + 1)
+        assert len(moments) == N
+        for beta, got in enumerate(moments):
+            exact = sum(Fraction(math.comb(beta, j) * (-1) ** (beta - j), N + j) for j in range(beta + 1))
+            assert got.hex() == float(exact).hex(), (N, beta)
+            assert abs(got - float(np.sum(w * x ** (N - 1) * (x - 1) ** beta))) <= 1e-15, (N, beta)
+
+
+@pytest.mark.parametrize("make_g, N_max, sigma_slots", [(_m2_element, 4, False), (_plane_loop_element, 3, True)],
+                         ids=["circle", "plane"])
+def test_ch_g_of_an_m2_element_matches_a_quadrature_build(make_g, N_max, sigma_slots):
+    # for m = 2 a lifted index a * dim_T + i is a sigma index when i is: the
+    # moment build gives the words, in the same order, of summing the
+    # Kronecker blocks of ab_slots(s) at Gauss-Legendre nodes, then tracing.
+    # Only the plane loop has sigma omega^2 != 0, so words with beta > 0
+    g = make_g()
+    ch = ch_g(g, N_max)
+    alg_T = ch.alg_T
+    lifted = mat_lift(alg_T, 2)
+    slots = ab_slots(lift_matrix_to_ext(maurer_cartan(g), alg_T), lifted)
+    assert bool(np.any(slots.sigma_omega_sq)) == sigma_slots
+    unit_vec = lifted.unit.coeffs
+    for N in range(1, N_max + 1):
+        acc = Chain(lifted, CYCLIC)
+        for s, w in zip(*gauss_legendre_01(N + 1)):
+            a_vec, b_vec = slots(s)
+            for k in range(1, N + 1):
+                word = [unit_vec] + [a_vec] * (k - 1) + [b_vec] + [a_vec] * (N - k)
+                acc = acc + Chain.from_elements(lifted, CYCLIC, word).scale(w)
+        ref = spectral.generalized_trace(acc, lifted, alg_T).terms
+        got = ch.component(N).terms
+        assert len(got) > 0 and list(got) == list(ref)
+        scale = max(abs(cf) for cf in ref.values())
+        assert all(abs(got[w] - cf) <= 1e-14 * scale for w, cf in ref.items()), N
+    if sigma_slots:  # the circle loop's closedness is test_ch_g_closed_m2
+        assert ch_g_closed(g, 3).passed
+
+
+def test_ch_g_closed_applies_d_below_the_top_degree_only(small_g, monkeypatch):
+    # (D Ch)_N is read for N <= N_max - 1 only, and d keeps the word length:
+    # d never sees the top degree, and the residuals keep their bits
+    lengths = []
+    inner = spectral.d_cyclic
+
+    def recording(c):
+        lengths.extend(c._layers)
+        return inner(c)
+
+    monkeypatch.setattr(spectral, "d_cyclic", recording)
+    rep = ch_g_closed(small_g, 5)
+    assert sorted(lengths) == [2, 3, 4, 5]
+    whole = spectral.OddChernChain.total
+    monkeypatch.setattr(spectral.OddChernChain, "total", lambda ch, N_top=None: whole(ch))
+    lengths.clear()
+    ref = ch_g_closed(small_g, 5)
+    assert sorted(lengths) == [2, 3, 4, 5, 6]
+    assert rep.passed
+    for N in range(1, 5):
+        check = f"telescoped-component-N={N}"
+        assert rep.residual(check).hex() == ref.residual(check).hex()
 
 
 def test_layer_d_and_b_of_ch_g_match_the_per_word_faces(small_g):
@@ -600,6 +708,29 @@ def test_pairing_refuses_an_uncertified_tail_before_any_row(monkeypatch):
     monkeypatch.setattr(spectral, "toeplitz_exp_row", refuse)
     with pytest.raises(SpectralError, match=r"^certified tail .* need N_max about \d+$"):
         pairing(M, g, N_max=2)
+
+
+@pytest.mark.parametrize("values, kappa", [([1, 30] * 3, None), ([1, 8] * 3, None), (None, np.nan)],
+                         ids=["power-overflows", "inf-over-inf", "nan-kappa"])
+def test_pairing_refuses_a_non_finite_tail_before_any_row(circle6, monkeypatch, values, kappa):
+    # large slots overflow the float power of the term bound (a bare
+    # OverflowError) or divide inf by an infinite floor(N/2)!; a NaN tail
+    # compares below any tolerance.  Each is refused, without a warning
+    if values is None:
+        g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    else:
+        g = MatrixElement(circle_function(circle6.alg, values).reshape(1, 1, -1), circle6.alg)
+    if kappa is not None:
+        monkeypatch.setattr(spectral, "_calibrate_pairing_kappa", lambda tf: kappa)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pairing row was computed")
+
+    monkeypatch.setattr(spectral, "toeplitz_exp_row", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectralError, match=r"^certified tail inf above 1\.0e-06; need N_max about 400$"):
+            pairing(circle6, g, N_max=2)
 
 
 def test_pairing_rows_run_one_half_frame_chain(tf6, monkeypatch):
