@@ -14,7 +14,9 @@ its A-slots take.
 The pairing with the Chern character of a doubled module is evaluated
 at each s-node for every degree at once, from the top block rows of one
 marked block exponential of the word (A, ..., A): the B-insertion sums
-and the spectral-flow series terms.  The per-degree identity between
+and the spectral-flow series terms.  Both are polynomials in s of degree
+at most 2 N_max - 2, so N_max Gauss-Legendre nodes integrate them
+exactly.  The per-degree identity between
 the two carries a relative minus sign (recorded as TERM_SIGN), and the
 degree-summed pairing is compared against the spectral-flow integral
 itself, which degenerates to zero in finite dimension because the
@@ -505,7 +507,9 @@ def _heat_series(Q2, X, T, M_max):
     The order-M term is block (0, M) of toeplitz_exp_row of the constant-band
     chain with -T Q2 on its diagonal and -T X one step up.  The order-0 term
     is expm(-T Q2) itself and X = 0 leaves the other blocks exactly zero, so
-    that X = 0 gives exactly the heat operator.
+    that X = 0 gives exactly the heat operator.  The order-M term is
+    M-linear in X: for X = X_s, of degree 2 in s, it has degree 2M, and
+    the sum degree 2 M_max.
     """
     out = expm(-T * Q2)
     for term in toeplitz_exp_row([-T * Q2, -T * X], M_max)[1:]:
@@ -516,17 +520,22 @@ def _heat_series(Q2, X, T, M_max):
 def sf_integral(tf: TwistedFamily, s_nodes=32, M_max=16):
     """int_0^1 Tr(Qdot e^{-Q_{g,s}^2}) ds by two methods.
 
-    (a) direct matrix exponentials at Gauss-Legendre nodes;
-    (b) the perturbation series for e^{-Q_{g,s}^2}.
+    (a) direct matrix exponentials at s_nodes Gauss-Legendre nodes;
+    (b) the perturbation series for e^{-Q_{g,s}^2} up to order M_max,
+        integrated exactly in s.  X_s = s {Q_m, c(omega)} + s^2 c(omega)^2
+        gives the series degree 2 M_max in s, and M_max + 1 nodes are
+        exact up to degree 2 M_max + 1.  The series takes those nodes
+        whatever s_nodes is, so it is exact even for s_nodes < M_max + 1;
+        the direct integrand is no polynomial and keeps s_nodes.
     """
-    x, w = gauss_legendre_01(s_nodes)
-    direct = 0.0 + 0.0j
-    series = 0.0 + 0.0j
     Qd = tf.Qdot()
     Q2 = tf.Q_m @ tf.Q_m
-    for si, wi in zip(x, w):
+    direct = 0.0 + 0.0j
+    for si, wi in zip(*gauss_legendre_01(s_nodes)):
         Qs = tf.Q_s(si)
         direct += wi * np.trace(Qd @ expm(-(Qs @ Qs)))
+    series = 0.0 + 0.0j
+    for si, wi in zip(*gauss_legendre_01(M_max + 1)):
         series += wi * np.trace(Qd @ _heat_series(Q2, tf.X_s(si), 1.0, M_max))
     return {"direct": complex(direct), "series": complex(series)}
 
@@ -619,7 +628,11 @@ def _pairing_rows(tf: TwistedFamily, s, N_max):
     mark -F_1(B) on step 1, so toeplitz_exp_row of the blocks [[G_t, M_t],
     [0, G_t]] gives the plain row E and the marked row L (the Frechet
     derivative) at once.  Block (0, N) of L is the B-insertion sum of
-    degree N, and block (0, N - 1) of E is Phi_1(A^(N-1)).  Every block
+    degree N, and block (0, N - 1) of E is Phi_1(A^(N-1)).  The diagonal
+    and the mark do not depend on s, and F_1(A(s)) and F_2(A(s), A(s))
+    have degree at most 2 per A-slot, so both blocks are polynomials of degree at
+    most 2(N - 1) in s: N_max Gauss-Legendre nodes, exact up to degree
+    2 N_max - 1, integrate every row entry exactly.  Every block
     of the chain is C_q-equivariant, so the chain runs on the half-size
     blocks of the Clifford half-frame; an A step has parity |A| + 1 and
     the marked B step |B| + 1.  No block is lifted: CStr reads the unit's
@@ -709,14 +722,18 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     quadrature error because the endpoints are similar matrices; the
     content of the check is the agreement of the independently computed
     series.
+
+    The rows of degree N <= N_max are polynomials of degree at most
+    2 N_max - 2 in s (see _pairing_rows), so they run on N_max
+    Gauss-Legendre nodes, which integrate them exactly; the direct
+    spectral-flow integral keeps max(32, 2 N_max + 2) nodes.  A tail bound
+    that is not finite is refused before any row: no N_max certifies it.
     """
     if N_max < 1:
         raise SpectralError(f"N_max must be >= 1, got {N_max}")
     t0 = time.perf_counter()
     tf = twisted_family(M, g)
     checks = tf.report
-    s_nodes = max(32, 2 * N_max + 2)
-    x, w = gauss_legendre_01(s_nodes)
     worst_f, worst_x = 0.0, 0.0
     for s in (0.25, 0.75):
         f_res, x_res = _curvature_identities(tf, s)
@@ -747,6 +764,11 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
         return tail if math.isfinite(tail) else math.inf
 
     tail = tail_after(N_max)
+    if tail == math.inf:
+        # a term bound that overflows or reads NaN at one degree does so at
+        # every higher one, so no larger N_max certifies the tail
+        raise SpectralError(f"certified tail inf above {tail_tol:.1e}; the term bound is not finite, "
+                            "so no N_max certifies it")
     if tail > tail_tol:
         n_try = N_max
         while n_try < 400 and tail_after(n_try) > tail_tol:
@@ -756,6 +778,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     pairing_total = 0.0 + 0.0j
     worst_term = 0.0
     t_terms = time.perf_counter()
+    x, w = gauss_legendre_01(N_max)
     rows = [_pairing_rows(tf, si, N_max) for si in x]
     for N in range(1, N_max + 1):
         p_val = sum(wi * p_row[N - 1] for (p_row, _), wi in zip(rows, w))
@@ -769,7 +792,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     checks.add("per-degree-term-identity", worst_term, term_tol,
                "B-insertion sum = sign * c(omega)-times-A-word term, per degree")
     t_sf = time.perf_counter()
-    sf = sf_integral(tf, s_nodes=s_nodes)
+    sf = sf_integral(tf, s_nodes=max(32, 2 * N_max + 2))
     checks.add("sf-methods-agree", abs(sf["direct"] - sf["series"]), 1e-8,
                "direct exponentials vs perturbation series")
     checks.add("sf-endpoints-similar", sf_endpoint_oracle(tf), 1e-8,

@@ -296,7 +296,8 @@ def _singular_g(g):
     ("pair", _nan_g, "8", "pairing refused: g has a non-finite entry"),
     ("pair", _short_g, "8", "pairing refused: entry length does not match the algebra dimension"),
     ("pair", _singular_g, "8", "pairing refused: matrix has no two-sided inverse"),
-    ("pair", _large_g, "2", "pairing refused: certified tail inf above 1.0e-06; need N_max about 400"),
+    ("pair", _large_g, "2", "pairing refused: certified tail inf above 1.0e-06; the term bound is not finite, "
+     "so no N_max certifies it"),
     ("pair", None, "-3", "pairing refused: N_max must be >= 1"),
     ("pair", _no_q, "8", "bad input: missing key 'Q'"),
     ("pair", _flat_q, "8", "bad input: Q has wrong shape"),

@@ -715,7 +715,8 @@ def test_pairing_refuses_an_uncertified_tail_before_any_row(monkeypatch):
 def test_pairing_refuses_a_non_finite_tail_before_any_row(circle6, monkeypatch, values, kappa):
     # large slots overflow the float power of the term bound (a bare
     # OverflowError) or divide inf by an infinite floor(N/2)!; a NaN tail
-    # compares below any tolerance.  Each is refused, without a warning
+    # compares below any tolerance.  Each is refused at once, without a
+    # warning and without searching for an N_max that cannot exist
     if values is None:
         g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
     else:
@@ -729,7 +730,8 @@ def test_pairing_refuses_a_non_finite_tail_before_any_row(circle6, monkeypatch, 
     monkeypatch.setattr(spectral, "toeplitz_exp_row", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SpectralError, match=r"^certified tail inf above 1\.0e-06; need N_max about 400$"):
+        with pytest.raises(SpectralError, match=r"^certified tail inf above 1\.0e-06; the term bound is not finite, "
+                                                r"so no N_max certifies it$"):
             pairing(circle6, g, N_max=2)
 
 
@@ -748,6 +750,66 @@ def test_pairing_rows_run_one_half_frame_chain(tf6, monkeypatch):
     half = tf6.Mdt.hdim // 2
     assert half == 6
     assert calls == [(10, [(2 * half, 2 * half)] * 3)]
+
+
+def _rules_with(monkeypatch, n_rule, nodes_for):
+    """Replace the Gauss-Legendre rule of n_rule nodes by nodes_for(n_rule) nodes."""
+    rule = gauss_legendre_01
+    monkeypatch.setattr(spectral, "gauss_legendre_01", lambda n: rule(nodes_for(n) if n == n_rule else n))
+
+
+def test_pairing_rows_are_exact_on_n_max_nodes(circle6, tf6, monkeypatch):
+    # on the circle sigma omega^2 = 0 and the rows have degree N - 1 only,
+    # so A(s) = s omega + s(s - 1) v, with v random on omega's support, puts
+    # the full degree 2(N - 1) in block (0, N) of L and (0, N - 1) of E:
+    # N_max nodes are exact, N_max - 1 nodes miss the top degree
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    omega, b_vec = tf6.omega_vec, tf6.ab_vectors(0.5)[1]
+    rng = np.random.default_rng(5)
+    v = (rng.normal(size=omega.shape) + 1j * rng.normal(size=omega.shape)) * (omega != 0) * np.max(np.abs(omega))
+    monkeypatch.setattr(spectral.TwistedFamily, "ab_vectors", lambda self, s: (s * omega + s * (s - 1) * v, b_vec))
+    N_max = 10
+
+    def terms(nodes_for):
+        _rules_with(monkeypatch, N_max, nodes_for)
+        rep = pairing(circle6, g, N_max=N_max, tail_tol=math.inf)
+        return [(t["pairing_term"], t["sf_term"]) for t in rep.terms]
+
+    ref, exact, short = terms(lambda n: 40), terms(lambda n: n), terms(lambda n: n - 1)
+    for want, got in zip(ref, exact):
+        assert all(abs(x - y) <= 1e-14 * abs(y) for x, y in zip(got, want))
+    assert all(abs(x - y) > 1e-8 * abs(y) for x, y in zip(short[-1], ref[-1]))
+
+
+def test_heat_series_is_exact_on_m_max_plus_one_nodes(tf6, monkeypatch):
+    # the order-M term has degree 2M in s; the integral of Tr(Qdot .)
+    # vanishes on the conjugation path, so Qdot = 1 keeps the comparison
+    # away from that cancellation
+    monkeypatch.setattr(spectral.TwistedFamily, "Qdot", lambda self: np.eye(len(self.Q_m)))
+    M_max = 2
+
+    def series(nodes_for):
+        _rules_with(monkeypatch, M_max + 1, nodes_for)
+        return sf_integral(tf6, s_nodes=32, M_max=M_max)["series"]
+
+    ref, exact, short = series(lambda n: 40), series(lambda n: n), series(lambda n: n - 1)
+    assert abs(exact - ref) <= 1e-14 * abs(ref)
+    assert abs(short - ref) > 1e-8 * abs(ref)
+
+
+def test_pairing_and_sf_integral_take_one_row_per_exact_node(circle6, tf6, monkeypatch):
+    # N_max marked rows for the pairing; M_max + 1 heat series and s_nodes
+    # direct exponentials for the spectral-flow integral
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    rows, series, direct = [], [], []
+    pairing_rows, dense = spectral._pairing_rows, spectral.expm
+    monkeypatch.setattr(spectral, "_pairing_rows", lambda tf, s, N_max: rows.append(s) or pairing_rows(tf, s, N_max))
+    pairing(circle6, g, N_max=6, tail_tol=1e-3)
+    assert len(rows) == 6
+    monkeypatch.setattr(spectral, "_heat_series", lambda Q2, X, T, M_max: series.append(M_max) or np.zeros_like(Q2))
+    monkeypatch.setattr(spectral, "expm", lambda A: direct.append(A.shape) or dense(A))
+    sf_integral(tf6, s_nodes=32, M_max=16)
+    assert series == [16] * 17 and len(direct) == 32
 
 
 def test_constant_band_chains_take_no_dense_exponential(circle6, tf6, monkeypatch):
