@@ -43,6 +43,7 @@ d-bar + b' to one tensor word, and d-bar and b' run them on chain terms.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -317,8 +318,9 @@ def _kron(factors, coeff):
 
 def _kron_layer(factors, dim, coeff, tags=None):
     """_kron as int64 word keys and coefficients, exact zero products dropped;
-    the words of one block are distinct.  Given tags (per slot, an integer
-    per basis index), also each kept word's sum of its letters' tags."""
+    the words are distinct when no factor lists an index twice.  Given tags
+    (per slot, an integer per entry of its factor), also each kept word's
+    sum of its letters' tags."""
     _check_key(dim, len(factors))
     keys = np.zeros(1, dtype=np.int64)
     for nz, _ in factors:
@@ -328,8 +330,8 @@ def _kron_layer(factors, dim, coeff, tags=None):
     if tags is None:
         return keys[keep], coeffs[keep]
     sums = np.zeros(1, dtype=np.intp)
-    for (nz, _), tag in zip(factors, tags):
-        sums = np.add.outer(sums, tag[nz]).ravel()
+    for tag in tags:
+        sums = np.add.outer(sums, tag).ravel()
     return keys[keep], coeffs[keep], sums[keep]
 
 
@@ -378,25 +380,31 @@ def _key_words(keys, dim, L):
 def _merge(keys, coeffs):
     """Distinct keys in first-occurrence order, each with the sum of its
     coefficients taken in input order (as _add adds them); exact
-    zero sums drop out, a NaN stays."""
+    zero sums drop out, a NaN stays.
+
+    The keys are sorted once.  When they come in long ascending runs, as
+    the words of Kronecker blocks do (at least _SORTED_RUN keys per run on
+    average), a stable sort costs less and its first index per key is the
+    first occurrence; otherwise a quicksort costs less, and the first
+    occurrence is the least index per key.  A mask of the first
+    occurrences and its running count then rank them in input order."""
     if not len(keys):
         return keys, coeffs
-    perm = np.argsort(keys)  # need not be stable: bincount adds in input order
+    stable = (np.count_nonzero(keys[1:] < keys[:-1]) + 1) * _SORTED_RUN <= len(keys)
+    perm = np.argsort(keys, kind="stable" if stable else "quicksort")
     sorted_keys = keys[perm]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    first = np.minimum.reduceat(perm, starts)  # first occurrence of each distinct key
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    group = np.zeros(len(keys), dtype=np.intp)
-    group[starts[1:]] = 1
+    new = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    first = perm[new] if stable else np.minimum.reduceat(perm, np.flatnonzero(new))
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first) - 1  # of a first occurrence: its place among them
     pos = np.empty(len(keys), dtype=np.intp)
-    pos[perm] = rank[np.cumsum(group)]
-    out = _sum_at(pos, coeffs, len(order))
+    pos[perm] = rank[first][np.cumsum(new) - 1]
+    out = _sum_at(pos, coeffs, len(first))
     keep = out != 0
     if keep.all():
-        return sorted_keys[starts][order], out
-    return sorted_keys[starts][order][keep], out[keep]
+        return keys[is_first], out
+    return keys[is_first][keep], out[keep]
 
 
 def _sum_at(pos, coeffs, n):
@@ -431,6 +439,11 @@ class _LayerSum:
         held_keys, held_coeffs = self.sums.get(L, (keys[:0], coeffs[:0]))
         self.sums[L] = _merge(np.concatenate((held_keys, keys)), np.concatenate((held_coeffs, coeffs)))
 
+    def add_chain(self, c, negate=False):
+        """Every layer of c, or of -c."""
+        for L, layer in c._layers.items():
+            self.add(L, layer.keys, -layer.coeffs if negate else layer.coeffs)
+
     def merged(self):
         for L in list(self.pending):
             self._flush(L)
@@ -448,8 +461,7 @@ def _merged(a, b, sign):
     """a + sign * b: a's words first, then b's new ones."""
     out = _LayerSum(a.alg)
     out.sums = {L: (layer.keys, layer.coeffs) for L, layer in a._layers.items()}
-    for L, layer in b._layers.items():
-        out.add(L, layer.keys, layer.coeffs if sign > 0 else -layer.coeffs)
+    out.add_chain(b, negate=sign < 0)
     return out.chain(a.alg, a.kind)
 
 
@@ -809,6 +821,7 @@ def chen_Ti(f: AlgebraElement, i: int, c: Chain) -> Chain:
 
 _LAYER_BATCH = 1 << 14  # input rows per layer-kernel call: bounds the word-matrix chunks
 _MERGE_ROWS = 1 << 20  # pending contributions a _LayerSum holds before it merges
+_SORTED_RUN = 16  # mean ascending run length of the keys from which _merge sorts stably
 
 
 def _layer_signs(alg, words, fn, *args):
@@ -958,6 +971,84 @@ def _emit(chunks, words, coeffs, rows):
     keep = coeffs != 0  # drops exact zeros only; a NaN stays and fails the check
     if np.any(keep):
         chunks.append((words[keep], coeffs[keep], rows[keep]))
+
+
+# -- Kronecker blocks: d and b without the words ----------------------------------
+# A cyclic block is the tensor product of its slot vectors: per slot, the
+# kept basis indices and their coefficients, as _slot_factors gives them,
+# and an integer tag per entry, which _kron_layer sums over the letters of
+# each word.  d and b map a block to signed blocks, so that their words
+# are never listed on the way in: d replaces one slot by its d, b two
+# neighbouring slots by their product.  An entry keeps its tag under d and
+# a product adds the two, so every output word carries the tag sum of the
+# word it came from.  A new slot may list an index twice (from two entries),
+# and the words of an output block need not be distinct.
+
+
+def _parity_parts(alg, factors, tags):
+    """The homogeneous blocks of a block: each slot cut into its even and
+    odd entries, one block per choice of a nonempty part in every slot, as
+    (parity pattern, factors, tags)."""
+    par = np.asarray(alg.parity_tuple, dtype=np.int8)
+    choices = []
+    for (nz, vals), tag in zip(factors, tags):
+        p = par[nz]
+        choices.append([(q, (nz[p == q], vals[p == q]), tag[p == q]) for q in (0, 1) if np.any(p == q)])
+    for parts in itertools.product(*choices):
+        yield tuple(q for q, _, _ in parts), [f for _, f, _ in parts], [t for _, _, t in parts]
+
+
+def _table_image(alg, vals, tag, tgt, cf, reduced):
+    """The entries of a slot through a padded (tgt, cf) table: vals and tag
+    hold one coefficient and one tag per source entry, tgt and cf the same
+    axes and one more, the table's columns.  Each entry times each nonzero
+    table coefficient, source entry by source entry, keeps the entry's
+    tag; a unit landing in a reduced slot dies.  None when nothing is left."""
+    keep = cf != 0  # the table's padding; a NaN entry still multiplies through
+    if reduced:
+        keep &= tgt != alg.unit_index
+    if not keep.any():
+        return None
+    return (tgt[keep], (vals[..., None] * cf)[keep]), np.broadcast_to(tag[..., None], cf.shape)[keep]
+
+
+def _d_blocks(alg, factors, tags):
+    """d of a cyclic block as [(sign, factors, tags)]: per homogeneous part
+    and slot j >= 1, slot j replaced by its d, signed by the part's
+    _d_signs row.  Slot 0 holds the unit, whose d is 0."""
+    out = []
+    for pattern, fs, ts in _parity_parts(alg, factors, tags):
+        signs = _sign_rows(_d_signs, CYCLIC)[pattern]
+        for j in range(1, len(fs)):
+            nz, vals = fs[j]
+            image = _table_image(alg, vals, ts[j], alg.diff_tgt[nz], alg.diff_cf[nz], True)
+            if image is not None:
+                out.append((signs[j], fs[:j] + [image[0]] + fs[j + 1 :], ts[:j] + [image[1]] + ts[j + 1 :]))
+    return out
+
+
+def _b_blocks(alg, factors, tags):
+    """b of a cyclic block as [(sign, factors, tags)]: per homogeneous part,
+    the product of slots k and k + 1 at slot k, signed by the part's
+    _b_signs row, then the wrap face (slot N times slot 0, ahead of slots
+    1..N-1) signed by its _wrap_sign."""
+    out = []
+    N = len(factors) - 1
+    for pattern, fs, ts in _parity_parts(alg, factors, tags):
+        signs = _sign_rows(_b_signs, CYCLIC)[pattern]
+        faces = [(k, k + 1, k, signs[k]) for k in range(N)]
+        if N:
+            faces.append((N, 0, 0, _sign_rows(_wrap_sign)[pattern]))
+        for i, j, at, sign in faces:
+            (a, va), (b, vb) = fs[i], fs[j]
+            image = _table_image(alg, np.multiply.outer(va, vb), np.add.outer(ts[i], ts[j]),
+                                 alg.mul_tgt[a[:, None], b], alg.mul_cf[a[:, None], b], at > 0)
+            if image is None:
+                continue
+            rest = [p for p in range(N + 1) if p not in (i, j)]
+            out.append((sign, [fs[p] for p in rest[:at]] + [image[0]] + [fs[p] for p in rest[at:]],
+                        [ts[p] for p in rest[:at]] + [image[1]] + [ts[p] for p in rest[at:]]))
+    return out
 
 
 def _layer_words(alg, N, sample=None, rng=None):

@@ -40,16 +40,16 @@ from .chains import (
     CYCLIC,
     B_connes,
     Chain,
-    _floor_half_factorial,
+    _b_blocks,
     _cmul,
+    _d_blocks,
+    _floor_half_factorial,
     _kron_layer,
     _LayerSum,
     _reduced_positions,
     _slot_factors,
     _word_keys,
-    b_cyclic,
     chen_Ti,
-    d_cyclic,
     entire_bound,
 )
 from .cochains import slot_degree
@@ -173,7 +173,8 @@ def generalized_trace(chain: Chain, lifted: DgAlgebra, target: DgAlgebra) -> Cha
 @dataclass(frozen=True, eq=False)
 class OddChernChain:
     """Degree-indexed components of the odd character of g, over the
-    acyclic extension; component 0 is zero by definition."""
+    acyclic extension; component 0 is zero by definition.  a_vec and b_vec
+    are the lifted slots A without its powers of s and s - 1, and B."""
 
     g: MatrixElement
     alg_T: DgAlgebra
@@ -181,6 +182,8 @@ class OddChernChain:
     N_max: int
     chains: dict  # N -> Chain over alg_T
     lifted: DgAlgebra  # mat_lift(alg_T, g.m), the algebra the words are built over
+    a_vec: np.ndarray
+    b_vec: np.ndarray
 
     def component(self, N) -> Chain:
         if N in self.chains:
@@ -194,6 +197,23 @@ class OddChernChain:
                                                        if N_top is None or N <= N_top
                                                        for L, layer in c._layers.items()})
 
+    def blocks(self, N):
+        """Degree N before the s-integral and the trace, as one Kronecker
+        block per position k of B: the slot factors of
+        1 (x) A^(k-1) (x) B (x) A^(N-k) over lifted, and per slot a tag per
+        entry, 1 on an A-slot's sigma index and 0 elsewhere (B and the unit
+        carry none), so that a word's tag sum is its beta."""
+        lifted = self.lifted
+        # lifted index a * dim_T + i is a sigma index when i is
+        sigma = (np.arange(lifted.dim) % self.alg_T.dim >= self.alg_T.base_dim).astype(np.intp)
+        out = []
+        for k in range(1, N + 1):
+            factors = _slot_factors(lifted, CYCLIC, [lifted.unit.coeffs] + [self.a_vec] * (k - 1) + [self.b_vec]
+                                    + [self.a_vec] * (N - k))
+            out.append((factors, [sigma[nz] if p not in (0, k) else np.zeros(len(nz), dtype=np.intp)
+                                  for p, (nz, _) in enumerate(factors)]))
+        return out
+
 
 def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     """Materialize the odd character chain of g up to degree N_max.
@@ -204,7 +224,7 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     degree-N word whose A-slots take beta sigma indices therefore
     integrates in s exactly to the product of its s-free slot coefficients
     times the Beta moment int_0^1 s^(N-1) (s-1)^beta ds.  Each degree is
-    built as one word layer from one Kronecker block per position k of B,
+    built as one word layer from its Kronecker blocks (OddChernChain.blocks),
     each word weighted by the moment of its beta, counted alongside the
     block; the N blocks merge in one first-occurrence sum, so that a word
     keeps its first position and adds its contributions block by block.
@@ -213,34 +233,21 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
     omega = maurer_cartan(g)
     omega_T = lift_matrix_to_ext(omega, alg_T)
     lifted = mat_lift(alg_T, g.m)
-    unit_vec = lifted.unit.coeffs
     slots = ab_slots(omega_T, lifted)
-    # lifted index a * dim_T + i is a sigma index when i is
-    sigma = (np.arange(lifted.dim) % alg_T.dim >= alg_T.base_dim).astype(np.intp)
-    no_tag = np.zeros_like(sigma)
+    sigma = np.arange(lifted.dim) % alg_T.dim >= alg_T.base_dim
     a_vec = np.where(sigma, slots.sigma_omega_sq, slots.omega)  # A(s) without its powers of s and s - 1
-    chains = {0: Chain(alg_T, CYCLIC)}
+    out = OddChernChain(g, alg_T, omega_T, N_max, {0: Chain(alg_T, CYCLIC)}, lifted, a_vec, slots.b)
     total_terms = 0
     for N in range(1, N_max + 1):
         moments = _beta_moments(N)
-        factors = [_slot_factors(lifted, CYCLIC, [unit_vec] + [a_vec] * (k - 1) + [slots.b] + [a_vec] * (N - k))
-                   for k in range(1, N + 1)]
+        blocks = out.blocks(N)
         if lifted is alg_T:
             # the words of one block are distinct, so the degree holds at
             # least as many terms as its largest block: refuse before
             # building.  For m > 1 many lifted words trace to one word, so
             # only the traced count below is a bound.
-            _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f in factors), N)
-        keys, coeffs = [], []
-        for k, f in enumerate(factors, start=1):
-            # beta counts the sigma indices of the A-slots: B and the unit carry no tag
-            k_keys, k_coeffs, beta = _kron_layer(f, lifted.dim, 1.0,
-                                                 [no_tag] + [sigma] * (k - 1) + [no_tag] + [sigma] * (N - k))
-            weight = moments[beta]
-            k_coeffs.real *= weight
-            k_coeffs.imag *= weight
-            keys.append(k_keys)
-            coeffs.append(k_coeffs)
+            _check_ch_g_terms(total_terms + max(math.prod(len(nz) for nz, _ in f) for f, _ in blocks), N)
+        keys, coeffs = zip(*_moment_rows([(1.0, *block) for block in blocks], lifted.dim, moments))
         acc = _LayerSum(lifted)
         acc.add(N + 1, np.concatenate(keys), np.concatenate(coeffs))
         if lifted is alg_T:
@@ -248,14 +255,25 @@ def ch_g(g: MatrixElement, N_max: int) -> OddChernChain:
         comp = generalized_trace(acc.chain(lifted, CYCLIC), lifted, alg_T)
         total_terms += len(comp.terms)
         _check_ch_g_terms(total_terms, N)
-        chains[N] = comp
-    out = OddChernChain(g, alg_T, omega_T, N_max, chains, lifted)
+        out.chains[N] = comp
     # parity bookkeeping: every component must be odd.  A NaN entry of g puts
     # NaN coefficients on words of either parity; the checks then read NaN.
-    for N, c in chains.items():
+    for N, c in out.chains.items():
         if c.terms and math.isfinite(c.max_coeff()) and c.parity() != 1:
             raise SpectralError(f"character component {N} is not odd")
     return out
+
+
+def _moment_rows(blocks, dim, moments):
+    """Per signed block (sign, factors, tags), the keys of its words and
+    their coefficients: the sign times the slot coefficients, times the
+    moment of the word's tag sum."""
+    for sign, factors, tags in blocks:
+        keys, coeffs, beta = _kron_layer(factors, dim, sign, tags)
+        weight = moments[beta]
+        coeffs.real *= weight
+        coeffs.imag *= weight
+        yield keys, coeffs
 
 
 def _beta_moments(N):
@@ -308,6 +326,26 @@ def _chen_witness(ch: OddChernChain, N: int, vecs) -> Chain:
     return generalized_trace(witness, lifted, ch.alg_T)
 
 
+def _add_d_ch(ch: OddChernChain, N: int, out: _LayerSum):
+    """Add (D Ch(g))_N = d Ch_N + b Ch_{N+1} over alg_T into out, built from
+    the Kronecker blocks of the two degrees, not from their words.
+
+    d and b act on each block (chains._d_blocks, _b_blocks), and every
+    output word takes the Beta moment of the word it came from: its source
+    degree and its tag sum, which d keeps and a product adds up.  For
+    m > 1 the words are over the lifted algebra and traced once, which
+    commutes with d and b since the matrix units are even."""
+    lifted = ch.lifted
+    acc = out if lifted is ch.alg_T else _LayerSum(lifted)
+    for M, faces in ((N, _d_blocks), (N + 1, _b_blocks)):
+        moments = _beta_moments(M)
+        for factors, tags in ch.blocks(M):
+            for keys, coeffs in _moment_rows(faces(lifted, factors, tags), lifted.dim, moments):
+                acc.add(N + 1, keys, coeffs)
+    if acc is not out:
+        out.add_chain(generalized_trace(acc.chain(lifted, CYCLIC), lifted, ch.alg_T))
+
+
 def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationReport:
     """Closedness of the odd character chain modulo Chen normalization.
 
@@ -318,6 +356,10 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
         component lies in the Chen subcomplex up to the telescope,
     and that the telescope entire bounds decay at the half-factorial
     rate.  The report records which generators absorbed each component.
+
+    (D Ch)_N is built by d and b on the Kronecker blocks of Ch(g) (see
+    _add_d_ch), and each residual sums its four parts in one merge.  The
+    materialized Ch(g) gives the scale and the Connes part.
     """
     ch = ch_g(g, N_max)
     alg_T = ch.alg_T
@@ -325,9 +367,6 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     vecs = [lifted_coeffs(me, ch.lifted) for me in mats]
     rep = ValidationReport(f"ch_g-closed:m={g.m},N_max={N_max}")
     total = ch.total()
-    # only (D Ch)_N with N <= N_max - 1 is read, and d keeps the degree:
-    # the top component's d would never be read
-    d_part = d_cyclic(ch.total(N_max - 1)) + b_cyclic(total)
     b_part = B_connes(total)
     total_norm = total.norm()
     # B kills every word of Ch(g), unit-led, whatever its coefficient: a
@@ -340,12 +379,12 @@ def ch_g_closed(g: MatrixElement, N_max: int, tol: float = 1e-9) -> ValidationRe
     scale = max(1.0, total_norm)
     absorbed = {}
     for N in range(1, N_max - 1 + 1):
-        if N + 1 not in lambdas:
-            continue
-        c_N = d_part.component(N)
-        witness = _chen_witness(ch, N, vecs)
-        resid = (c_N + lambdas[N] - lambdas[N + 1] - witness).norm()
-        rep.add(f"telescoped-component-N={N}", resid / scale, tol,
+        resid = _LayerSum(alg_T)
+        _add_d_ch(ch, N, resid)
+        resid.add_chain(lambdas[N])
+        resid.add_chain(lambdas[N + 1], negate=True)
+        resid.add_chain(_chen_witness(ch, N, vecs), negate=True)
+        rep.add(f"telescoped-component-N={N}", resid.chain(alg_T, CYCLIC).norm() / scale, tol,
                 "(D Ch)_N + lambda_N - lambda_{N+1} is an explicit T-operator image")
         absorbed[N] = "T_{N-1}^(g^-1)" if N >= 2 else "T_0^(g^-1), T_0^(g)"
     bounds = {N: entire_bound(lambdas[N]) for N in range(2, N_max + 1)}
@@ -490,7 +529,8 @@ def perturbation_series(tf: TwistedFamily, s, T, M_max, tail_tol=None):
     Q2 = tf.Q_m @ tf.Q_m
     X = tf.X_s(s)
     x_norm = float(np.linalg.norm(X, 2))
-    trace_factor = float(np.trace(expm(-T * Q2)).real)
+    heat = expm(-T * Q2)
+    trace_factor = float(np.trace(heat).real)
     tail = perturbation_tail_bound(T, x_norm, trace_factor, M_max)
     if tail_tol is not None and tail > tail_tol:
         M_try = M_max
@@ -498,20 +538,20 @@ def perturbation_series(tf: TwistedFamily, s, T, M_max, tail_tol=None):
             M_try += 1
         raise SpectralError(
             f"perturbation tail {tail:.2e} above {tail_tol:.1e} at M_max={M_max}; need about {M_try}")
-    return _heat_series(Q2, X, T, M_max), tail
+    return _heat_series(Q2, X, T, M_max, heat), tail
 
 
-def _heat_series(Q2, X, T, M_max):
+def _heat_series(Q2, X, T, M_max, heat=None):
     """sum_{M <= M_max} (-T)^M {X, ..., X}_{T Q2}.
 
     The order-M term is block (0, M) of toeplitz_exp_row of the constant-band
     chain with -T Q2 on its diagonal and -T X one step up.  The order-0 term
-    is expm(-T Q2) itself and X = 0 leaves the other blocks exactly zero, so
-    that X = 0 gives exactly the heat operator.  The order-M term is
-    M-linear in X: for X = X_s, of degree 2 in s, it has degree 2M, and
-    the sum degree 2 M_max.
+    is the heat operator expm(-T Q2) itself (heat, when the caller has it)
+    and X = 0 leaves the other blocks exactly zero, so that X = 0 gives
+    exactly the heat operator.  The order-M term is M-linear in X: for
+    X = X_s, of degree 2 in s, it has degree 2M, and the sum degree 2 M_max.
     """
-    out = expm(-T * Q2)
+    out = expm(-T * Q2) if heat is None else heat
     for term in toeplitz_exp_row([-T * Q2, -T * X], M_max)[1:]:
         out = out + term
     return out
@@ -526,7 +566,9 @@ def sf_integral(tf: TwistedFamily, s_nodes=32, M_max=16):
         gives the series degree 2 M_max in s, and M_max + 1 nodes are
         exact up to degree 2 M_max + 1.  The series takes those nodes
         whatever s_nodes is, so it is exact even for s_nodes < M_max + 1;
-        the direct integrand is no polynomial and keeps s_nodes.
+        the direct integrand is no polynomial and keeps s_nodes.  The
+        heat operator expm(-Q_m^2) does not depend on s: every series node
+        shares one.
     """
     Qd = tf.Qdot()
     Q2 = tf.Q_m @ tf.Q_m
@@ -534,9 +576,10 @@ def sf_integral(tf: TwistedFamily, s_nodes=32, M_max=16):
     for si, wi in zip(*gauss_legendre_01(s_nodes)):
         Qs = tf.Q_s(si)
         direct += wi * np.trace(Qd @ expm(-(Qs @ Qs)))
+    heat = expm(-1.0 * Q2)  # _heat_series's expm(-T Q2) at T = 1
     series = 0.0 + 0.0j
     for si, wi in zip(*gauss_legendre_01(M_max + 1)):
-        series += wi * np.trace(Qd @ _heat_series(Q2, tf.X_s(si), 1.0, M_max))
+        series += wi * np.trace(Qd @ _heat_series(Q2, tf.X_s(si), 1.0, M_max, heat))
     return {"direct": complex(direct), "series": complex(series)}
 
 
@@ -726,8 +769,9 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     The rows of degree N <= N_max are polynomials of degree at most
     2 N_max - 2 in s (see _pairing_rows), so they run on N_max
     Gauss-Legendre nodes, which integrate them exactly; the direct
-    spectral-flow integral keeps max(32, 2 N_max + 2) nodes.  A tail bound
-    that is not finite is refused before any row: no N_max certifies it.
+    spectral-flow integral, whose integrand does not depend on N_max,
+    keeps 32 nodes.  A tail bound that is not finite is refused before
+    any row: no N_max certifies it.
     """
     if N_max < 1:
         raise SpectralError(f"N_max must be >= 1, got {N_max}")
@@ -792,7 +836,7 @@ def pairing(M: OddFredholmModule, g: MatrixElement, N_max: int,
     checks.add("per-degree-term-identity", worst_term, term_tol,
                "B-insertion sum = sign * c(omega)-times-A-word term, per degree")
     t_sf = time.perf_counter()
-    sf = sf_integral(tf, s_nodes=max(32, 2 * N_max + 2))
+    sf = sf_integral(tf, s_nodes=32)
     checks.add("sf-methods-agree", abs(sf["direct"] - sf["series"]), 1e-8,
                "direct exponentials vs perturbation series")
     checks.add("sf-endpoints-similar", sf_endpoint_oracle(tf), 1e-8,

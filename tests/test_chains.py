@@ -633,6 +633,87 @@ def test_layer_merge_keeps_a_nan():
         assert any(np.isnan(cf) for cf in _faces(alg, "b", dict(terms)).values())
 
 
+def _merge_by_two_sorts(keys, coeffs):
+    """_merge as it was first written, kept as its oracle: an unstable sort,
+    the first occurrences by minimum.reduceat and their order by a second
+    argsort."""
+    if not len(keys):
+        return keys, coeffs
+    perm = np.argsort(keys)
+    sorted_keys = keys[perm]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    group = np.zeros(len(keys), dtype=np.intp)
+    group[starts[1:]] = 1
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[perm] = rank[np.cumsum(group)]
+    out = chains._sum_at(pos, coeffs, len(order))
+    keep = out != 0
+    return sorted_keys[starts][order][keep], out[keep]
+
+
+@pytest.mark.parametrize("n, spread, runs", [(1, 1, 0), (2, 1, 0), (7, 3, 0), (500, 20, 0), (500, 10**12, 0),
+                                             (20000, 3000, 0), (500, 20, 3), (20000, 3000, 5), (20000, 10**12, 2)])
+def test_merge_matches_the_two_sort_merge_bit_for_bit(n, spread, runs):
+    # random keys with duplicates, contributions that sum to exactly zero
+    # and NaN coefficients: the same keys, order and coefficient bits.
+    # With runs > 0 the keys come in that many ascending runs (then the
+    # cancelling keys, ascending), and _merge takes its stable sort
+    rng = np.random.default_rng(n + spread + runs)
+    keys = rng.integers(0, spread, size=n).astype(np.int64)
+    if runs:
+        keys = np.concatenate([np.sort(part) for part in np.array_split(keys, runs)])
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    coeffs[rng.random(n) < 0.02] = complex(np.nan, 0.0)
+    coeffs.real[rng.random(n) < 0.1] = 0.0
+    # a contribution of minus its running sum brings every other key to an exact zero
+    sums = {}
+    for k, cf in zip(keys.tolist(), coeffs.tolist()):
+        sums[k] = sums.get(k, 0j) + cf
+    cancel = sorted(sums)[::2]
+    keys = np.concatenate((keys, np.array(cancel, dtype=np.int64)))
+    coeffs = np.concatenate((coeffs, [-sums[k] for k in cancel]))
+    mean_run = len(keys) / (np.count_nonzero(keys[1:] < keys[:-1]) + 1)
+    assert (mean_run >= chains._SORTED_RUN) == (runs > 0) or n < chains._SORTED_RUN
+    got, want = chains._merge(keys, coeffs), _merge_by_two_sorts(keys, coeffs)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert len(got[0]) < len(sums)  # some keys dropped out
+
+
+@pytest.mark.parametrize("alg_name", list(SIGN_ALGS))
+def test_d_and_b_on_kronecker_blocks_match_the_layer_kernels(alg_name):
+    # unit-led blocks whose slots mix both parities (so each splits into
+    # homogeneous parts) and list sigma, whose d holds the unit: the
+    # signed output blocks, each word weighted by its tag sum, against
+    # d_cyclic and b_cyclic on the block's words with the same weights
+    alg = SIGN_ALGS[alg_name]
+    rng = np.random.default_rng(61)
+    sizes = []
+    for n_slots in (1, 2, 3, 4):
+        slots = [alg.unit.coeffs] + [np.where(rng.random(alg.dim) < 0.6, rng.standard_normal(alg.dim)
+                                              + 1j * rng.standard_normal(alg.dim), 0.0) for _ in range(n_slots)]
+        factors = chains._slot_factors(alg, CYCLIC, slots)
+        tags = [rng.integers(0, 3, size=len(nz)) for nz, _ in factors]
+        weights = rng.standard_normal(3 * (n_slots + 1))  # per tag sum
+        keys, coeffs, tag_sums = chains._kron_layer(factors, alg.dim, 1.0, tags)
+        source = chains._LayerSum(alg)
+        source.add(n_slots + 1, keys, coeffs * weights[tag_sums])
+        source = source.chain(alg, CYCLIC)
+        want = d_cyclic(source) + b_cyclic(source)
+        got = chains._LayerSum(alg)
+        for sign, out_factors, out_tags in chains._d_blocks(alg, factors, tags) + chains._b_blocks(alg, factors, tags):
+            keys, coeffs, tag_sums = chains._kron_layer(out_factors, alg.dim, sign, out_tags)
+            got.add(len(out_factors), keys, coeffs * weights[tag_sums])
+        got = got.chain(alg, CYCLIC)
+        assert (got - want).norm() <= 1e-14 * max(1.0, source.norm()), n_slots
+        sizes.append(len(want.terms))
+    assert max(sizes) > 0
+
+
 def test_layer_sum_adds_repeated_batches_as_a_dict(monkeypatch):
     # every add merges at once (_MERGE_ROWS = 1), behind the words held
     monkeypatch.setattr(chains, "_MERGE_ROWS", 1)

@@ -524,27 +524,63 @@ def test_ch_g_of_an_m2_element_matches_a_quadrature_build(make_g, N_max, sigma_s
 
 
 def test_ch_g_closed_applies_d_below_the_top_degree_only(small_g, monkeypatch):
-    # (D Ch)_N is read for N <= N_max - 1 only, and d keeps the word length:
-    # d never sees the top degree, and the residuals keep their bits
-    lengths = []
-    inner = spectral.d_cyclic
+    # (D Ch)_N = d Ch_N + b Ch_{N+1} is read for N <= N_max - 1 only, and d
+    # keeps the word length: d sees the blocks of degrees 1..N_max - 1 and
+    # never the top degree's, b those of degrees 2..N_max
+    seen = {"d": [], "b": []}
 
-    def recording(c):
-        lengths.extend(c._layers)
-        return inner(c)
+    def recording(name, inner, keeps_length):
+        def wrapped(alg, factors, tags):
+            out = inner(alg, factors, tags)
+            seen[name].append(len(factors))
+            assert all(len(f) == len(factors) - (not keeps_length) for _, f, _ in out)
+            return out
+        return wrapped
 
-    monkeypatch.setattr(spectral, "d_cyclic", recording)
+    monkeypatch.setattr(spectral, "_d_blocks", recording("d", chains._d_blocks, True))
+    monkeypatch.setattr(spectral, "_b_blocks", recording("b", chains._b_blocks, False))
     rep = ch_g_closed(small_g, 5)
-    assert sorted(lengths) == [2, 3, 4, 5]
-    whole = spectral.OddChernChain.total
-    monkeypatch.setattr(spectral.OddChernChain, "total", lambda ch, N_top=None: whole(ch))
-    lengths.clear()
-    ref = ch_g_closed(small_g, 5)
-    assert sorted(lengths) == [2, 3, 4, 5, 6]
     assert rep.passed
-    for N in range(1, 5):
-        check = f"telescoped-component-N={N}"
-        assert rep.residual(check).hex() == ref.residual(check).hex()
+    # one block per position of B: degree M has M blocks of M + 1 slots
+    assert sorted(seen["d"]) == [M + 1 for M in range(1, 5) for _ in range(M)]
+    assert sorted(seen["b"]) == [M + 1 for M in range(2, 6) for _ in range(M)]
+
+
+@pytest.mark.parametrize("make_g, N_max", [(lambda: circle_loop_element(discrete_circle_algebra(2), eps=0.5, seed=3), 5),
+                                           (_m2_element, 4), (_plane_loop_element, 3)],
+                         ids=["small_g", "circle_m2", "plane_m2"])
+def test_d_ch_from_blocks_matches_the_layer_oracle(make_g, N_max):
+    # d and b on the Kronecker blocks of Ch(g), each word with its source
+    # word's moment, against d_cyclic and b_cyclic on the materialized
+    # chain; the plane loop has words with beta > 0
+    ch = ch_g(make_g(), N_max)
+    total = ch.total()
+    oracle = chains.d_cyclic(ch.total(N_max - 1)) + chains.b_cyclic(total)
+    scale = max(1.0, total.norm())
+    for N in range(1, N_max):
+        acc = chains._LayerSum(ch.alg_T)
+        spectral._add_d_ch(ch, N, acc)
+        got = acc.chain(ch.alg_T, CYCLIC)
+        want = oracle.component(N)
+        assert len(want.terms) > 0
+        assert (got - want).norm() <= 1e-14 * scale, N
+
+
+@pytest.mark.parametrize("row", ["_d_signs", "_b_signs", "_wrap_sign"])
+def test_ch_g_closed_fails_with_a_negated_sign_row(small_g, monkeypatch, row):
+    # the block path reads its signs from the sign rows: a negated row must
+    # fail a telescoped component, and nothing else
+    inner = getattr(chains, row)
+
+    def negated(*args):
+        out = inner(*args)
+        return -out if isinstance(out, float) else [-v for v in out]
+
+    assert ch_g_closed(small_g, 5).passed
+    monkeypatch.setattr(chains, row, negated)
+    rep = ch_g_closed(small_g, 5)
+    failing = [c.check_id for c in rep.failing()]
+    assert failing and all(cid.startswith("telescoped-component-N=") for cid in failing), failing
 
 
 def test_layer_d_and_b_of_ch_g_match_the_per_word_faces(small_g):
@@ -806,10 +842,46 @@ def test_pairing_and_sf_integral_take_one_row_per_exact_node(circle6, tf6, monke
     monkeypatch.setattr(spectral, "_pairing_rows", lambda tf, s, N_max: rows.append(s) or pairing_rows(tf, s, N_max))
     pairing(circle6, g, N_max=6, tail_tol=1e-3)
     assert len(rows) == 6
-    monkeypatch.setattr(spectral, "_heat_series", lambda Q2, X, T, M_max: series.append(M_max) or np.zeros_like(Q2))
+    monkeypatch.setattr(spectral, "_heat_series",
+                        lambda Q2, X, T, M_max, heat: series.append(M_max) or np.zeros_like(Q2))
     monkeypatch.setattr(spectral, "expm", lambda A: direct.append(A.shape) or dense(A))
     sf_integral(tf6, s_nodes=32, M_max=16)
-    assert series == [16] * 17 and len(direct) == 32
+    # 32 direct exponentials, and the one heat operator every series node shares
+    assert series == [16] * 17 and len(direct) == 33
+
+
+def test_pairing_takes_32_direct_nodes_whatever_n_max(circle6, monkeypatch):
+    # the direct integrand Tr(Qdot e^{-Q_s^2}) does not depend on N_max; the
+    # rows are stubbed, as only the spectral-flow integral is counted here
+    g = circle_loop_element(circle6.alg, eps=0.10, seed=7)
+    counts, inner_sf, dense = [], spectral.sf_integral, spectral.expm
+    exps = []
+
+    def counting(tf, s_nodes=32, M_max=16):
+        start = len(exps)
+        out = inner_sf(tf, s_nodes=s_nodes, M_max=M_max)
+        counts.append((s_nodes, len(exps) - start))
+        return out
+
+    monkeypatch.setattr(spectral, "_pairing_rows", lambda tf, s, N_max: ([0j] * N_max, [0j] * N_max))
+    monkeypatch.setattr(spectral, "sf_integral", counting)
+    monkeypatch.setattr(spectral, "expm", lambda A: exps.append(A.shape) or dense(A))
+    pairing(circle6, g, N_max=20, tail_tol=1e-3)
+    assert counts == [(32, 33)]  # 32 direct exponentials and one heat operator
+
+
+def test_one_heat_operator_serves_every_series_bit_for_bit(tf6):
+    # sf_integral's nodes share one heat operator, and perturbation_series
+    # reuses the one of its trace factor: the series of per-call heat
+    # operators, bit for bit
+    Qd, Q2 = tf6.Qdot(), tf6.Q_m @ tf6.Q_m
+    want = 0.0 + 0.0j
+    for si, wi in zip(*gauss_legendre_01(9)):
+        want += wi * np.trace(Qd @ spectral._heat_series(Q2, tf6.X_s(si), 1.0, 8))
+    got = sf_integral(tf6, s_nodes=4, M_max=8)["series"]
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    series, _ = perturbation_series(tf6, 0.3, 0.7, 12)
+    assert np.array_equal(series, spectral._heat_series(Q2, tf6.X_s(0.3), 0.7, 12))
 
 
 def test_constant_band_chains_take_no_dense_exponential(circle6, tf6, monkeypatch):
